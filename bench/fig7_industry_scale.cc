@@ -56,11 +56,11 @@ int main() {
         dpdp::SimulatorConfig sim_config;
         sim_config.predicted_std = train_std;
         sim_config.record_visits = false;
-        dpdp::Simulator simulator(&train_day, sim_config);
+        dpdp::Environment env(&train_day, sim_config);
         agent->set_training(true);
         dpdp::TrainOptions options;
         options.episodes = episodes;
-        dpdp::RunEpisodes(&simulator, agent.get(), options);
+        dpdp::RunEpisodes(&env, agent.get(), options);
         agent->set_training(false);
         agent->FinalizeTraining();
         trained[m] = std::move(agent);
@@ -93,7 +93,7 @@ int main() {
     dpdp::MinIncrementalLengthDispatcher b1;
     dpdp::MinTotalLengthDispatcher b2;
     dpdp::MaxAcceptedOrdersDispatcher b3;
-    // One evaluation job per dispatcher; every job gets a private Simulator
+    // One evaluation job per dispatcher; every job gets a private Environment
     // and a private result slot, and the dispatchers are all distinct
     // objects (agents carry activation caches, so they must not be shared
     // across concurrent jobs). Rows are assembled in job order afterwards.
@@ -108,8 +108,8 @@ int main() {
     std::vector<dpdp::EpisodeResult> results(jobs.size());
     dpdp::GlobalThreadPool()->ParallelFor(
         static_cast<int>(jobs.size()), [&](int j) {
-          dpdp::Simulator simulator(&inst, sim_config);
-          results[j] = simulator.RunEpisode(jobs[j].dispatcher);
+          dpdp::Environment env(&inst, sim_config);
+          results[j] = dpdp::RunEpisode(&env, jobs[j].dispatcher);
         });
     for (size_t j = 0; j < jobs.size(); ++j) {
       nuv_row.push_back(dpdp::TextTable::Num(results[j].nuv, 0));

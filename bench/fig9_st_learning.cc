@@ -39,19 +39,19 @@ int main() {
     auto agent = dpdp::MakeAgentByName(method, /*seed=*/5);
     dpdp::SimulatorConfig sim_config;
     sim_config.predicted_std = predicted;
-    dpdp::Simulator simulator(&inst, sim_config);
+    dpdp::Environment env(&inst, sim_config);
     agent->set_training(true);
     dpdp::TrainOptions options;
     options.episodes = episodes;
     options.demand_for_diff = demand;
     const dpdp::TrainingCurve curve =
-        dpdp::RunEpisodes(&simulator, agent.get(), options);
+        dpdp::RunEpisodes(&env, agent.get(), options);
     diffs[method] = curve.capacity_diff;
     // Greedy evaluation episode for the converged capacity distribution.
     agent->set_training(false);
     agent->FinalizeTraining();
-    (void)simulator.RunEpisode(agent.get());
-    final_capacity[method] = simulator.LastCapacityDistribution();
+    (void)dpdp::RunEpisode(&env, agent.get());
+    final_capacity[method] = env.LastCapacityDistribution();
     std::printf("trained %s\n", method.c_str());
   }
 

@@ -333,10 +333,10 @@ void BM_SimulatorEpisodeBaseline1(benchmark::State& state) {
   const dpdp::Instance inst = MakeBenchInstance(orders, orders / 3 + 2);
   dpdp::SimulatorConfig config;
   config.record_visits = false;
-  dpdp::Simulator sim(&inst, config);
+  dpdp::Environment env(&inst, config);
   dpdp::MinIncrementalLengthDispatcher baseline;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.RunEpisode(&baseline));
+    benchmark::DoNotOptimize(dpdp::RunEpisode(&env, &baseline));
   }
   state.SetItemsProcessed(state.iterations() * orders);
 }
@@ -381,15 +381,14 @@ void BM_ParallelBatchUpdate(benchmark::State& state) {
   dpdp::DqnFleetAgent agent(config, "bench");
   dpdp::SimulatorConfig sim_config;
   sim_config.record_visits = false;
-  dpdp::Simulator sim(&inst, sim_config);
+  dpdp::Environment env(&inst, sim_config);
   agent.set_training(true);
-  // Fill the replay buffer; OnEpisodeEnd also runs the first updates.
+  // Fill the replay buffer; each episode's Learn runs the updates.
   dpdp::TrainOptions options;
   options.episodes = 2;
-  dpdp::RunEpisodes(&sim, &agent, options);
+  dpdp::RunEpisodes(&env, &agent, options);
   for (auto _ : state) {
-    const dpdp::EpisodeResult r = sim.RunEpisode(&agent);
-    agent.OnEpisodeEnd(r);
+    benchmark::DoNotOptimize(dpdp::RunEpisode(&env, &agent));
   }
   state.SetLabel(threads > 0
                      ? std::to_string(threads) + " threads"

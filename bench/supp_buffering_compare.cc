@@ -32,9 +32,9 @@ int main() {
     dpdp::SimulatorConfig config;
     config.buffer_window_min = window;
     config.record_visits = false;
-    dpdp::Simulator sim(&inst, config);
+    dpdp::Environment env(&inst, config);
     dpdp::MinIncrementalLengthDispatcher b1;
-    const dpdp::EpisodeResult r = sim.RunEpisode(&b1);
+    const dpdp::EpisodeResult r = dpdp::RunEpisode(&env, &b1);
     table.AddRow({window == 0.0 ? "0 (immediate)"
                                 : dpdp::TextTable::Num(window, 0),
                   dpdp::TextTable::Num(r.nuv, 0),

@@ -38,13 +38,13 @@ int main() {
    public:
     explicit FeasibilityMeter(dpdp::Dispatcher* base) : base_(base) {}
     const char* name() const override { return base_->name(); }
-    int ChooseVehicle(const dpdp::DispatchContext& ctx) override {
+    int Act(const dpdp::DispatchContext& ctx) override {
       feasible_sum += ctx.num_feasible;
       fleet_sum += static_cast<int>(ctx.options.size());
-      return base_->ChooseVehicle(ctx);
+      return base_->Act(ctx);
     }
-    void OnEpisodeEnd(const dpdp::EpisodeResult& r) override {
-      base_->OnEpisodeEnd(r);
+    void Learn(const dpdp::EpisodeResult& r) override {
+      base_->Learn(r);
     }
     long long feasible_sum = 0;
     long long fleet_sum = 0;
@@ -64,11 +64,11 @@ int main() {
     dpdp::SimulatorConfig sim_config;
     sim_config.predicted_std = predicted;
     sim_config.record_visits = false;
-    dpdp::Simulator sim(&inst, sim_config);
+    dpdp::Environment env(&inst, sim_config);
     double wall = 0.0;
     dpdp::EpisodeResult last;
     for (int e = 0; e < episodes; ++e) {
-      last = sim.RunEpisode(&meter);
+      last = dpdp::RunEpisode(&env, &meter);
       wall += last.decision_wall_seconds;
     }
     table.AddRow(

@@ -39,14 +39,14 @@ int main() {
       dpdp::SimulatorConfig sim_config;
       sim_config.predicted_std = predicted;
       sim_config.divergence = kind;
-      dpdp::Simulator simulator(&inst, sim_config);
+      dpdp::Environment env(&inst, sim_config);
       agent.set_training(true);
       dpdp::TrainOptions options;
       options.episodes = episodes;
-      dpdp::RunEpisodes(&simulator, &agent, options);
+      dpdp::RunEpisodes(&env, &agent, options);
       agent.set_training(false);
       agent.FinalizeTraining();
-      const dpdp::EpisodeResult r = simulator.RunEpisode(&agent);
+      const dpdp::EpisodeResult r = dpdp::RunEpisode(&env, &agent);
       nuv.push_back(r.nuv);
       tc.push_back(r.total_cost);
     }

@@ -36,9 +36,9 @@ int main() {
     config.predicted_std = predicted;
     config.record_visits = false;
     config.local_search_passes = passes;
-    dpdp::Simulator sim(&inst, config);
+    dpdp::Environment env(&inst, config);
     dpdp::WallTimer timer;
-    const dpdp::EpisodeResult r = sim.RunEpisode(d);
+    const dpdp::EpisodeResult r = dpdp::RunEpisode(&env, d);
     table.AddRow({label, passes > 0 ? "yes" : "no",
                   dpdp::TextTable::Num(r.nuv, 0),
                   dpdp::TextTable::Num(r.total_cost),
@@ -56,12 +56,12 @@ int main() {
     dpdp::SimulatorConfig config;
     config.predicted_std = predicted;
     config.record_visits = false;
-    dpdp::Simulator sim(&inst, config);
+    dpdp::Environment env(&inst, config);
     dpdp::WallTimer timer;
     agent->set_training(true);
     dpdp::TrainOptions options;
     options.episodes = episodes;
-    dpdp::RunEpisodes(&sim, agent.get(), options);
+    dpdp::RunEpisodes(&env, agent.get(), options);
     agent->set_training(false);
     agent->FinalizeTraining();
     std::printf("trained ST-DDGN (%d episodes, %.0fs)\n\n", episodes,

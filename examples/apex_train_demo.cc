@@ -14,7 +14,7 @@
 //     model sequence number >= 1 (i.e. decisions were scored on weights
 //     the learner published mid-run, not just the seed snapshot);
 //   * experience-generation throughput scales with the actor count
-//     against the pre-fabric baseline (one simulator + one local agent
+//     against the pre-fabric baseline (one environment + one local agent
 //     per seed, run sequentially).
 //
 // A note on the scaling measurement: decision evaluation is CPU-bound, so
@@ -61,19 +61,18 @@ class CommitWaitDispatcher : public dpdp::Dispatcher {
       : inner_(inner), commit_us_(commit_us) {}
 
   const char* name() const override { return "commit_wait"; }
-  int ChooseVehicle(const dpdp::DispatchContext& context) override {
-    const int vehicle = inner_->ChooseVehicle(context);
+  int Act(const dpdp::DispatchContext& context) override {
+    const int vehicle = inner_->Act(context);
     if (commit_us_ > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(commit_us_));
     }
     return vehicle;
   }
-  void OnOrderAssigned(const dpdp::DispatchContext& context,
-                       int vehicle) override {
-    inner_->OnOrderAssigned(context, vehicle);
+  void Observe(const dpdp::DispatchContext& context, int vehicle) override {
+    inner_->Observe(context, vehicle);
   }
-  void OnEpisodeEnd(const dpdp::EpisodeResult& result) override {
-    inner_->OnEpisodeEnd(result);
+  void Learn(const dpdp::EpisodeResult& result) override {
+    inner_->Learn(result);
   }
 
  private:
@@ -174,17 +173,17 @@ int main() {
 
   std::vector<BenchRow> rows;
 
-  // --- Baseline: one simulator + one local agent per seed, sequential,
+  // --- Baseline: one environment + one local agent per seed, sequential,
   // paying the downstream ack per decision.
   {
     dpdp::DqnFleetAgent agent(agent_config, "baseline");
     agent.set_training(true);
     CommitWaitDispatcher channel(&agent, commit_us);
-    dpdp::Simulator sim(&instance);
+    dpdp::Environment env(&instance);
     long transitions = 0;
     const dpdp::WallTimer timer;
     for (int e = 0; e < episodes; ++e) {
-      transitions += sim.RunEpisode(&channel).num_decisions;
+      transitions += dpdp::RunEpisode(&env, &channel).num_decisions;
     }
     rows.push_back(
         MakeRow("BM_OneSimPerSeed", transitions, timer.ElapsedSeconds()));

@@ -164,11 +164,11 @@ int main() {
   // Ground truth per weight set, from independent local agents.
   const int choice_a = [&] {
     dpdp::DqnFleetAgent agent(config_a, "truth-a");
-    return agent.ChooseVehicle(contexts[0]->context);
+    return agent.Act(contexts[0]->context);
   }();
   const int choice_b = [&] {
     dpdp::DqnFleetAgent agent(config_b, "truth-b");
-    return agent.ChooseVehicle(contexts[0]->context);
+    return agent.Act(contexts[0]->context);
   }();
 
   // The fabric under chaos: crashes, stalls, slowdowns AND corrupt

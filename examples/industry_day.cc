@@ -66,9 +66,9 @@ int main() {
   sim_config.record_visits = false;
 
   {
-    dpdp::Simulator sim(&inst, sim_config);
+    dpdp::Environment env(&inst, sim_config);
     dpdp::MinIncrementalLengthDispatcher baseline;
-    PrintReport("Baseline 1 (UAT heuristic)", sim.RunEpisode(&baseline),
+    PrintReport("Baseline 1 (UAT heuristic)", dpdp::RunEpisode(&env, &baseline),
                 inst);
   }
   {

@@ -1,13 +1,13 @@
 // Observability walkthrough: train a DQN dispatcher for a couple of
 // episodes with the metrics registry, per-episode metrics.csv time series
 // and the Chrome-trace span tracer all active, then cross-check that the
-// recorded telemetry reconciles exactly with the simulator's own episode
-// accounting.
+// recorded telemetry reconciles exactly with the environment's own
+// episode accounting.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   DPDP_METRICS_DIR=/tmp/dpdp_obs DPDP_TRACE=1 \
-//       ./build/examples/observability_demo
+//   export DPDP_METRICS_DIR=/tmp/dpdp_obs DPDP_TRACE=1
+//   ./build/examples/observability_demo
 //
 // Afterwards /tmp/dpdp_obs contains:
 //   metrics.csv            one row per training episode (loss, epsilon,
@@ -46,7 +46,7 @@ int main() {
 
   dpdp::SimulatorConfig sim_config;
   sim_config.predicted_std = predicted.value();
-  dpdp::Simulator simulator(&instance, sim_config);
+  dpdp::Environment env(&instance, sim_config);
   std::unique_ptr<dpdp::Agent> agent =
       dpdp::MakeAgentByName("DQN", /*seed=*/1);
   agent->set_training(true);
@@ -57,7 +57,7 @@ int main() {
   dpdp::TrainOptions options;
   options.episodes = dpdp::EnvInt("DPDP_EPISODES", 2);
   const dpdp::TrainingCurve curve =
-      dpdp::RunEpisodes(&simulator, agent.get(), options);
+      dpdp::RunEpisodes(&env, agent.get(), options);
 
   long total_decisions = 0;
   long total_degraded = 0;

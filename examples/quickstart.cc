@@ -44,9 +44,9 @@ int main() {
 
   // 4. Dispatch with the UAT heuristic (Baseline 1).
   {
-    dpdp::Simulator sim(&instance);
+    dpdp::Environment env(&instance);
     dpdp::MinIncrementalLengthDispatcher baseline;
-    add_row("baseline1 (UAT heuristic)", sim.RunEpisode(&baseline));
+    add_row("baseline1 (UAT heuristic)", dpdp::RunEpisode(&env, &baseline));
   }
 
   // 5. Train ST-DDGN briefly and evaluate the greedy policy.

@@ -36,8 +36,8 @@ int Run(const dpdp::Instance& instance, const std::string& method,
                               : method == "baseline2"
                                     ? static_cast<dpdp::Dispatcher*>(&b2)
                                     : static_cast<dpdp::Dispatcher*>(&b3);
-    dpdp::Simulator sim(&instance);
-    result = sim.RunEpisode(d);
+    dpdp::Environment env(&instance);
+    result = dpdp::RunEpisode(&env, d);
   } else {
     // Learned policy: build an STD prediction from the instance's own
     // stream (self-prediction; plug a real history when you have one),

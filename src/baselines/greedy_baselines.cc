@@ -26,20 +26,18 @@ int ArgMinFeasible(const DispatchContext& context, KeyFn key) {
 
 }  // namespace
 
-int MinIncrementalLengthDispatcher::ChooseVehicle(
-    const DispatchContext& context) {
+int MinIncrementalLengthDispatcher::Act(const DispatchContext& context) {
   return ArgMinFeasible(context, [](const VehicleOption& o) {
     return o.incremental_length;
   });
 }
 
-int MinTotalLengthDispatcher::ChooseVehicle(const DispatchContext& context) {
+int MinTotalLengthDispatcher::Act(const DispatchContext& context) {
   return ArgMinFeasible(context,
                         [](const VehicleOption& o) { return o.new_length; });
 }
 
-int MaxAcceptedOrdersDispatcher::ChooseVehicle(
-    const DispatchContext& context) {
+int MaxAcceptedOrdersDispatcher::Act(const DispatchContext& context) {
   // Most accepted orders first; ties broken by cheapest insertion so the
   // rule stays deterministic and sensible among equally loaded vehicles.
   int best = -1;

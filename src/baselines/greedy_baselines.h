@@ -11,7 +11,7 @@ namespace dpdp {
 class MinIncrementalLengthDispatcher : public Dispatcher {
  public:
   const char* name() const override { return "baseline1_min_incremental"; }
-  int ChooseVehicle(const DispatchContext& context) override;
+  int Act(const DispatchContext& context) override;
 };
 
 /// Baseline 2: dispatch to the feasible vehicle with the smallest *total*
@@ -19,7 +19,7 @@ class MinIncrementalLengthDispatcher : public Dispatcher {
 class MinTotalLengthDispatcher : public Dispatcher {
  public:
   const char* name() const override { return "baseline2_min_total"; }
-  int ChooseVehicle(const DispatchContext& context) override;
+  int Act(const DispatchContext& context) override;
 };
 
 /// Baseline 3 (adapted from Grandinetti et al.): dispatch to the feasible
@@ -28,7 +28,7 @@ class MinTotalLengthDispatcher : public Dispatcher {
 class MaxAcceptedOrdersDispatcher : public Dispatcher {
  public:
   const char* name() const override { return "baseline3_max_orders"; }
-  int ChooseVehicle(const DispatchContext& context) override;
+  int Act(const DispatchContext& context) override;
 };
 
 }  // namespace dpdp

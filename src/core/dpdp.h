@@ -74,7 +74,7 @@
 #include "serve/shard_router.h"
 #include "serve/shard_supervisor.h"
 #include "sim/dispatcher.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "stpred/divergence.h"
 #include "stpred/predictor.h"
 #include "stpred/st_score.h"

@@ -86,7 +86,7 @@ DrlOutcome TrainEvalOnInstance(const Instance& instance,
   SimulatorConfig sim_config =
       base_sim_config != nullptr ? *base_sim_config : SimulatorConfig{};
   sim_config.predicted_std = predicted_std;
-  Simulator simulator(&instance, sim_config);
+  Environment env(&instance, sim_config);
 
   DrlOutcome out;
   out.method = method;
@@ -96,12 +96,12 @@ DrlOutcome TrainEvalOnInstance(const Instance& instance,
   agent->set_training(true);
   TrainOptions options;
   options.episodes = episodes;
-  out.curve = RunEpisodes(&simulator, agent.get(), options);
+  out.curve = RunEpisodes(&env, agent.get(), options);
   out.train_seconds = timer.ElapsedSeconds();
 
   agent->set_training(false);
   agent->FinalizeTraining();
-  out.eval = simulator.RunEpisode(agent.get());
+  out.eval = RunEpisode(&env, agent.get());
   out.eval_decision_seconds = out.eval.decision_wall_seconds;
   return out;
 }
@@ -145,8 +145,8 @@ MethodSummary RunBaseline(const Instance& instance, Dispatcher* baseline,
                           const nn::Matrix& predicted_std) {
   SimulatorConfig sim_config;
   sim_config.predicted_std = predicted_std;
-  Simulator simulator(&instance, sim_config);
-  const EpisodeResult result = simulator.RunEpisode(baseline);
+  Environment env(&instance, sim_config);
+  const EpisodeResult result = RunEpisode(&env, baseline);
   MethodSummary summary;
   summary.method = baseline->name();
   summary.nuv.push_back(result.nuv);

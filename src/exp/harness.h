@@ -10,7 +10,7 @@
 #include "nn/matrix.h"
 #include "rl/agent.h"
 #include "rl/trainer.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "util/env.h"
 #include "util/retry.h"
 #include "util/stats.h"
@@ -133,7 +133,7 @@ MethodSummary RunBaseline(const Instance& instance, Dispatcher* baseline,
 /// Run s uses seed Rng::DeriveSeed(seed_base, s), so every run has its
 /// own named RNG sub-stream. The runs execute in parallel on `pool`
 /// (the process-wide DPDP_THREADS-sized pool when null); because each
-/// run is self-contained (own Simulator, own agent, read-only instance
+/// run is self-contained (own Environment, own agent, read-only instance
 /// and predicted STD) the nuv/tc results are bit-identical for every
 /// worker count — only the wall-time column varies.
 ///

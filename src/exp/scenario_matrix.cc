@@ -8,7 +8,7 @@
 #include "baselines/greedy_baselines.h"
 #include "exp/harness.h"
 #include "obs/metrics.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -34,8 +34,8 @@ ScenarioCell RunCell(const ScenarioWorld& world, const std::string& sc_name,
   EpisodeResult result;
   std::unique_ptr<Dispatcher> baseline = MakeBaselineByName(method);
   if (baseline != nullptr) {
-    Simulator sim(&world.instance, world.sim_config);
-    result = sim.RunEpisode(baseline.get());
+    Environment env(&world.instance, world.sim_config);
+    result = RunEpisode(&env, baseline.get());
   } else {
     const DrlOutcome outcome =
         TrainEvalOnInstance(world.instance, nn::Matrix(), method, cell_seed,

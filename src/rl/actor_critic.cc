@@ -68,44 +68,30 @@ int ActorCriticAgent::Act(const DispatchContext& context) {
       if (pi[i] > pi[sub_action]) sub_action = static_cast<int>(i);
     }
   }
-  const int action = idx[sub_action];
-  if (training_) {
-    episode_.push_back({StoredFleetState::FromFleetState(state), action,
-                        InstantReward(context, action, config_)});
-    decision_recorded_ = true;
-  }
-  return action;
-}
-
-void ActorCriticAgent::Observe(const DispatchContext& context, int vehicle) {
-  if (!training_ || !decision_recorded_) return;
-  decision_recorded_ = false;
-  EpisodeStep& step = episode_.back();
-  if (vehicle == step.action) return;
-  step.action = vehicle;
-  step.instant_reward = InstantReward(context, vehicle, config_);
+  if (training_) recorder_.Record(state);
+  return idx[sub_action];
 }
 
 void ActorCriticAgent::Learn(const EpisodeResult& result) {
   (void)result;
-  if (!training_ || episode_.empty()) return;
-  TrainEpisode();
-  episode_.clear();
+  if (!training_ || recorder_.empty()) return;
+  TrainEpisode(recorder_.TakeSteps());
   ++episodes_trained_;
 }
 
-void ActorCriticAgent::TrainEpisode() {
-  const size_t n = episode_.size();
+void ActorCriticAgent::TrainEpisode(
+    const std::vector<EpisodeStep>& episode) {
+  const size_t n = episode.size();
   // Eq. (7)/(8): fold the episode-mean instant reward into every step.
   double mean_reward = 0.0;
-  for (const EpisodeStep& s : episode_) mean_reward += s.instant_reward;
+  for (const EpisodeStep& s : episode) mean_reward += s.instant_reward;
   mean_reward /= static_cast<double>(n);
 
   // Discounted returns over the folded rewards.
   std::vector<double> returns(n);
   double g = 0.0;
   for (size_t i = n; i-- > 0;) {
-    g = (episode_[i].instant_reward + mean_reward) + config_.gamma * g;
+    g = (episode[i].instant_reward + mean_reward) + config_.gamma * g;
     returns[i] = g;
   }
 
@@ -118,9 +104,9 @@ void ActorCriticAgent::TrainEpisode() {
   train_batch_.Clear();
   std::vector<int> sub_action(n);
   for (size_t i = 0; i < n; ++i) {
-    const FleetState state = episode_[i].state.ToFleetState();
+    const FleetState state = episode[i].state.ToFleetState();
     const std::vector<int> idx = state.FeasibleIndices();
-    const auto it = std::find(idx.begin(), idx.end(), episode_[i].action);
+    const auto it = std::find(idx.begin(), idx.end(), episode[i].action);
     DPDP_CHECK(it != idx.end());
     sub_action[i] = static_cast<int>(it - idx.begin());
     AppendSubFleetInputs(state, idx, config_.use_graph,

@@ -35,9 +35,10 @@ class ActorCriticAgent : public Agent {
   /// so the environment can degrade to the greedy fallback; nothing is
   /// recorded for such a decision.
   int Act(const DispatchContext& context) override;
-  /// Re-targets the just-recorded step when graceful degradation executed
-  /// a different vehicle than the sampled one.
-  void Observe(const DispatchContext& context, int vehicle) override;
+  /// Records the vehicle the environment actually executed (EpisodeRecorder).
+  void Observe(const DispatchContext& context, int vehicle) override {
+    recorder_.Observe(context, vehicle, config_);
+  }
   void Learn(const EpisodeResult& result) override;
 
   void set_training(bool training) override { training_ = training; }
@@ -55,7 +56,7 @@ class ActorCriticAgent : public Agent {
   /// item built in act_batch_).
   std::vector<double> PolicyOnSubFleet(const FleetState& state,
                                        const std::vector<int>& idx);
-  void TrainEpisode();
+  void TrainEpisode(const std::vector<EpisodeStep>& episode);
 
   AgentConfig config_;
   std::string name_;
@@ -76,9 +77,7 @@ class ActorCriticAgent : public Agent {
   int episodes_trained_ = 0;
   double last_policy_loss_ = 0.0;
   double last_value_loss_ = 0.0;
-  /// Gates the OnOrderAssigned sync to decisions that pushed a step.
-  bool decision_recorded_ = false;
-  std::vector<EpisodeStep> episode_;
+  EpisodeRecorder recorder_;
 };
 
 }  // namespace dpdp

@@ -18,46 +18,13 @@ struct TrainingStats {
   int replay_size = 0;    ///< Transitions currently in the replay buffer.
 };
 
-/// The RL-layer interface: a policy that acts, observes what actually
-/// executed, and learns at episode boundaries.
-///
-/// `Act` / `Observe` / `Learn` are the agent-role vocabulary; the
-/// Dispatcher vocabulary (`ChooseVehicle` / `OnOrderAssigned` /
-/// `OnEpisodeEnd`) is implemented once here as final forwarders, so every
-/// episode driver — the Simulator facade, the Environment step loops, the
-/// serving adapters — glues to an agent through exactly one adapter
-/// instead of per-agent duplicated episode-loop plumbing. Local training,
-/// served inference, actor rollout and headless learner roles are all
+/// The RL-layer interface: a Dispatcher whose Act / Observe / Learn
+/// explore, record the executed transitions and train, plus the training
+/// switch, telemetry and checkpoint hooks. Local training, served
+/// inference, actor rollout and headless learner roles are all
 /// compositions of this interface (see src/train/).
 class Agent : public Dispatcher {
  public:
-  /// Picks the vehicle to serve `context.order` (the policy action). A
-  /// return of -1 refuses the decision; the environment then degrades to
-  /// the greedy-insertion fallback and reports the executed vehicle via
-  /// Observe.
-  virtual int Act(const DispatchContext& context) = 0;
-
-  /// Observes the action the environment actually executed for the last
-  /// Act on `context` (it differs from the returned action when graceful
-  /// degradation overrode the choice). Default: no-op.
-  virtual void Observe(const DispatchContext& context, int vehicle) {
-    (void)context;
-    (void)vehicle;
-  }
-
-  /// Learns from the finished episode (long-term reward folding, replay
-  /// storage, gradient steps). Default: no-op.
-  virtual void Learn(const EpisodeResult& result) { (void)result; }
-
-  // Dispatcher vocabulary, adapted once and for all implementations.
-  int ChooseVehicle(const DispatchContext& context) final {
-    return Act(context);
-  }
-  void OnOrderAssigned(const DispatchContext& context, int vehicle) final {
-    Observe(context, vehicle);
-  }
-  void OnEpisodeEnd(const EpisodeResult& result) final { Learn(result); }
-
   /// Training mode enables exploration, transition recording and
   /// episode-end updates. Off by default for evaluation.
   virtual void set_training(bool training) = 0;

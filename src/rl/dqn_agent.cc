@@ -107,31 +107,8 @@ int DqnFleetAgent::Act(const DispatchContext& context) {
     }
   }
 
-  if (training_) {
-    StoredFleetState stored = StoredFleetState::FromFleetState(state);
-    if (pending_.active) {
-      episode_.push_back({std::move(pending_.state), pending_.action,
-                          pending_.instant_reward, stored,
-                          /*terminal=*/false});
-    }
-    pending_.state = std::move(stored);
-    pending_.action = action;
-    pending_.instant_reward = InstantReward(context, action, config_);
-    pending_.active = true;
-    decision_recorded_ = true;
-  }
+  if (training_) recorder_.Record(state);
   return action;
-}
-
-void DqnFleetAgent::Observe(const DispatchContext& context, int vehicle) {
-  if (!training_ || !decision_recorded_) return;
-  decision_recorded_ = false;
-  if (vehicle == pending_.action) return;
-  // Graceful degradation (or any environment override) executed a
-  // different vehicle than we chose: learn from the action that actually
-  // happened.
-  pending_.action = vehicle;
-  pending_.instant_reward = InstantReward(context, vehicle, config_);
 }
 
 void DqnFleetAgent::Learn(const EpisodeResult& result) {
@@ -145,20 +122,12 @@ void DqnFleetAgent::Learn(const EpisodeResult& result) {
       best_weights_.push_back(p->value);
     }
   }
-  if (pending_.active) {
-    episode_.push_back({std::move(pending_.state), pending_.action,
-                        pending_.instant_reward, StoredFleetState{},
-                        /*terminal=*/true});
-    pending_.active = false;
-  }
-  if (episode_.empty()) return;
+  if (recorder_.empty()) return;
 
-  const size_t episode_transitions = episode_.size();
-  for (Transition& t : FoldEpisodeRewards(std::move(episode_))) {
-    replay_.Add(std::move(t));
-  }
+  std::vector<Transition> transitions = recorder_.Fold();
+  const size_t episode_transitions = transitions.size();
+  for (Transition& t : transitions) replay_.Add(std::move(t));
   Metrics().transitions->Add(episode_transitions);
-  episode_.clear();
 
   if (replay_.size() >= config_.batch_size) {
     int updates = config_.updates_per_episode;
@@ -514,7 +483,7 @@ bool ReadPod(std::istream* is, T* value) {
 
 Status DqnFleetAgent::SaveState(std::ostream* os) const {
   DPDP_CHECK(os != nullptr);
-  DPDP_CHECK(!pending_.active && episode_.empty());  // Episode boundary.
+  DPDP_CHECK(recorder_.empty());  // Episode boundary.
   WritePod(os, kAgentStateVersion);
   nn::SaveParameters(online_->Params(), os);
   nn::SaveParameters(target_->Params(), os);
@@ -584,9 +553,7 @@ Status DqnFleetAgent::LoadState(std::istream* is) {
   last_loss_ = last_loss;
   best_episode_cost_ = best_cost;
   best_weights_ = std::move(best_weights);
-  pending_ = Pending{};
-  decision_recorded_ = false;
-  episode_.clear();
+  recorder_ = EpisodeRecorder{};
   // Telemetry accumulators restart from zero (not checkpointed).
   q_sum_ = 0.0;
   q_max_ = 0.0;

@@ -33,10 +33,10 @@ class DqnFleetAgent : public Agent {
   /// Q-value for any feasible vehicle; the environment then degrades to
   /// the greedy fallback. Nothing is recorded for such a decision.
   int Act(const DispatchContext& context) override;
-  /// Syncs the recorded transition onto the vehicle the environment
-  /// actually executed (they differ when graceful degradation overrode the
-  /// choice).
-  void Observe(const DispatchContext& context, int vehicle) override;
+  /// Records the vehicle the environment actually executed (EpisodeRecorder).
+  void Observe(const DispatchContext& context, int vehicle) override {
+    recorder_.Observe(context, vehicle, config_);
+  }
   void Learn(const EpisodeResult& result) override;
   /// Restores the best-episode weight snapshot (if any) into the online
   /// and target networks.
@@ -73,8 +73,8 @@ class DqnFleetAgent : public Agent {
 
   /// Full training-state checkpoint (weights, target, optimizer moments,
   /// RNG, epsilon schedule, best-weights snapshot, replay buffer). Must be
-  /// called at an episode boundary — mid-episode pending transitions are
-  /// not captured. LoadState + continued training is bit-identical to an
+  /// called at an episode boundary — mid-episode recorded steps are not
+  /// captured. LoadState + continued training is bit-identical to an
   /// uninterrupted run.
   Status SaveState(std::ostream* os) const override;
   Status LoadState(std::istream* is) override;
@@ -91,13 +91,6 @@ class DqnFleetAgent : public Agent {
   void SyncTarget();
 
  private:
-  struct Pending {
-    StoredFleetState state;
-    int action = -1;
-    double instant_reward = 0.0;
-    bool active = false;
-  };
-
   /// Worker-local online/target network clones used by the parallel
   /// minibatch path (config.parallel_batch): each worker gets private
   /// activation caches and gradient buffers while sharing the master
@@ -140,7 +133,7 @@ class DqnFleetAgent : public Agent {
   std::unique_ptr<nn::Adam> optimizer_;
   ReplayBuffer replay_;
 
-  /// Decision-time batch, rebuilt per ChooseVehicle/QValues call on the
+  /// Decision-time batch, rebuilt per Act/QValues call on the
   /// simulation thread (storage reused, so the steady-state decision path
   /// does not allocate).
   DecisionBatch act_batch_;
@@ -154,12 +147,7 @@ class DqnFleetAgent : public Agent {
   double epsilon_;
   int episodes_trained_ = 0;
   double last_loss_ = 0.0;
-  Pending pending_;
-  /// True between a ChooseVehicle that recorded pending_ and the matching
-  /// OnOrderAssigned; gates the executed-action sync so a degraded
-  /// decision (nothing recorded) cannot clobber stale pending state.
-  bool decision_recorded_ = false;
-  std::vector<EpisodeStep> episode_;
+  EpisodeRecorder recorder_;
   double best_episode_cost_ = 0.0;
   std::vector<nn::Matrix> best_weights_;  ///< Empty until first snapshot.
 

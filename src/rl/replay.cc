@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <utility>
 
 namespace dpdp {
 namespace {
@@ -99,16 +100,37 @@ std::vector<Transition> FoldEpisodeRewards(std::vector<EpisodeStep> steps) {
   for (const EpisodeStep& s : steps) mean_reward += s.instant_reward;
   mean_reward /= static_cast<double>(steps.size());
   out.reserve(steps.size());
-  for (EpisodeStep& s : steps) {
+  for (size_t i = 0; i < steps.size(); ++i) {
     Transition t;
-    t.state = std::move(s.state);
-    t.action = s.action;
-    t.reward = static_cast<float>(s.instant_reward + mean_reward);
-    t.terminal = s.terminal;
-    t.next_state = std::move(s.next_state);
+    t.action = steps[i].action;
+    t.reward = static_cast<float>(steps[i].instant_reward + mean_reward);
+    t.terminal = i + 1 == steps.size();
+    if (!t.terminal) t.next_state = steps[i + 1].state;
+    // Step i's state was already copied out as step i-1's next_state.
+    t.state = std::move(steps[i].state);
     out.push_back(std::move(t));
   }
   return out;
+}
+
+void EpisodeRecorder::Record(const FleetState& state) {
+  DPDP_CHECK(!open_);  // Every recorded decision is observed first.
+  steps_.emplace_back().state = StoredFleetState::FromFleetState(state);
+  open_ = true;
+}
+
+void EpisodeRecorder::Observe(const DispatchContext& context, int vehicle,
+                              const AgentConfig& config) {
+  if (!open_) return;
+  open_ = false;
+  EpisodeStep& step = steps_.back();
+  step.action = vehicle;
+  step.instant_reward = InstantReward(context, vehicle, config);
+}
+
+std::vector<EpisodeStep> EpisodeRecorder::TakeSteps() {
+  DPDP_CHECK(!open_);
+  return std::exchange(steps_, {});
 }
 
 ReplayBuffer::ReplayBuffer(int capacity) : capacity_(capacity) {

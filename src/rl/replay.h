@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "nn/matrix.h"
+#include "rl/config.h"
 #include "rl/state.h"
+#include "sim/dispatcher.h"
 #include "util/rng.h"
 
 namespace dpdp {
@@ -35,22 +37,51 @@ struct Transition {
 };
 
 /// One recorded decision of an in-flight episode, before the episode-end
-/// reward folding. `next_state` stays empty (and `terminal` true) for the
-/// episode's final decision.
+/// reward folding: the state it was taken in, the executed vehicle and
+/// that vehicle's instant reward.
 struct EpisodeStep {
   StoredFleetState state;
   int action = -1;
   double instant_reward = 0.0;
-  StoredFleetState next_state;
-  bool terminal = false;
 };
 
 /// Folds the episode-mean instant reward into every step (Eq. 7/8:
 /// R = r + r_bar, applied at episode end per Algorithm 3) and converts the
-/// steps into replay-ready transitions, preserving decision order. Shared
-/// by the local learning agents and the src/train/ actor-learner fabric so
-/// both produce bit-identical transitions from the same decisions.
+/// steps into replay-ready transitions, preserving decision order: step
+/// i's next_state is step i+1's state, and only the last step is terminal
+/// (with an empty next_state).
 std::vector<Transition> FoldEpisodeRewards(std::vector<EpisodeStep> steps);
+
+/// Records one episode's decisions for episode-end learning — the one
+/// recorder of every experience-producing role (the local learning agents
+/// and the src/train/ actor), so all of them store bit-identical steps
+/// from the same decisions. Act calls Record with the decision's state;
+/// the following Observe stores the vehicle that actually executed (which
+/// differs from the chosen one when graceful degradation overrode it) and
+/// its InstantReward. A decision that was refused (Act returned -1) is
+/// simply not recorded, and its Observe is then a no-op.
+class EpisodeRecorder {
+ public:
+  /// Opens a step for the decision taken in `state`. The previous step
+  /// must have been observed.
+  void Record(const FleetState& state);
+  /// Completes the step opened by the last Record with the executed
+  /// `vehicle`; no-op when no step is open.
+  void Observe(const DispatchContext& context, int vehicle,
+               const AgentConfig& config);
+
+  /// Hands out the episode's steps (all observed) and starts the next
+  /// episode.
+  std::vector<EpisodeStep> TakeSteps();
+  /// FoldEpisodeRewards over TakeSteps().
+  std::vector<Transition> Fold() { return FoldEpisodeRewards(TakeSteps()); }
+
+  bool empty() const { return steps_.empty(); }
+
+ private:
+  std::vector<EpisodeStep> steps_;
+  bool open_ = false;  ///< The last step awaits its Observe.
+};
 
 /// Fixed-capacity ring-buffer experience replay with uniform sampling.
 class ReplayBuffer {

@@ -92,9 +92,9 @@ double TrainingCurve::TailMean(const std::vector<double>& series,
   return s / static_cast<double>(w);
 }
 
-TrainingCurve RunEpisodes(Simulator* simulator, Dispatcher* dispatcher,
+TrainingCurve RunEpisodes(Environment* env, Dispatcher* dispatcher,
                           const TrainOptions& options) {
-  DPDP_CHECK(simulator != nullptr && dispatcher != nullptr);
+  DPDP_CHECK(env != nullptr && dispatcher != nullptr);
   TrainingCurve curve;
   curve.agent_name = dispatcher->name();
 
@@ -112,9 +112,9 @@ TrainingCurve RunEpisodes(Simulator* simulator, Dispatcher* dispatcher,
       DPDP_CHECK(resumed.ok());
     }
     start_episode = resumed.value();
-    // Align the simulator's episode counter so the remaining episodes draw
-    // the same disruption streams an uninterrupted run would have.
-    simulator->set_episodes_run(start_episode);
+    // Align the environment's episode counter so the remaining episodes
+    // draw the same disruption streams an uninterrupted run would have.
+    env->set_episodes_run(start_episode);
   }
 
   const bool checkpointing =
@@ -126,12 +126,12 @@ TrainingCurve RunEpisodes(Simulator* simulator, Dispatcher* dispatcher,
 
   for (int e = start_episode; e < options.episodes; ++e) {
     DPDP_TRACE_SPAN("rl.train_episode");
-    const EpisodeResult result = simulator->RunEpisode(dispatcher);
+    const EpisodeResult result = RunEpisode(env, dispatcher);
     curve.nuv.push_back(result.nuv);
     curve.total_cost.push_back(result.total_cost);
     if (!options.demand_for_diff.empty()) {
       curve.capacity_diff.push_back(DistributionDiff(
-          options.demand_for_diff, simulator->LastCapacityDistribution()));
+          options.demand_for_diff, env->LastCapacityDistribution()));
     }
     curve.episodes.push_back(result);
     metrics_writer.WriteRow(e, result,

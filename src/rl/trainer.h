@@ -7,7 +7,7 @@
 
 #include "nn/matrix.h"
 #include "sim/dispatcher.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 
 namespace dpdp {
 
@@ -41,7 +41,7 @@ struct TrainOptions {
   /// environment variable, then to "." .
   std::string checkpoint_dir;
   /// When set, training resumes from this checkpoint file: the agent state
-  /// is restored, the simulator's episode counter is aligned (so disruption
+  /// is restored, the environment's episode counter is aligned (so disruption
   /// streams match), and the loop starts at the recorded episode. The
   /// curve only contains the episodes run in this call. A missing or
   /// corrupt file aborts loudly rather than silently restarting from
@@ -73,11 +73,11 @@ struct TrainOptions {
   static TrainOptions FromEnv();
 };
 
-/// Runs `options.episodes` episodes of `simulator` under `dispatcher`
-/// (the dispatcher should be in training mode if it learns) and records
-/// the per-episode metrics. With checkpointing enabled, kill + resume
-/// reproduces the uninterrupted run bit-for-bit.
-TrainingCurve RunEpisodes(Simulator* simulator, Dispatcher* dispatcher,
+/// Runs `options.episodes` episodes of `env` under `dispatcher` (each one
+/// RunEpisode; the dispatcher should be in training mode if it learns) and
+/// records the per-episode metrics. With checkpointing enabled, kill +
+/// resume reproduces the uninterrupted run bit-for-bit.
+TrainingCurve RunEpisodes(Environment* env, Dispatcher* dispatcher,
                           const TrainOptions& options);
 
 }  // namespace dpdp

@@ -68,7 +68,7 @@ class DecisionService {
 
   /// Submits one decision request. `context` must stay alive until the
   /// returned future is fulfilled (ServiceDispatcher guarantees this by
-  /// blocking inside ChooseVehicle). Thread-safe.
+  /// blocking inside Act). Thread-safe.
   virtual std::future<ServeReply> Submit(const DispatchContext& context) = 0;
 };
 

@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "rl/dqn_agent.h"
+#include "serve/service_dispatcher.h"
 #include "sim/environment.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -24,13 +25,12 @@ double SecondsSince(const std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Runs every client's episode loop concurrently (one pool thread each)
-/// and fills the aggregate report. `make_dispatcher` builds client i's
-/// dispatcher inside the worker; `collect_latencies` pulls its samples out
-/// afterwards.
-template <typename MakeClient>
+/// Runs every client's episodes concurrently (one pool thread each) and
+/// fills the aggregate report. `run_client(i, outcome)` runs client i's
+/// episodes inside the worker and records them into `outcome`.
+template <typename RunClient>
 LoadReport RunClients(const std::vector<const Instance*>& instances,
-                      const LoadOptions& options, MakeClient make_client) {
+                      RunClient run_client) {
   const int n = static_cast<int>(instances.size());
   DPDP_CHECK(n > 0);
   LoadReport report;
@@ -45,7 +45,7 @@ LoadReport RunClients(const std::vector<const Instance*>& instances,
   done.reserve(n);
   for (int i = 0; i < n; ++i) {
     done.push_back(pool.Submit([&, i] {
-      make_client(i, &report.clients[i]);
+      run_client(i, &report.clients[i]);
     }));
   }
   for (std::future<void>& f : done) f.get();
@@ -97,52 +97,38 @@ LoadReport RunServedLoad(const std::vector<const Instance*>& instances,
                          DecisionService* service,
                          const LoadOptions& options) {
   DPDP_CHECK(service != nullptr);
-  // Each client drives the Environment step API directly: Submit the
-  // pending decision, block on the reply, Apply it. A degraded reply
-  // (vehicle -1) goes straight into Apply, whose greedy fallback and
-  // degradation accounting are exactly what a local agent's refusal gets.
-  return RunClients(
-      instances, options, [&](int i, ClientOutcome* out) {
-        Environment env(instances[i], options.sim);
-        for (int e = 0; e < options.episodes_per_client; ++e) {
-          env.Reset();
-          while (env.AdvanceToDecision()) {
-            const auto start = std::chrono::steady_clock::now();
-            ServeReply reply = service->Submit(env.ObserveDecision()).get();
-            const double elapsed = SecondsSince(start);
-            out->latencies_s.push_back(elapsed);
-            if (reply.shed) ++out->sheds;
-            if (reply.degraded) ++out->degraded;
-            if (reply.deadline_exceeded) ++out->deadline_exceeded;
-            env.Apply(reply.vehicle, elapsed);
-          }
-          out->episodes.push_back(env.result());
-        }
-      });
+  return RunClients(instances, [&](int i, ClientOutcome* out) {
+    Environment env(instances[i], options.sim);
+    ServiceDispatcher dispatcher(service);
+    for (int e = 0; e < options.episodes_per_client; ++e) {
+      out->episodes.push_back(RunEpisode(&env, &dispatcher));
+    }
+    out->latencies_s = dispatcher.latencies_s();
+    out->sheds = dispatcher.sheds();
+    out->degraded = dispatcher.degraded();
+    out->deadline_exceeded = dispatcher.deadline_exceeded();
+  });
 }
 
 LoadReport RunLocalAgentsLoad(const std::vector<const Instance*>& instances,
                               const AgentConfig& agent_config,
                               const LoadOptions& options) {
-  return RunClients(
-      instances, options, [&](int i, ClientOutcome* out) {
-        DqnFleetAgent agent(agent_config,
-                            "local-campus-" + std::to_string(i));
-        Environment env(instances[i], options.sim);
-        for (int e = 0; e < options.episodes_per_client; ++e) {
-          env.Reset();
-          while (env.AdvanceToDecision()) {
-            const auto start = std::chrono::steady_clock::now();
-            const int vehicle = agent.Act(env.ObserveDecision());
-            out->latencies_s.push_back(SecondsSince(start));
-            const int executed =
-                env.Apply(vehicle, out->latencies_s.back());
-            agent.Observe(env.ObserveDecision(), executed);
-          }
-          agent.Learn(env.result());
-          out->episodes.push_back(env.result());
-        }
-      });
+  // The step loop is driven here rather than by RunEpisode so that each
+  // latency sample is the evaluation-mode agent's Act alone.
+  return RunClients(instances, [&](int i, ClientOutcome* out) {
+    DqnFleetAgent agent(agent_config, "local-campus-" + std::to_string(i));
+    Environment env(instances[i], options.sim);
+    for (int e = 0; e < options.episodes_per_client; ++e) {
+      env.Reset();
+      while (env.AdvanceToDecision()) {
+        const auto start = std::chrono::steady_clock::now();
+        const int vehicle = agent.Act(env.ObserveDecision());
+        out->latencies_s.push_back(SecondsSince(start));
+        env.Apply(vehicle, out->latencies_s.back());
+      }
+      out->episodes.push_back(env.result());
+    }
+  });
 }
 
 }  // namespace dpdp::serve

@@ -6,11 +6,11 @@
 #include "model/instance.h"
 #include "rl/config.h"
 #include "serve/dispatch_service.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 
 namespace dpdp::serve {
 
-/// Closed-loop load options: each client is one Simulator replaying its
+/// Closed-loop load options: each client is one Environment replaying its
 /// instance and blocking on every decision (the next order is only
 /// dispatched after the previous reply arrives — campus semantics).
 struct LoadOptions {

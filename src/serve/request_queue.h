@@ -39,7 +39,7 @@ struct ServeReply {
 
 /// One queued decision request. The context is borrowed: the submitter
 /// must keep it alive until the reply future is fulfilled. The dispatch
-/// adapter guarantees this by blocking on the future inside ChooseVehicle.
+/// adapter guarantees this by blocking on the future inside Act.
 struct DecisionRequest {
   const DispatchContext* context = nullptr;
   std::promise<ServeReply> reply;

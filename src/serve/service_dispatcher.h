@@ -12,16 +12,16 @@
 namespace dpdp::serve {
 
 /// Adapts a DecisionService (one DispatchService, or a ShardRouter over N
-/// of them) to the simulator's Dispatcher interface: one ChooseVehicle =
-/// one Submit + blocking wait on the reply. This is the indirection that
-/// lets any Simulator run "backed by the service" instead of owning an
-/// agent — the simulator neither knows nor cares that its decision crossed
-/// a queue (or a sharded fabric) and came back from a batched evaluation.
+/// of them) to the Dispatcher interface: one Act = one Submit + blocking
+/// wait on the reply. This is the indirection that lets RunEpisode run
+/// "backed by the service" instead of owning an agent — the environment
+/// neither knows nor cares that its decision crossed a queue (or a sharded
+/// fabric) and came back from a batched evaluation.
 ///
-/// A degraded reply (vehicle -1) is returned as -1, so the simulator
+/// A degraded reply (vehicle -1) is returned as -1, so the environment
 /// performs its own greedy fallback and counts the degradation exactly as
 /// it would for a local agent. Not thread-safe; one instance per client
-/// simulator (the service behind it is the shared, thread-safe part).
+/// environment (the service behind it is the shared, thread-safe part).
 class ServiceDispatcher : public Dispatcher {
  public:
   explicit ServiceDispatcher(DecisionService* service,
@@ -30,7 +30,7 @@ class ServiceDispatcher : public Dispatcher {
 
   const char* name() const override { return name_.c_str(); }
 
-  int ChooseVehicle(const DispatchContext& context) override {
+  int Act(const DispatchContext& context) override {
     const auto start = std::chrono::steady_clock::now();
     ServeReply reply = service_->Submit(context).get();
     latencies_s_.push_back(

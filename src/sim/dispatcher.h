@@ -2,7 +2,6 @@
 #define DPDP_SIM_DISPATCHER_H_
 
 #include <string>
-#include <vector>
 #include <utility>
 #include <vector>
 
@@ -76,9 +75,9 @@ struct EpisodeResult {
   double nuv = 0.0;                  ///< Number of used vehicles.
   double total_travel_length = 0.0;  ///< TTL in km.
   double total_cost = 0.0;           ///< TC = mu * NUV + delta * TTL.
-  double decision_wall_seconds = 0.0;  ///< Time spent inside ChooseVehicle.
-  /// Number of ChooseVehicle calls this episode (orders with at least one
-  /// feasible option). The simulator records one sample in the global
+  double decision_wall_seconds = 0.0;  ///< Time spent inside Act.
+  /// Number of decisions this episode (orders with at least one feasible
+  /// option). The environment records one sample in the global
   /// "sim.decision_latency_s" histogram per decision, so the histogram
   /// count reconciles exactly against summed num_decisions.
   int num_decisions = 0;
@@ -117,27 +116,33 @@ struct EpisodeResult {
 /// load-shedding path. Requires at least one feasible option.
 int GreedyInsertionFallback(const DispatchContext& context);
 
-/// Vehicle-selection policy: baselines and learned agents implement this.
-/// The simulator guarantees at least one feasible option when it calls
-/// ChooseVehicle, and the returned index must refer to a feasible option.
+/// Vehicle-selection policy: baselines, learned agents and serving
+/// adapters implement it, and RunEpisode (sim/environment.h) drives it
+/// through one episode: Act on every decision, Observe what executed,
+/// Learn once the day is over.
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
 
   virtual const char* name() const = 0;
 
-  /// Picks the vehicle to serve `context.order`.
-  virtual int ChooseVehicle(const DispatchContext& context) = 0;
+  /// Picks the vehicle to serve `context.order`; the context has at least
+  /// one feasible option. A return of -1 (or any infeasible index) refuses
+  /// the decision: the environment then degrades to the greedy-insertion
+  /// fallback and reports the vehicle it executed via Observe.
+  virtual int Act(const DispatchContext& context) = 0;
 
-  /// Called after the chosen assignment is applied (learning hook).
-  virtual void OnOrderAssigned(const DispatchContext& context, int vehicle) {
+  /// Observes the vehicle the environment actually executed for the last
+  /// Act on `context` (it differs from Act's return when graceful
+  /// degradation overrode the choice). Default: no-op.
+  virtual void Observe(const DispatchContext& context, int vehicle) {
     (void)context;
     (void)vehicle;
   }
 
-  /// Called when the episode finishes (learning hook: long-term reward,
-  /// replay storage, training step).
-  virtual void OnEpisodeEnd(const EpisodeResult& result) { (void)result; }
+  /// Called once the episode has finished (long-term reward folding,
+  /// replay storage, gradient steps). Default: no-op.
+  virtual void Learn(const EpisodeResult& result) { (void)result; }
 };
 
 }  // namespace dpdp

@@ -16,7 +16,7 @@ namespace dpdp {
 ///
 /// Determinism contract: the event stream is a pure function of
 /// (seed, episode index, instance) — see GenerateDisruptionEvents — so
-/// parallel seed-tasks with per-task Simulator instances reproduce the
+/// parallel seed-tasks with per-task Environment instances reproduce the
 /// serial stream bit-for-bit.
 struct DisruptionConfig {
   /// Base seed of the disruption stream (independent of agent/dataset

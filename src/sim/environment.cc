@@ -10,6 +10,7 @@
 #include "routing/local_search.h"
 #include "stpred/st_score.h"
 #include "stpred/std_matrix.h"
+#include "util/timer.h"
 
 namespace dpdp {
 
@@ -426,6 +427,25 @@ void Environment::ApplyCancellation(const DisruptionEvent& event,
   ++result->num_cancelled;
   result->skipped_orders.push_back({order_id, SkipReason::kCancelled});
   result->disruption_trace.push_back(applied);
+}
+
+EpisodeResult RunEpisode(Environment* env, Dispatcher* dispatcher) {
+  DPDP_TRACE_SPAN("sim.episode");
+  DPDP_CHECK(env != nullptr && dispatcher != nullptr);
+  env->Reset();
+  while (env->AdvanceToDecision()) {
+    const DispatchContext& context = env->ObserveDecision();
+    WallTimer timer;
+    int chosen;
+    {
+      DPDP_TRACE_SPAN("sim.choose_vehicle");
+      chosen = dispatcher->Act(context);
+    }
+    dispatcher->Observe(context, env->Apply(chosen, timer.ElapsedSeconds()));
+  }
+  const EpisodeResult result = env->result();
+  dispatcher->Learn(result);
+  return result;
 }
 
 nn::Matrix Environment::LastCapacityDistribution() const {

@@ -56,10 +56,8 @@ struct SimulatorConfig {
 
 /// The stepwise form of the dispatching simulation (Algorithm 1): one
 /// day's order stream replayed in creation order, with control handed back
-/// to the caller at every decision point instead of a Dispatcher callback.
-/// The step API is what every episode driver composes over — the
-/// Simulator facade's callback loop, the serving load generator and the
-/// src/train/ actor rollout loop all run the same environment:
+/// to the caller at every decision point. RunEpisode below is the one
+/// episode loop; the step API underneath it is:
 ///
 ///   env.Reset();
 ///   while (env.AdvanceToDecision()) {
@@ -75,9 +73,7 @@ struct SimulatorConfig {
 /// the stream is exhausted — episode finalization (route finish, totals,
 /// episode metrics). Apply owns everything a decision triggers: graceful
 /// degradation of invalid or over-budget choices, optional local search,
-/// route commit and the served/assignment bookkeeping. Splitting exactly
-/// there keeps every operation in the same order as the original
-/// monolithic loop, so episode results are bit-identical to it.
+/// route commit and the served/assignment bookkeeping.
 class Environment {
  public:
   Environment(const Instance* instance, SimulatorConfig config = {});
@@ -156,6 +152,14 @@ class Environment {
   bool decision_pending_ = false;
   bool in_episode_ = false;
 };
+
+/// Runs one full episode of `env` under `dispatcher` (Algorithm 1): Reset,
+/// then per decision point Act (timed: the wall time feeds the latency
+/// accounting and the degradation budget of Apply), Apply, and Observe the
+/// executed vehicle; Learn on the finished result, which is returned.
+/// Orders for which no vehicle is feasible are counted unserved and
+/// skipped (the evaluation protocol assumes the fleet suffices).
+EpisodeResult RunEpisode(Environment* env, Dispatcher* dispatcher);
 
 }  // namespace dpdp
 

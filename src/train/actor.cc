@@ -7,7 +7,6 @@
 #include "rl/state.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace dpdp::train {
 namespace {
@@ -27,6 +26,72 @@ ActorMetrics& Metrics() {
   static ActorMetrics* metrics = new ActorMetrics;
   return *metrics;
 }
+
+/// One actor episode's policy: explore with probability epsilon (a uniform
+/// feasible pick), otherwise Submit the decision to the shared service.
+/// Records every decision it made through EpisodeRecorder exactly as a
+/// local DqnFleetAgent does, and tallies the episode's decision counters.
+class RolloutDispatcher final : public Dispatcher {
+ public:
+  RolloutDispatcher(const AgentConfig& config,
+                    serve::DecisionService* service, bool deterministic,
+                    Rng rng, double epsilon, EpisodeExperience* experience)
+      : config_(config),
+        service_(service),
+        deterministic_(deterministic),
+        rng_(rng),
+        epsilon_(epsilon),
+        experience_(experience) {}
+
+  const char* name() const override { return "rollout"; }
+
+  int Act(const DispatchContext& context) override {
+    const FleetState state = BuildFleetState(context, config_);
+    int action = -1;
+    if (rng_.Bernoulli(epsilon_)) {
+      const std::vector<int> feasible = state.FeasibleIndices();
+      DPDP_CHECK(!feasible.empty());
+      action = feasible[rng_.UniformInt(static_cast<int>(feasible.size()))];
+      ++experience_->explore_decisions;
+    } else {
+      serve::ServeReply reply = service_->Submit(context).get();
+      if (deterministic_) {
+        // Any non-model answer depends on wall-clock scheduling and would
+        // silently break the N-actor golden — fail loudly instead.
+        DPDP_CHECK(!reply.shed);
+        DPDP_CHECK(!reply.deadline_exceeded);
+      }
+      if (reply.shed) ++experience_->sheds;
+      if (reply.model_seq > experience_->max_model_seq) {
+        experience_->max_model_seq = reply.model_seq;
+      }
+      action = reply.vehicle;
+      ++experience_->served_decisions;
+    }
+    // A refused decision (-1, degraded reply) records nothing, exactly
+    // like the local agent.
+    if (action >= 0) recorder_.Record(state);
+    return action;
+  }
+
+  void Observe(const DispatchContext& context, int vehicle) override {
+    recorder_.Observe(context, vehicle, config_);
+  }
+
+  void Learn(const EpisodeResult& result) override {
+    (void)result;
+    experience_->transitions = recorder_.Fold();
+  }
+
+ private:
+  const AgentConfig& config_;
+  serve::DecisionService* const service_;
+  const bool deterministic_;
+  Rng rng_;
+  const double epsilon_;
+  EpisodeExperience* const experience_;
+  EpisodeRecorder recorder_;
+};
 
 }  // namespace
 
@@ -48,73 +113,13 @@ EpisodeExperience Actor::RunEpisode(int episode_index, double epsilon) {
 
   // Exploration stream and disruption stream are both pure functions of
   // the global episode index — the determinism contract's foundation.
-  Rng rng(Rng::DeriveSeed(options_.explore_seed_base,
-                          static_cast<uint64_t>(episode_index)));
+  RolloutDispatcher rollout(
+      agent_config_, service_, options_.deterministic,
+      Rng(Rng::DeriveSeed(options_.explore_seed_base,
+                          static_cast<uint64_t>(episode_index))),
+      epsilon, &experience);
   env_.set_episodes_run(episode_index);
-  env_.Reset();
-
-  // Pending-transition chaining, mirroring DqnFleetAgent: a decision's
-  // next_state is the following decision's state, so a step is emitted
-  // one decision late and the last one goes out terminal at episode end.
-  struct Pending {
-    StoredFleetState state;
-    int action = -1;
-    double instant_reward = 0.0;
-    bool active = false;
-  } pending;
-  std::vector<EpisodeStep> steps;
-
-  while (env_.AdvanceToDecision()) {
-    const DispatchContext& ctx = env_.ObserveDecision();
-    const FleetState state = BuildFleetState(ctx, agent_config_);
-    WallTimer timer;
-    int action = -1;
-    if (rng.Bernoulli(epsilon)) {
-      const std::vector<int> feasible = state.FeasibleIndices();
-      DPDP_CHECK(!feasible.empty());
-      action = feasible[rng.UniformInt(static_cast<int>(feasible.size()))];
-      ++experience.explore_decisions;
-    } else {
-      serve::ServeReply reply = service_->Submit(ctx).get();
-      if (options_.deterministic) {
-        // Any non-model answer depends on wall-clock scheduling and would
-        // silently break the N-actor golden — fail loudly instead.
-        DPDP_CHECK(!reply.shed);
-        DPDP_CHECK(!reply.deadline_exceeded);
-      }
-      if (reply.shed) ++experience.sheds;
-      if (reply.model_seq > experience.max_model_seq) {
-        experience.max_model_seq = reply.model_seq;
-      }
-      action = reply.vehicle;
-      ++experience.served_decisions;
-    }
-
-    const int executed = env_.Apply(action, timer.ElapsedSeconds());
-    if (action >= 0) {
-      // Record against the EXECUTED vehicle (Observe's re-targeting rule);
-      // a refused decision (-1, degraded reply) records nothing, exactly
-      // like the local agent.
-      StoredFleetState stored = StoredFleetState::FromFleetState(state);
-      if (pending.active) {
-        steps.push_back({std::move(pending.state), pending.action,
-                         pending.instant_reward, stored,
-                         /*terminal=*/false});
-      }
-      pending.state = std::move(stored);
-      pending.action = executed;
-      pending.instant_reward = InstantReward(ctx, executed, agent_config_);
-      pending.active = true;
-    }
-  }
-  if (pending.active) {
-    steps.push_back({std::move(pending.state), pending.action,
-                     pending.instant_reward, StoredFleetState{},
-                     /*terminal=*/true});
-  }
-
-  experience.transitions = FoldEpisodeRewards(std::move(steps));
-  experience.result = env_.result();
+  experience.result = dpdp::RunEpisode(&env_, &rollout);
   if (experience.max_model_seq > max_model_seq_) {
     max_model_seq_ = experience.max_model_seq;
   }

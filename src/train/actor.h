@@ -47,12 +47,12 @@ struct EpisodeExperience {
 /// micro-batched serving path as production traffic, and weight updates
 /// arrive via the ModelServer hot-swap channel with no actor pauses.
 ///
-/// The experience an actor records is bit-identical to what a local
+/// Each episode runs through dpdp::RunEpisode under a rollout dispatcher,
+/// so the experience an actor records is bit-identical to what a local
 /// DqnFleetAgent would record from the same decisions: the same
 /// BuildFleetState features, the same exploration rule (Bernoulli(eps)
-/// then a uniform feasible pick), the same executed-action re-targeting
-/// on degraded decisions, the same refused-decision skip, and the same
-/// episode-end reward folding.
+/// then a uniform feasible pick) and the same EpisodeRecorder (executed
+/// vehicle, refused-decision skip, episode-end reward folding).
 class Actor {
  public:
   /// `instance` and `service` must outlive the actor.

@@ -10,7 +10,7 @@
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
 #include "rl/trainer.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -42,44 +42,44 @@ AgentConfig FastConfig(bool graph, uint64_t seed) {
 
 TEST(DqnAgent, UntrainedAgentIsValidDispatcher) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   DqnFleetAgent agent(FastConfig(false, 1), "DDQN");
-  const EpisodeResult r = sim.RunEpisode(&agent);
+  const EpisodeResult r = RunEpisode(&env, &agent);
   EXPECT_TRUE(r.all_served());
   EXPECT_GE(r.nuv, 1.0);
 }
 
 TEST(DqnAgent, TrainingImprovesOverUntrained) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
 
   DqnFleetAgent untrained(FastConfig(false, 5), "DDQN");
-  const double tc_untrained = sim.RunEpisode(&untrained).total_cost;
+  const double tc_untrained = RunEpisode(&env, &untrained).total_cost;
 
   DqnFleetAgent agent(FastConfig(false, 5), "DDQN");
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 30;
-  RunEpisodes(&sim, &agent, options);
+  RunEpisodes(&env, &agent, options);
   agent.set_training(false);
-  const double tc_trained = sim.RunEpisode(&agent).total_cost;
+  const double tc_trained = RunEpisode(&env, &agent).total_cost;
 
   EXPECT_LE(tc_trained, tc_untrained + 1e-9);
   // The optimum here is one vehicle shuttling F1 <-> F2; training should
   // get within striking distance of the greedy baseline.
   MinIncrementalLengthDispatcher baseline;
-  const double tc_baseline = sim.RunEpisode(&baseline).total_cost;
+  const double tc_baseline = RunEpisode(&env, &baseline).total_cost;
   EXPECT_LE(tc_trained, 2.0 * tc_baseline);
 }
 
 TEST(DqnAgent, GraphVariantTrains) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   DqnFleetAgent agent(FastConfig(true, 7), "ST-DDGN");
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 20;
-  const TrainingCurve curve = RunEpisodes(&sim, &agent, options);
+  const TrainingCurve curve = RunEpisodes(&env, &agent, options);
   EXPECT_EQ(curve.nuv.size(), 20u);
   EXPECT_EQ(agent.episodes_trained(), 20);
   // Late-training NUV should not exceed early-training NUV on average.
@@ -90,7 +90,7 @@ TEST(DqnAgent, GraphVariantTrains) {
 
 TEST(DqnAgent, EpsilonDecaysLinearly) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   AgentConfig config = FastConfig(false, 9);
   config.epsilon_start = 1.0;
   config.epsilon_end = 0.1;
@@ -100,51 +100,51 @@ TEST(DqnAgent, EpsilonDecaysLinearly) {
   EXPECT_DOUBLE_EQ(agent.epsilon(), 1.0);
   TrainOptions options;
   options.episodes = 5;
-  RunEpisodes(&sim, &agent, options);
+  RunEpisodes(&env, &agent, options);
   EXPECT_NEAR(agent.epsilon(), 0.55, 1e-9);
   options.episodes = 10;
-  RunEpisodes(&sim, &agent, options);
+  RunEpisodes(&env, &agent, options);
   EXPECT_NEAR(agent.epsilon(), 0.1, 1e-9);  // Clamped at end value.
 }
 
 TEST(DqnAgent, EvalModeIsDeterministic) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   DqnFleetAgent agent(FastConfig(false, 11), "DDQN");
-  const EpisodeResult a = sim.RunEpisode(&agent);
-  const EpisodeResult b = sim.RunEpisode(&agent);
+  const EpisodeResult a = RunEpisode(&env, &agent);
+  const EpisodeResult b = RunEpisode(&env, &agent);
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
 }
 
 TEST(DqnAgent, SaveLoadReproducesPolicy) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   DqnFleetAgent agent(FastConfig(true, 13), "ST-DDGN");
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 5;
-  RunEpisodes(&sim, &agent, options);
+  RunEpisodes(&env, &agent, options);
   agent.set_training(false);
-  const double tc = sim.RunEpisode(&agent).total_cost;
+  const double tc = RunEpisode(&env, &agent).total_cost;
 
   std::stringstream buffer;
   agent.Save(&buffer);
   DqnFleetAgent restored(FastConfig(true, 999), "ST-DDGN");
   ASSERT_TRUE(restored.Load(&buffer));
-  EXPECT_DOUBLE_EQ(sim.RunEpisode(&restored).total_cost, tc);
+  EXPECT_DOUBLE_EQ(RunEpisode(&env, &restored).total_cost, tc);
 }
 
 TEST(DqnAgent, QValuesMarkInfeasibleMinusInfinity) {
   // One order too heavy for a loaded vehicle forces infeasibility paths.
   const Instance inst = TrainingInstance();
   SimulatorConfig sc;
-  Simulator sim(&inst, sc);
+  Environment env(&inst, sc);
 
   class Probe : public Dispatcher {
    public:
     explicit Probe(DqnFleetAgent* agent) : agent_(agent) {}
     const char* name() const override { return "probe"; }
-    int ChooseVehicle(const DispatchContext& ctx) override {
+    int Act(const DispatchContext& ctx) override {
       const std::vector<double> q = agent_->QValues(ctx);
       EXPECT_EQ(q.size(), ctx.options.size());
       for (size_t v = 0; v < q.size(); ++v) {
@@ -163,27 +163,27 @@ TEST(DqnAgent, QValuesMarkInfeasibleMinusInfinity) {
   };
   DqnFleetAgent agent(FastConfig(false, 15), "DDQN");
   Probe probe(&agent);
-  (void)sim.RunEpisode(&probe);
+  (void)RunEpisode(&env, &probe);
 }
 
 TEST(DqnAgent, LiteralRewardFlagChangesRewards) {
   // Smoke test: the literal Eq.(6) variant still trains and dispatches.
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   AgentConfig config = FastConfig(false, 17);
   config.literal_used_flag_cost = true;
   DqnFleetAgent agent(config, "DDQN-literal");
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 10;
-  RunEpisodes(&sim, &agent, options);
+  RunEpisodes(&env, &agent, options);
   agent.set_training(false);
-  EXPECT_TRUE(sim.RunEpisode(&agent).all_served());
+  EXPECT_TRUE(RunEpisode(&env, &agent).all_served());
 }
 
 TEST(DqnAgent, BestWeightsSnapshotRestores) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   AgentConfig config = FastConfig(false, 31);
   config.track_best_weights = true;
   config.best_weights_max_epsilon = 1.0;  // Every episode is a candidate.
@@ -191,10 +191,10 @@ TEST(DqnAgent, BestWeightsSnapshotRestores) {
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 12;
-  const TrainingCurve curve = RunEpisodes(&sim, &agent, options);
+  const TrainingCurve curve = RunEpisodes(&env, &agent, options);
   agent.set_training(false);
   agent.FinalizeTraining();
-  const double tc_restored = sim.RunEpisode(&agent).total_cost;
+  const double tc_restored = RunEpisode(&env, &agent).total_cost;
   // The greedy policy from restored weights should not be dramatically
   // worse than the best training episode (training episodes include
   // exploration noise, so exact equality is not expected).
@@ -205,39 +205,41 @@ TEST(DqnAgent, BestWeightsSnapshotRestores) {
 
 TEST(DqnAgent, FinalizeTrainingWithoutSnapshotIsNoop) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   AgentConfig config = FastConfig(false, 33);
   config.track_best_weights = false;
   DqnFleetAgent agent(config, "DDQN");
-  const double before = sim.RunEpisode(&agent).total_cost;
+  const double before = RunEpisode(&env, &agent).total_cost;
   agent.FinalizeTraining();  // No snapshot exists: must not change weights.
-  EXPECT_DOUBLE_EQ(sim.RunEpisode(&agent).total_cost, before);
+  EXPECT_DOUBLE_EQ(RunEpisode(&env, &agent).total_cost, before);
 }
 
 // ---------------------------------------------------------- ActorCritic --
 
 TEST(ActorCritic, UntrainedAgentIsValidDispatcher) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   ActorCriticAgent agent(FastConfig(false, 19), "AC");
-  const EpisodeResult r = sim.RunEpisode(&agent);
+  const EpisodeResult r = RunEpisode(&env, &agent);
   EXPECT_TRUE(r.all_served());
 }
 
 TEST(ActorCritic, PolicySumsToOneOverFeasible) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   ActorCriticAgent agent(FastConfig(false, 21), "AC");
 
   class Probe : public Dispatcher {
    public:
     explicit Probe(ActorCriticAgent* agent) : agent_(agent) {}
     const char* name() const override { return "probe"; }
-    int ChooseVehicle(const DispatchContext& ctx) override {
+    int Act(const DispatchContext& ctx) override {
       const std::vector<double> pi = agent_->Policy(ctx);
       double sum = 0.0;
       for (size_t v = 0; v < pi.size(); ++v) {
-        if (!ctx.options[v].feasible) EXPECT_DOUBLE_EQ(pi[v], 0.0);
+        if (!ctx.options[v].feasible) {
+          EXPECT_DOUBLE_EQ(pi[v], 0.0);
+        }
         sum += pi[v];
       }
       EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -249,17 +251,17 @@ TEST(ActorCritic, PolicySumsToOneOverFeasible) {
     ActorCriticAgent* agent_;
   };
   Probe probe(&agent);
-  (void)sim.RunEpisode(&probe);
+  (void)RunEpisode(&env, &probe);
 }
 
 TEST(ActorCritic, TrainingRunsAndTracksEpisodes) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   ActorCriticAgent agent(FastConfig(false, 23), "AC");
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 15;
-  const TrainingCurve curve = RunEpisodes(&sim, &agent, options);
+  const TrainingCurve curve = RunEpisodes(&env, &agent, options);
   EXPECT_EQ(agent.episodes_trained(), 15);
   EXPECT_EQ(curve.total_cost.size(), 15u);
   // Losses are finite after training.
@@ -269,16 +271,16 @@ TEST(ActorCritic, TrainingRunsAndTracksEpisodes) {
 
 TEST(ActorCritic, GraphVariantDispatchesAndTrains) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   AgentConfig config = FastConfig(true, 41);  // Graph flags on.
   ActorCriticAgent agent(config, "Graph-AC");
-  EXPECT_TRUE(sim.RunEpisode(&agent).all_served());
+  EXPECT_TRUE(RunEpisode(&env, &agent).all_served());
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 8;
-  RunEpisodes(&sim, &agent, options);
+  RunEpisodes(&env, &agent, options);
   agent.set_training(false);
-  EXPECT_TRUE(sim.RunEpisode(&agent).all_served());
+  EXPECT_TRUE(RunEpisode(&env, &agent).all_served());
   EXPECT_EQ(agent.episodes_trained(), 8);
 }
 
@@ -286,12 +288,12 @@ TEST(ActorCritic, GraphVariantDispatchesAndTrains) {
 
 TEST(Trainer, RecordsCapacityDiffWhenDemandGiven) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
   TrainOptions options;
   options.episodes = 3;
   options.demand_for_diff = nn::Matrix(4, 144, 1.0);
-  const TrainingCurve curve = RunEpisodes(&sim, &baseline, options);
+  const TrainingCurve curve = RunEpisodes(&env, &baseline, options);
   EXPECT_EQ(curve.capacity_diff.size(), 3u);
   EXPECT_GT(curve.capacity_diff[0], 0.0);
   // Deterministic baseline: identical every episode.

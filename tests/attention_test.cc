@@ -56,7 +56,9 @@ TEST(Attention, MaskedPositionsGetZeroWeight) {
   for (const Matrix& a : attn.last_attention_weights()) {
     for (int i = 0; i < 4; ++i) {
       for (int j = 0; j < 4; ++j) {
-        if (mask(i, j) == 0.0) EXPECT_DOUBLE_EQ(a(i, j), 0.0);
+        if (mask(i, j) == 0.0) {
+          EXPECT_DOUBLE_EQ(a(i, j), 0.0);
+        }
       }
     }
   }

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/greedy_baselines.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -36,45 +36,45 @@ TEST(Baseline1, PicksSmallestIncrementalLength) {
   MinIncrementalLengthDispatcher d;
   auto ctx = MakeContext({Opt(true, 12.0, 50.0, 2), Opt(true, 5.0, 90.0, 1),
                           Opt(true, 8.0, 10.0, 0)});
-  EXPECT_EQ(d.ChooseVehicle(ctx), 1);
+  EXPECT_EQ(d.Act(ctx), 1);
 }
 
 TEST(Baseline1, SkipsInfeasibleEvenIfCheapest) {
   MinIncrementalLengthDispatcher d;
   auto ctx = MakeContext({Opt(false, 1.0, 5.0, 0), Opt(true, 9.0, 50.0, 1)});
-  EXPECT_EQ(d.ChooseVehicle(ctx), 1);
+  EXPECT_EQ(d.Act(ctx), 1);
 }
 
 TEST(Baseline1, TieBreaksByLowestIndex) {
   MinIncrementalLengthDispatcher d;
   auto ctx = MakeContext({Opt(true, 7.0, 30.0, 1), Opt(true, 7.0, 20.0, 2)});
-  EXPECT_EQ(d.ChooseVehicle(ctx), 0);
+  EXPECT_EQ(d.Act(ctx), 0);
 }
 
 TEST(Baseline2, PicksSmallestTotalLength) {
   MinTotalLengthDispatcher d;
   auto ctx = MakeContext({Opt(true, 1.0, 80.0, 3), Opt(true, 40.0, 40.0, 0),
                           Opt(true, 10.0, 60.0, 1)});
-  EXPECT_EQ(d.ChooseVehicle(ctx), 1);
+  EXPECT_EQ(d.Act(ctx), 1);
 }
 
 TEST(Baseline3, PicksMostLoadedVehicle) {
   MaxAcceptedOrdersDispatcher d;
   auto ctx = MakeContext({Opt(true, 1.0, 10.0, 2), Opt(true, 9.0, 99.0, 5),
                           Opt(true, 2.0, 20.0, 4)});
-  EXPECT_EQ(d.ChooseVehicle(ctx), 1);
+  EXPECT_EQ(d.Act(ctx), 1);
 }
 
 TEST(Baseline3, TieBreaksByCheapestInsertion) {
   MaxAcceptedOrdersDispatcher d;
   auto ctx = MakeContext({Opt(true, 9.0, 10.0, 3), Opt(true, 2.0, 99.0, 3)});
-  EXPECT_EQ(d.ChooseVehicle(ctx), 1);
+  EXPECT_EQ(d.Act(ctx), 1);
 }
 
 TEST(Baseline3, IgnoresInfeasibleHeavyVehicle) {
   MaxAcceptedOrdersDispatcher d;
   auto ctx = MakeContext({Opt(false, 1.0, 10.0, 9), Opt(true, 5.0, 50.0, 1)});
-  EXPECT_EQ(d.ChooseVehicle(ctx), 1);
+  EXPECT_EQ(d.Act(ctx), 1);
 }
 
 // End-to-end character test: on a day where orders trickle in, baseline 2
@@ -91,8 +91,8 @@ TEST(Baselines, Fig6CharacterOnSyntheticDay) {
   const Instance inst = MakeTestInstance(orders, /*num_vehicles=*/8);
 
   auto run = [&](Dispatcher* d) {
-    Simulator sim(&inst);
-    return sim.RunEpisode(d);
+    Environment env(&inst);
+    return RunEpisode(&env, d);
   };
   MinIncrementalLengthDispatcher b1;
   MinTotalLengthDispatcher b2;

@@ -5,7 +5,7 @@
 #include "baselines/greedy_baselines.h"
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -23,9 +23,9 @@ std::vector<Order> Stream() {
 
 TEST(Buffering, ImmediateServiceHasZeroResponse) {
   const Instance inst = MakeTestInstance(Stream(), 3);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher b1;
-  const EpisodeResult r = sim.RunEpisode(&b1);
+  const EpisodeResult r = RunEpisode(&env, &b1);
   EXPECT_DOUBLE_EQ(r.mean_response_min, 0.0);
 }
 
@@ -33,12 +33,12 @@ TEST(Buffering, WindowDelaysDecisionsToBoundary) {
   const Instance inst = MakeTestInstance(Stream(), 3);
   SimulatorConfig config;
   config.buffer_window_min = 30.0;
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
 
   class TimeSpy : public Dispatcher {
    public:
     const char* name() const override { return "spy"; }
-    int ChooseVehicle(const DispatchContext& ctx) override {
+    int Act(const DispatchContext& ctx) override {
       decision_times.push_back(ctx.now);
       for (const VehicleOption& o : ctx.options) {
         if (o.feasible) return o.vehicle;
@@ -48,7 +48,7 @@ TEST(Buffering, WindowDelaysDecisionsToBoundary) {
     std::vector<double> decision_times;
   };
   TimeSpy spy;
-  const EpisodeResult r = sim.RunEpisode(&spy);
+  const EpisodeResult r = RunEpisode(&env, &spy);
   // Orders at 5 and 12 flush at 30; order at 47 flushes at 60; 95 at 120.
   ASSERT_EQ(spy.decision_times.size(), 4u);
   EXPECT_DOUBLE_EQ(spy.decision_times[0], 30.0);
@@ -66,13 +66,13 @@ TEST(Buffering, TightDeadlineBecomesUnservableUnderBuffering) {
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 2.0, 40.0)}, 1);
   MinIncrementalLengthDispatcher b1;
 
-  Simulator immediate(&inst);
-  EXPECT_TRUE(immediate.RunEpisode(&b1).all_served());
+  Environment immediate(&inst);
+  EXPECT_TRUE(RunEpisode(&immediate, &b1).all_served());
 
   SimulatorConfig config;
   config.buffer_window_min = 30.0;
-  Simulator buffered(&inst, config);
-  EXPECT_FALSE(buffered.RunEpisode(&b1).all_served());
+  Environment buffered(&inst, config);
+  EXPECT_FALSE(RunEpisode(&buffered, &b1).all_served());
 }
 
 TEST(Buffering, CostsComparableToImmediateOnSlackWindows) {
@@ -81,13 +81,13 @@ TEST(Buffering, CostsComparableToImmediateOnSlackWindows) {
   const Instance inst = MakeTestInstance(Stream(), 3);
   MinIncrementalLengthDispatcher b1;
 
-  Simulator immediate(&inst);
-  const EpisodeResult a = immediate.RunEpisode(&b1);
+  Environment immediate(&inst);
+  const EpisodeResult a = RunEpisode(&immediate, &b1);
 
   SimulatorConfig config;
   config.buffer_window_min = 10.0;
-  Simulator buffered(&inst, config);
-  const EpisodeResult b = buffered.RunEpisode(&b1);
+  Environment buffered(&inst, config);
+  const EpisodeResult b = RunEpisode(&buffered, &b1);
 
   EXPECT_TRUE(a.all_served());
   EXPECT_TRUE(b.all_served());
@@ -102,8 +102,8 @@ TEST(ConstraintEmbedding, DisabledVariantStillDispatchesFeasibly) {
   AgentConfig config = MakeStDdgnConfig(9);
   config.use_constraint_embedding = false;
   DqnFleetAgent agent(config, "ST-DDGN-masked");
-  Simulator sim(&inst);
-  const EpisodeResult r = sim.RunEpisode(&agent);
+  Environment env(&inst);
+  const EpisodeResult r = RunEpisode(&env, &agent);
   EXPECT_TRUE(r.all_served());
 }
 
@@ -114,10 +114,10 @@ TEST(ConstraintEmbedding, DisabledVariantTrains) {
   config.epsilon_decay_episodes = 5;
   DqnFleetAgent agent(config, "DDQN-masked");
   agent.set_training(true);
-  Simulator sim(&inst);
-  for (int e = 0; e < 8; ++e) (void)sim.RunEpisode(&agent);
+  Environment env(&inst);
+  for (int e = 0; e < 8; ++e) (void)RunEpisode(&env, &agent);
   agent.set_training(false);
-  EXPECT_TRUE(sim.RunEpisode(&agent).all_served());
+  EXPECT_TRUE(RunEpisode(&env, &agent).all_served());
   EXPECT_EQ(agent.episodes_trained(), 8);
 }
 
@@ -135,21 +135,21 @@ TEST(ConstraintEmbedding, QValuesOfInfeasibleVehiclesStayMinusInf) {
    public:
     explicit Probe(DqnFleetAgent* agent) : agent_(agent) {}
     const char* name() const override { return "probe"; }
-    int ChooseVehicle(const DispatchContext& ctx) override {
+    int Act(const DispatchContext& ctx) override {
       const std::vector<double> q = agent_->QValues(ctx);
       for (size_t v = 0; v < q.size(); ++v) {
         if (!ctx.options[v].feasible) {
           EXPECT_TRUE(std::isinf(q[v]) && q[v] < 0.0);
         }
       }
-      return agent_->ChooseVehicle(ctx);
+      return agent_->Act(ctx);
     }
     DqnFleetAgent* agent_;
   };
   DqnFleetAgent agent(config, "masked");
   Probe probe(&agent);
-  Simulator sim(&inst);
-  const EpisodeResult r = sim.RunEpisode(&probe);
+  Environment env(&inst);
+  const EpisodeResult r = RunEpisode(&env, &probe);
   EXPECT_GE(r.num_served, 1);
 }
 

@@ -37,7 +37,7 @@
 #include "serve/service_dispatcher.h"
 #include "serve/shard_router.h"
 #include "serve/shard_supervisor.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "test_util.h"
 #include "util/timer.h"
 
@@ -45,6 +45,7 @@ namespace dpdp::serve {
 namespace {
 
 namespace fs = std::filesystem;
+using dpdp::testing::LocalChoice;
 using dpdp::testing::MakeOrder;
 using dpdp::testing::MakeTestInstance;
 
@@ -106,12 +107,6 @@ void ExpectSamePlan(const EpisodeResult& a, const EpisodeResult& b) {
   EXPECT_EQ(a.total_cost, b.total_cost);
   EXPECT_EQ(a.sum_incremental_length, b.sum_incremental_length);
   EXPECT_EQ(a.order_assignment, b.order_assignment);
-}
-
-/// The decision a local evaluation-mode agent with `config` makes on `ctx`.
-int LocalChoice(const AgentConfig& config, const DispatchContext& ctx) {
-  DqnFleetAgent agent(config, "expected");
-  return agent.ChooseVehicle(ctx);
 }
 
 /// Unique scratch directory under the system temp dir.
@@ -394,8 +389,8 @@ void RunDeadlineReconciliation(const AgentConfig& config) {
   SimulatorConfig degraded_config = sim_config;
   degraded_config.decision_time_budget_s = 1e-12;
   DqnFleetAgent agent(config, "over-budget");
-  Simulator local_sim(&inst, degraded_config);
-  const EpisodeResult local = local_sim.RunEpisode(&agent);
+  Environment local_sim(&inst, degraded_config);
+  const EpisodeResult local = RunEpisode(&local_sim, &agent);
   ASSERT_GT(local.num_decisions, 0);
   ASSERT_EQ(local.num_degraded_decisions, local.num_decisions);
 
@@ -406,8 +401,8 @@ void RunDeadlineReconciliation(const AgentConfig& config) {
   serve_config.max_wait_us = 2000;
   DispatchService service(serve_config, &models);
   ServiceDispatcher dispatcher(&service, "deadline-client");
-  Simulator served_sim(&inst, sim_config);
-  const EpisodeResult served = served_sim.RunEpisode(&dispatcher);
+  Environment served_sim(&inst, sim_config);
+  const EpisodeResult served = RunEpisode(&served_sim, &dispatcher);
   service.Stop();
 
   // Same plans; the degradation ledger just lives on different sides (the

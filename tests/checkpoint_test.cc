@@ -16,7 +16,7 @@
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
 #include "rl/trainer.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "util/crc32.h"
 
 namespace dpdp {
@@ -27,7 +27,7 @@ Instance CampusInstance() {
   return dataset.SampleInstance("ckpt", 12, 5, 0, 2, 4);
 }
 
-/// Simulator config with fault injection on, so resume must also realign
+/// Environment config with fault injection on, so resume must also realign
 /// the disruption streams to stay bit-identical.
 SimulatorConfig FaultySimConfig() {
   SimulatorConfig config;
@@ -72,10 +72,10 @@ TEST(Checkpoint, SaveLoadRoundTripRestoresFullAgentState) {
   const Instance inst = CampusInstance();
   DqnFleetAgent trained(MakeDqnConfig(/*seed=*/9), "DQN");
   trained.set_training(true);
-  Simulator sim(&inst, FaultySimConfig());
+  Environment env(&inst, FaultySimConfig());
   TrainOptions options;
   options.episodes = 2;
-  RunEpisodes(&sim, &trained, options);
+  RunEpisodes(&env, &trained, options);
 
   const std::string path = TempPath("roundtrip.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, /*episodes_done=*/2, trained).ok());
@@ -97,7 +97,7 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   // Reference: one uninterrupted 6-episode run.
   DqnFleetAgent uninterrupted(MakeDqnConfig(/*seed=*/9), "DQN");
   uninterrupted.set_training(true);
-  Simulator sim_a(&inst, FaultySimConfig());
+  Environment sim_a(&inst, FaultySimConfig());
   TrainOptions full;
   full.episodes = total_episodes;
   RunEpisodes(&sim_a, &uninterrupted, full);
@@ -108,7 +108,7 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   {
     DqnFleetAgent doomed(MakeDqnConfig(/*seed=*/9), "DQN");
     doomed.set_training(true);
-    Simulator sim_b(&inst, FaultySimConfig());
+    Environment sim_b(&inst, FaultySimConfig());
     TrainOptions first_half;
     first_half.episodes = kill_after;
     first_half.checkpoint_every = kill_after;
@@ -118,7 +118,7 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   }
   DqnFleetAgent resumed(MakeDqnConfig(/*seed=*/9), "DQN");
   resumed.set_training(true);
-  Simulator sim_c(&inst, FaultySimConfig());
+  Environment sim_c(&inst, FaultySimConfig());
   TrainOptions second_half;
   second_half.episodes = total_episodes;
   second_half.checkpoint_dir = dir;

@@ -13,7 +13,7 @@
 #include "gtest/gtest.h"
 #include "rl/dqn_agent.h"
 #include "rl/trainer.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "stpred/predictor.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -130,7 +130,7 @@ TEST(DeterminismGolden, SeedRunsActuallyDiffer) {
 TEST(DeterminismGolden, DisruptedRunDrlMethodOneVsFourThreads) {
   // Fault injection must not break the 1-thread == N-thread contract: the
   // disruption stream is a pure function of (seed, episode index), never
-  // of scheduling. Each parallel seed-task builds its own Simulator, so
+  // of scheduling. Each parallel seed-task builds its own Environment, so
   // all of them replay identical fault streams.
   HarnessWorld world;
   SimulatorConfig faulty;
@@ -174,11 +174,11 @@ TEST(DeterminismGolden, DisruptionTraceIdenticalAcrossThreadCounts) {
     std::vector<std::string> traces(4);
     pool->ParallelFor(4, [&](int s) {
       SimulatorConfig config = faulty;
-      Simulator sim(&world.instance, config);
+      Environment env(&world.instance, config);
       MinIncrementalLengthDispatcher greedy;
       std::ostringstream os;
       for (int e = 0; e < 3; ++e) {
-        const EpisodeResult result = sim.RunEpisode(&greedy);
+        const EpisodeResult result = RunEpisode(&env, &greedy);
         for (const AppliedDisruption& applied : result.disruption_trace) {
           os << applied.DebugString() << "\n";
         }
@@ -210,11 +210,11 @@ std::string TrainParallelBatch(const HarnessWorld& world, ThreadPool* pool) {
   SimulatorConfig sim_config;
   sim_config.predicted_std = world.predicted;
   sim_config.record_visits = false;
-  Simulator simulator(&world.instance, sim_config);
+  Environment env(&world.instance, sim_config);
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 4;
-  RunEpisodes(&simulator, &agent, options);
+  RunEpisodes(&env, &agent, options);
 
   std::ostringstream os;
   agent.Save(&os);

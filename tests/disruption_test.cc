@@ -19,7 +19,7 @@
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
 #include "sim/disruption.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -130,9 +130,9 @@ TEST(DisruptedEpisode, BreakdownsKeepEpisodeFeasible) {
   config.record_plan = true;
   config.disruption.seed = 7;
   config.disruption.breakdown_prob = 0.7;
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&env, &greedy);
 
   EXPECT_GT(result.num_breakdowns, 0);
   EXPECT_EQ(result.num_served + result.num_unserved, result.num_orders);
@@ -152,9 +152,9 @@ TEST(DisruptedEpisode, AllFaultKindsTogetherStayFeasible) {
   config.record_plan = true;
   config.buffer_window_min = 30.0;  // Lets cancels land pre-dispatch too.
   config.disruption = AllFaultsConfig(11);
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&env, &greedy);
 
   EXPECT_EQ(result.num_served + result.num_unserved, result.num_orders);
   EXPECT_TRUE(CheckEpisodeFeasible(inst, result));
@@ -168,9 +168,9 @@ TEST(DisruptedEpisode, CancellationsWithBufferingSkipOrders) {
   config.disruption.seed = 13;
   config.disruption.cancel_prob = 1.0;
   config.disruption.cancel_max_delay_min = 30.0;
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&env, &greedy);
 
   EXPECT_GT(result.num_cancelled, 0);
   int cancelled_skips = 0;
@@ -187,9 +187,9 @@ TEST(DisruptedEpisode, TravelInflationDelaysButKeepsFeasibility) {
   config.record_plan = true;
   config.disruption.seed = 19;
   config.disruption.inflation_prob = 1.0;
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&env, &greedy);
 
   EXPECT_EQ(result.num_breakdowns, 0);
   EXPECT_EQ(result.num_cancelled, 0);
@@ -207,13 +207,13 @@ TEST(DisruptedEpisode, StreamFollowsSimulatorEpisodeCounter) {
   config.disruption.cancel_prob = 0.4;
   MinIncrementalLengthDispatcher greedy;
 
-  Simulator continuous(&inst, config);
+  Environment continuous(&inst, config);
   EpisodeResult third;
-  for (int e = 0; e < 3; ++e) third = continuous.RunEpisode(&greedy);
+  for (int e = 0; e < 3; ++e) third = RunEpisode(&continuous, &greedy);
 
-  Simulator resumed(&inst, config);
+  Environment resumed(&inst, config);
   resumed.set_episodes_run(2);
-  const EpisodeResult replay = resumed.RunEpisode(&greedy);
+  const EpisodeResult replay = RunEpisode(&resumed, &greedy);
 
   EXPECT_EQ(replay.total_cost, third.total_cost);
   EXPECT_EQ(replay.nuv, third.nuv);
@@ -229,7 +229,7 @@ class BrokenDispatcher : public Dispatcher {
  public:
   explicit BrokenDispatcher(int answer) : answer_(answer) {}
   const char* name() const override { return "Broken"; }
-  int ChooseVehicle(const DispatchContext&) override { return answer_; }
+  int Act(const DispatchContext&) override { return answer_; }
 
  private:
   int answer_;
@@ -240,13 +240,13 @@ TEST(GracefulDegradation, InvalidChoiceFallsBackToGreedy) {
   SimulatorConfig config;
   config.record_plan = true;
 
-  Simulator sim_broken(&inst, config);
+  Environment sim_broken(&inst, config);
   BrokenDispatcher broken(-1);
-  const EpisodeResult degraded = sim_broken.RunEpisode(&broken);
+  const EpisodeResult degraded = RunEpisode(&sim_broken, &broken);
 
-  Simulator sim_greedy(&inst, config);
+  Environment sim_greedy(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult reference = sim_greedy.RunEpisode(&greedy);
+  const EpisodeResult reference = RunEpisode(&sim_greedy, &greedy);
 
   // Every decision degraded, and the fallback IS Baseline 1, so the two
   // episodes are identical.
@@ -259,9 +259,9 @@ TEST(GracefulDegradation, InvalidChoiceFallsBackToGreedy) {
 
 TEST(GracefulDegradation, OutOfRangeChoiceAlsoDegrades) {
   const Instance inst = CampusInstance();
-  Simulator sim(&inst, SimulatorConfig{});
+  Environment env(&inst, SimulatorConfig{});
   BrokenDispatcher broken(1 << 20);
-  const EpisodeResult result = sim.RunEpisode(&broken);
+  const EpisodeResult result = RunEpisode(&env, &broken);
   EXPECT_EQ(result.num_degraded_decisions, result.num_served);
   EXPECT_GT(result.num_served, 0);
 }
@@ -302,12 +302,12 @@ TEST(GracefulDegradation, NanQValuesDegradeEveryDecision) {
 
   SimulatorConfig config;
   config.record_plan = true;
-  Simulator sim(&inst, config);
-  const EpisodeResult degraded = sim.RunEpisode(&agent);
+  Environment env(&inst, config);
+  const EpisodeResult degraded = RunEpisode(&env, &agent);
 
-  Simulator sim_greedy(&inst, config);
+  Environment sim_greedy(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult reference = sim_greedy.RunEpisode(&greedy);
+  const EpisodeResult reference = RunEpisode(&sim_greedy, &greedy);
 
   // The NaN guard rejects every forward pass, so the whole episode runs on
   // the greedy fallback instead of crashing or propagating NaN costs.
@@ -332,9 +332,9 @@ TEST(DisruptionTrace, WritesCsvWithHeaderAndRows) {
   const Instance inst = CampusInstance();
   SimulatorConfig config;
   config.disruption = AllFaultsConfig(37);
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&env, &greedy);
   ASSERT_FALSE(result.disruption_trace.empty());
 
   const std::string path = ::testing::TempDir() + "/dpdp_trace.csv";

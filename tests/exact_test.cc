@@ -5,7 +5,7 @@
 #include "exact/bnb_solver.h"
 #include "exp/harness.h"
 #include "routing/route_planner.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -153,8 +153,8 @@ TEST_P(ExactPropertyTest, ExactNeverWorseThanGreedyHeuristics) {
   const ExactSolution sol = solver.Solve();
 
   MinIncrementalLengthDispatcher b1;
-  Simulator sim(&inst);
-  const EpisodeResult greedy = sim.RunEpisode(&b1);
+  Environment env(&inst);
+  const EpisodeResult greedy = RunEpisode(&env, &b1);
 
   if (!greedy.all_served()) return;  // Window too tight for the heuristic.
   ASSERT_TRUE(sol.found);

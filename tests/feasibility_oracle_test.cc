@@ -12,7 +12,7 @@
 #include "baselines/greedy_baselines.h"
 #include "exp/harness.h"
 #include "gtest/gtest.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "stpred/predictor.h"
 #include "tests/test_util.h"
 
@@ -157,8 +157,8 @@ TEST(FeasibilityOracle, SimulatedBaselineEpisodesAreFeasible) {
   MaxAcceptedOrdersDispatcher b3;
   for (Dispatcher* dispatcher :
        std::vector<Dispatcher*>{&b1, &b2, &b3}) {
-    Simulator simulator(&inst, config);
-    const EpisodeResult result = simulator.RunEpisode(dispatcher);
+    Environment env(&inst, config);
+    const EpisodeResult result = RunEpisode(&env, dispatcher);
     EXPECT_TRUE(CheckEpisodeFeasible(inst, result)) << dispatcher->name();
   }
 }
@@ -175,11 +175,11 @@ TEST(FeasibilityOracle, SimulatedDrlEpisodeIsFeasible) {
   SimulatorConfig config;
   config.predicted_std = predicted;
   config.record_plan = true;
-  Simulator simulator(&inst, config);
+  Environment env(&inst, config);
   agent->set_training(true);
   for (int episode = 0; episode < 3; ++episode) {
-    const EpisodeResult result = simulator.RunEpisode(agent.get());
-    agent->OnEpisodeEnd(result);
+    const EpisodeResult result = RunEpisode(&env, agent.get());
+    agent->Learn(result);
     EXPECT_TRUE(CheckEpisodeFeasible(inst, result)) << "episode " << episode;
   }
 }
@@ -191,8 +191,8 @@ TEST(FeasibilityOracle, CatchesTamperedAssignment) {
   SimulatorConfig config;
   config.record_plan = true;
   MinIncrementalLengthDispatcher b1;
-  Simulator simulator(&inst, config);
-  EpisodeResult result = simulator.RunEpisode(&b1);
+  Environment env(&inst, config);
+  EpisodeResult result = RunEpisode(&env, &b1);
   ASSERT_TRUE(CheckEpisodeFeasible(inst, result));
 
   ASSERT_FALSE(result.order_assignment.empty());

@@ -32,7 +32,7 @@ TEST(Harness, StandardDatasetConfigMatchesPaperWorld) {
 }
 
 TEST(Harness, MakeAgentByNameCoversAllMethods) {
-  for (const std::string& m :
+  for (const char* m :
        {"DQN", "AC", "DDQN", "ST-DDQN", "DGN", "DDGN", "ST-DDGN"}) {
     auto agent = MakeAgentByName(m, 1);
     ASSERT_NE(agent, nullptr) << m;

@@ -6,7 +6,7 @@
 #include "datagen/dataset.h"
 #include "exp/harness.h"
 #include "model/instance_io.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -209,10 +209,10 @@ TEST(InstanceIo, LoadedInstanceSimulatesIdentically) {
   ASSERT_TRUE(loaded.ok());
 
   MinIncrementalLengthDispatcher b1;
-  Simulator sim_a(&original);
-  Simulator sim_b(&loaded.value());
-  const EpisodeResult a = sim_a.RunEpisode(&b1);
-  const EpisodeResult b = sim_b.RunEpisode(&b1);
+  Environment sim_a(&original);
+  Environment sim_b(&loaded.value());
+  const EpisodeResult a = RunEpisode(&sim_a, &b1);
+  const EpisodeResult b = RunEpisode(&sim_b, &b1);
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_DOUBLE_EQ(a.nuv, b.nuv);
 }

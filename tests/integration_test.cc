@@ -32,8 +32,8 @@ TEST_F(IntegrationTest, AllDispatchersServeTheDay) {
   MinTotalLengthDispatcher b2;
   MaxAcceptedOrdersDispatcher b3;
   for (Dispatcher* d : std::vector<Dispatcher*>{&b1, &b2, &b3}) {
-    Simulator sim(&instance_, config);
-    const EpisodeResult r = sim.RunEpisode(d);
+    Environment env(&instance_, config);
+    const EpisodeResult r = RunEpisode(&env, d);
     EXPECT_TRUE(r.all_served()) << d->name();
     EXPECT_LE(r.nuv, instance_.num_vehicles());
     EXPECT_TRUE(dpdp::testing::CheckEpisodeFeasible(instance_, r))
@@ -41,8 +41,8 @@ TEST_F(IntegrationTest, AllDispatchersServeTheDay) {
   }
   for (const std::string& m : ComparisonDrlMethods()) {
     auto agent = MakeAgentByName(m, 3);
-    Simulator sim(&instance_, config);
-    const EpisodeResult r = sim.RunEpisode(agent.get());
+    Environment env(&instance_, config);
+    const EpisodeResult r = RunEpisode(&env, agent.get());
     EXPECT_TRUE(r.all_served()) << m;
     EXPECT_TRUE(dpdp::testing::CheckEpisodeFeasible(instance_, r)) << m;
   }
@@ -52,8 +52,8 @@ TEST_F(IntegrationTest, CostIdentityAcrossDispatchers) {
   SimulatorConfig config;
   config.predicted_std = predicted_;
   MinIncrementalLengthDispatcher b1;
-  Simulator sim(&instance_, config);
-  const EpisodeResult r = sim.RunEpisode(&b1);
+  Environment env(&instance_, config);
+  const EpisodeResult r = RunEpisode(&env, &b1);
   const VehicleConfig& cfg = instance_.vehicle_config;
   EXPECT_NEAR(r.total_cost,
               cfg.fixed_cost * r.nuv + cfg.cost_per_km * r.total_travel_length,
@@ -67,18 +67,18 @@ TEST_F(IntegrationTest, TrainedPolicyNotWorseThanRandomPolicy) {
   config.epsilon_decay_episodes = 10;
   SimulatorConfig sim_config;
   sim_config.predicted_std = predicted_;
-  Simulator sim(&instance_, sim_config);
+  Environment env(&instance_, sim_config);
 
   DqnFleetAgent fresh(config, "DDQN");
-  const double untrained_tc = sim.RunEpisode(&fresh).total_cost;
+  const double untrained_tc = RunEpisode(&env, &fresh).total_cost;
 
   DqnFleetAgent agent(config, "DDQN");
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 25;
-  RunEpisodes(&sim, &agent, options);
+  RunEpisodes(&env, &agent, options);
   agent.set_training(false);
-  const double trained_tc = sim.RunEpisode(&agent).total_cost;
+  const double trained_tc = RunEpisode(&env, &agent).total_cost;
   EXPECT_LT(trained_tc, untrained_tc);
 }
 
@@ -97,8 +97,8 @@ TEST_F(IntegrationTest, ExactOptimumLowerBoundsEverythingOnTinyInstance) {
   MinTotalLengthDispatcher b2;
   MaxAcceptedOrdersDispatcher b3;
   for (Dispatcher* d : std::vector<Dispatcher*>{&b1, &b2, &b3}) {
-    Simulator sim(&tiny, sim_config);
-    const EpisodeResult r = sim.RunEpisode(d);
+    Environment env(&tiny, sim_config);
+    const EpisodeResult r = RunEpisode(&env, d);
     if (r.all_served()) {
       EXPECT_LE(sol.total_cost, r.total_cost + 1e-6) << d->name();
     }
@@ -111,7 +111,7 @@ TEST_F(IntegrationTest, StScoreFeatureFlowsEndToEnd) {
   class Spy : public Dispatcher {
    public:
     const char* name() const override { return "spy"; }
-    int ChooseVehicle(const DispatchContext& ctx) override {
+    int Act(const DispatchContext& ctx) override {
       for (const VehicleOption& o : ctx.options) {
         if (o.feasible && o.st_score > 0.0) saw_positive_score = true;
       }
@@ -124,9 +124,9 @@ TEST_F(IntegrationTest, StScoreFeatureFlowsEndToEnd) {
   };
   SimulatorConfig config;
   config.predicted_std = predicted_;
-  Simulator sim(&instance_, config);
+  Environment env(&instance_, config);
   Spy spy;
-  (void)sim.RunEpisode(&spy);
+  (void)RunEpisode(&env, &spy);
   EXPECT_TRUE(spy.saw_positive_score);
 }
 
@@ -137,12 +137,12 @@ TEST_F(IntegrationTest, ReplayedScheduleIsConstraintClean) {
   // replaying pickups/deliveries).
   SimulatorConfig config;
   config.record_visits = true;
-  Simulator sim(&instance_, config);
+  Environment env(&instance_, config);
   MinIncrementalLengthDispatcher b1;
-  const EpisodeResult r = sim.RunEpisode(&b1);
+  const EpisodeResult r = RunEpisode(&env, &b1);
   ASSERT_TRUE(r.all_served());
   // Capacity distribution only has entries within vehicle capacity.
-  const nn::Matrix cap = sim.LastCapacityDistribution();
+  const nn::Matrix cap = env.LastCapacityDistribution();
   EXPECT_GE(cap.SumAll(), 0.0);
 }
 

@@ -2,7 +2,7 @@
 
 #include "baselines/greedy_baselines.h"
 #include "routing/local_search.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -120,13 +120,13 @@ TEST(LocalSearch, SimulatorIntegrationSavesDistance) {
 
   MinIncrementalLengthDispatcher b1;
   SimulatorConfig plain;
-  Simulator sim_plain(&inst, plain);
-  const EpisodeResult without = sim_plain.RunEpisode(&b1);
+  Environment sim_plain(&inst, plain);
+  const EpisodeResult without = RunEpisode(&sim_plain, &b1);
 
   SimulatorConfig with_ls;
   with_ls.local_search_passes = 3;
-  Simulator sim_ls(&inst, with_ls);
-  const EpisodeResult with = sim_ls.RunEpisode(&b1);
+  Environment sim_ls(&inst, with_ls);
+  const EpisodeResult with = RunEpisode(&sim_ls, &b1);
 
   EXPECT_TRUE(with.all_served());
   EXPECT_GE(with.local_search_km_saved, 0.0);

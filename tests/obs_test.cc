@@ -16,7 +16,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
@@ -389,12 +389,12 @@ TEST(ObsDeterminism, TelemetryDoesNotPerturbEpisodes) {
   MinIncrementalLengthDispatcher baseline;
 
   obs::SetTraceEnabled(false);
-  Simulator sim_off(&inst, SimulatorConfig{});
-  const EpisodeResult off = sim_off.RunEpisode(&baseline);
+  Environment sim_off(&inst, SimulatorConfig{});
+  const EpisodeResult off = RunEpisode(&sim_off, &baseline);
 
   obs::SetTraceEnabled(true);
-  Simulator sim_on(&inst, SimulatorConfig{});
-  const EpisodeResult on = sim_on.RunEpisode(&baseline);
+  Environment sim_on(&inst, SimulatorConfig{});
+  const EpisodeResult on = RunEpisode(&sim_on, &baseline);
   obs::SetTraceEnabled(false);
   obs::DiscardTrace();
 

@@ -84,7 +84,9 @@ TEST(Adjacency, SelfLoopsAlwaysPresent) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(adj(i, i), 1.0);
     for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_DOUBLE_EQ(adj(i, j), 0.0);
+      if (i != j) {
+        EXPECT_DOUBLE_EQ(adj(i, j), 0.0);
+      }
     }
   }
 }

@@ -423,9 +423,9 @@ TEST(ScenarioWorlds, HeterogeneousFleetEpisodeIsFeasible) {
             static_cast<size_t>(config.num_vehicles));
   world.sim_config.record_plan = true;
 
-  Simulator sim(&world.instance, world.sim_config);
+  Environment sim(&world.instance, world.sim_config);
   MinIncrementalLengthDispatcher b1;
-  const EpisodeResult result = sim.RunEpisode(&b1);
+  const EpisodeResult result = RunEpisode(&sim, &b1);
   EXPECT_GT(result.num_served, 0);
   // The oracle replays every route under each vehicle's OWN class config
   // (capacity, speed, service time) — a planner that ignored per-vehicle
@@ -440,9 +440,9 @@ TEST(ScenarioWorlds, AdversarialEpisodeIsFeasibleWithAllLayersOn) {
   world.sim_config.record_plan = true;
   EXPECT_TRUE(world.sim_config.travel.active());
 
-  Simulator sim(&world.instance, world.sim_config);
+  Environment sim(&world.instance, world.sim_config);
   MaxAcceptedOrdersDispatcher b3;
-  const EpisodeResult result = sim.RunEpisode(&b3);
+  const EpisodeResult result = RunEpisode(&sim, &b3);
   EXPECT_GT(result.num_decisions, 0);
   // NOTE: the oracle replays at base travel times, which the active travel
   // wave only slows down or speeds up uniformly per leg; the schedule check

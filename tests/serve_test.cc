@@ -20,13 +20,15 @@
 #include "serve/load_generator.h"
 #include "serve/model_server.h"
 #include "serve/service_dispatcher.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "test_util.h"
 
 namespace dpdp::serve {
 namespace {
 
 namespace fs = std::filesystem;
+using dpdp::testing::ExpectSameEpisode;
+using dpdp::testing::LocalChoice;
 using dpdp::testing::MakeOrder;
 using dpdp::testing::MakeTestInstance;
 
@@ -72,22 +74,6 @@ struct FixedContext {
   DispatchContext context;
 };
 
-/// Bitwise episode-equality: every deterministic field of the outcome.
-/// Wall-clock fields are excluded on purpose (they measure the machine,
-/// not the policy).
-void ExpectSameEpisode(const EpisodeResult& a, const EpisodeResult& b) {
-  EXPECT_EQ(a.num_orders, b.num_orders);
-  EXPECT_EQ(a.num_served, b.num_served);
-  EXPECT_EQ(a.num_unserved, b.num_unserved);
-  EXPECT_EQ(a.num_decisions, b.num_decisions);
-  EXPECT_EQ(a.num_degraded_decisions, b.num_degraded_decisions);
-  EXPECT_EQ(a.nuv, b.nuv);
-  EXPECT_EQ(a.total_travel_length, b.total_travel_length);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_EQ(a.sum_incremental_length, b.sum_incremental_length);
-  EXPECT_EQ(a.order_assignment, b.order_assignment);
-}
-
 void ExpectSameWeights(const std::vector<nn::Matrix>& a,
                        const std::vector<nn::Matrix>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -101,12 +87,6 @@ void ExpectSameWeights(const std::vector<nn::Matrix>& a,
       }
     }
   }
-}
-
-/// The decision a local evaluation-mode agent with `config` makes on `ctx`.
-int LocalChoice(const AgentConfig& config, const DispatchContext& ctx) {
-  DqnFleetAgent agent(config, "expected");
-  return agent.ChooseVehicle(ctx);
 }
 
 /// Unique scratch directory under the system temp dir.
@@ -226,8 +206,8 @@ void RunServedMatchesLocal(const AgentConfig& config) {
   sim_config.record_plan = true;
 
   DqnFleetAgent agent(config, "local");
-  Simulator local_sim(&inst, sim_config);
-  const EpisodeResult local = local_sim.RunEpisode(&agent);
+  Environment local_sim(&inst, sim_config);
+  const EpisodeResult local = RunEpisode(&local_sim, &agent);
   ASSERT_GT(local.num_decisions, 0);
 
   ModelServer models(config);
@@ -236,8 +216,8 @@ void RunServedMatchesLocal(const AgentConfig& config) {
   serve_config.max_wait_us = 200;
   DispatchService service(serve_config, &models);
   ServiceDispatcher dispatcher(&service);
-  Simulator served_sim(&inst, sim_config);
-  const EpisodeResult served = served_sim.RunEpisode(&dispatcher);
+  Environment served_sim(&inst, sim_config);
+  const EpisodeResult served = RunEpisode(&served_sim, &dispatcher);
   service.Stop();
 
   ExpectSameEpisode(local, served);
@@ -311,8 +291,8 @@ TEST(DispatchServiceTest, ShedPathMatchesGreedyInsertionBaseline) {
   serve_config.queue_capacity = 0;
   DispatchService service(serve_config, &models);
   ServiceDispatcher dispatcher(&service, "shed-client");
-  Simulator served_sim(&inst, sim_config);
-  const EpisodeResult shed = served_sim.RunEpisode(&dispatcher);
+  Environment served_sim(&inst, sim_config);
+  const EpisodeResult shed = RunEpisode(&served_sim, &dispatcher);
   service.Stop();
 
   ASSERT_GT(shed.num_decisions, 0);
@@ -323,8 +303,8 @@ TEST(DispatchServiceTest, ShedPathMatchesGreedyInsertionBaseline) {
   // Shed decisions are exactly Baseline 1 (min incremental length), so the
   // whole degraded episode equals the baseline's — and stays feasible.
   MinIncrementalLengthDispatcher baseline;
-  Simulator baseline_sim(&inst, sim_config);
-  const EpisodeResult expected = baseline_sim.RunEpisode(&baseline);
+  Environment baseline_sim(&inst, sim_config);
+  const EpisodeResult expected = RunEpisode(&baseline_sim, &baseline);
   ExpectSameEpisode(expected, shed);
   EXPECT_TRUE(dpdp::testing::CheckEpisodeFeasible(inst, shed));
 }

@@ -23,31 +23,17 @@
 #include "serve/load_generator.h"
 #include "serve/model_server.h"
 #include "serve/shard_router.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace dpdp::serve {
 namespace {
 
+using dpdp::testing::ExpectSameEpisode;
+using dpdp::testing::LocalChoice;
 using dpdp::testing::MakeOrder;
 using dpdp::testing::MakeTestInstance;
-
-/// Bitwise episode-equality: every deterministic field of the outcome.
-/// Wall-clock fields are excluded on purpose (they measure the machine,
-/// not the policy).
-void ExpectSameEpisode(const EpisodeResult& a, const EpisodeResult& b) {
-  EXPECT_EQ(a.num_orders, b.num_orders);
-  EXPECT_EQ(a.num_served, b.num_served);
-  EXPECT_EQ(a.num_unserved, b.num_unserved);
-  EXPECT_EQ(a.num_decisions, b.num_decisions);
-  EXPECT_EQ(a.num_degraded_decisions, b.num_degraded_decisions);
-  EXPECT_EQ(a.nuv, b.nuv);
-  EXPECT_EQ(a.total_travel_length, b.total_travel_length);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_EQ(a.sum_incremental_length, b.sum_incremental_length);
-  EXPECT_EQ(a.order_assignment, b.order_assignment);
-}
 
 /// A set of genuinely distinct campuses on the line network: per-campus
 /// forked Rng streams vary the demand pattern, and distinct names feed the
@@ -143,12 +129,6 @@ struct FixedContext {
   }
   DispatchContext context;
 };
-
-/// The decision a local evaluation-mode agent with `config` makes on `ctx`.
-int LocalChoice(const AgentConfig& config, const DispatchContext& ctx) {
-  DqnFleetAgent agent(config, "expected");
-  return agent.ChooseVehicle(ctx);
-}
 
 // ---------------------------------------------------------------------------
 // Partition map

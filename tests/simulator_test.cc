@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/greedy_baselines.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -18,11 +18,11 @@ std::vector<Order> SmallDay() {
           MakeOrder(3, 1, 4, 5.0, 90.0, 600.0)};
 }
 
-TEST(Simulator, ServesAllOrdersWithBaseline) {
+TEST(RunEpisodeTest, ServesAllOrdersWithBaseline) {
   const Instance inst = MakeTestInstance(SmallDay(), /*num_vehicles=*/3);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
   EXPECT_EQ(r.num_orders, 4);
   EXPECT_EQ(r.num_served, 4);
   EXPECT_EQ(r.num_unserved, 0);
@@ -31,11 +31,11 @@ TEST(Simulator, ServesAllOrdersWithBaseline) {
   EXPECT_LE(r.nuv, 3.0);
 }
 
-TEST(Simulator, TotalCostFormula) {
+TEST(RunEpisodeTest, TotalCostFormula) {
   const Instance inst = MakeTestInstance(SmallDay(), 3);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
   EXPECT_NEAR(r.total_cost,
               inst.vehicle_config.fixed_cost * r.nuv +
                   inst.vehicle_config.cost_per_km * r.total_travel_length,
@@ -43,43 +43,43 @@ TEST(Simulator, TotalCostFormula) {
   EXPECT_GT(r.total_travel_length, 0.0);
 }
 
-TEST(Simulator, DeterministicAcrossRuns) {
+TEST(RunEpisodeTest, DeterministicAcrossRuns) {
   const Instance inst = MakeTestInstance(SmallDay(), 3);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult a = sim.RunEpisode(&baseline);
-  const EpisodeResult b = sim.RunEpisode(&baseline);
+  const EpisodeResult a = RunEpisode(&env, &baseline);
+  const EpisodeResult b = RunEpisode(&env, &baseline);
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_DOUBLE_EQ(a.nuv, b.nuv);
   EXPECT_DOUBLE_EQ(a.total_travel_length, b.total_travel_length);
 }
 
-TEST(Simulator, SingleOrderCostIsExact) {
+TEST(RunEpisodeTest, SingleOrderCostIsExact) {
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 400.0)}, 1);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
   EXPECT_DOUBLE_EQ(r.nuv, 1.0);
   EXPECT_DOUBLE_EQ(r.total_travel_length, 40.0);  // 10 + 10 + 20 back.
   EXPECT_DOUBLE_EQ(r.total_cost, 300.0 + 2.0 * 40.0);
 }
 
-TEST(Simulator, ImpossibleOrderCountsUnserved) {
+TEST(RunEpisodeTest, ImpossibleOrderCountsUnserved) {
   // Deadline earlier than any possible arrival.
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 12.0),
                         MakeOrder(1, 1, 2, 10.0, 20.0, 400.0)},
                        2);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
   EXPECT_EQ(r.num_unserved, 1);
   EXPECT_EQ(r.num_served, 1);
   EXPECT_FALSE(r.all_served());
 }
 
-TEST(Simulator, NoInterferenceWithCommittedStop) {
+TEST(RunEpisodeTest, NoInterferenceWithCommittedStop) {
   // Order 0 sends the vehicle depot -> F1 -> F2. Order 1 (created while
   // the vehicle drives toward F1) picks up at F3. The committed leg to F1
   // must not change: the vehicle's final route still visits F1 first.
@@ -88,19 +88,19 @@ TEST(Simulator, NoInterferenceWithCommittedStop) {
                         MakeOrder(1, 3, 4, 10.0, 5.0, 400.0)},
                        1);
   SimulatorConfig config;
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
   EXPECT_EQ(r.num_served, 2);
 }
 
-TEST(Simulator, CapacityDistributionMatchesVisits) {
+TEST(RunEpisodeTest, CapacityDistributionMatchesVisits) {
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 400.0)}, 1);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  (void)sim.RunEpisode(&baseline);
-  const nn::Matrix cap = sim.LastCapacityDistribution();
+  (void)RunEpisode(&env, &baseline);
+  const nn::Matrix cap = env.LastCapacityDistribution();
   EXPECT_EQ(cap.rows(), 4);
   EXPECT_EQ(cap.cols(), 144);
   // Visit 1: F1 (ordinal 0) at minute 10, residual 100. Visit 2: F2
@@ -110,13 +110,13 @@ TEST(Simulator, CapacityDistributionMatchesVisits) {
   EXPECT_DOUBLE_EQ(cap.SumAll(), 190.0);
 }
 
-TEST(Simulator, StScoreExposedWhenStdProvided) {
+TEST(RunEpisodeTest, StScoreExposedWhenStdProvided) {
   const Instance inst = MakeTestInstance(SmallDay(), 2);
 
   class Recorder : public Dispatcher {
    public:
     const char* name() const override { return "recorder"; }
-    int ChooseVehicle(const DispatchContext& ctx) override {
+    int Act(const DispatchContext& ctx) override {
       for (const VehicleOption& opt : ctx.options) {
         if (opt.feasible) {
           last_st_score = opt.st_score;
@@ -130,9 +130,9 @@ TEST(Simulator, StScoreExposedWhenStdProvided) {
 
   // Without a predicted STD, scores are 0.
   {
-    Simulator sim(&inst);
+    Environment env(&inst);
     Recorder rec;
-    (void)sim.RunEpisode(&rec);
+    (void)RunEpisode(&env, &rec);
     EXPECT_DOUBLE_EQ(rec.last_st_score, 0.0);
   }
   // With a skewed STD, scores are positive.
@@ -140,21 +140,21 @@ TEST(Simulator, StScoreExposedWhenStdProvided) {
     SimulatorConfig config;
     config.predicted_std = nn::Matrix(4, 144, 0.0);
     config.predicted_std(0, 0) = 100.0;
-    Simulator sim(&inst, config);
+    Environment env(&inst, config);
     Recorder rec;
-    (void)sim.RunEpisode(&rec);
+    (void)RunEpisode(&env, &rec);
     EXPECT_GT(rec.last_st_score, 0.0);
   }
 }
 
-TEST(Simulator, ContextReportsFeasibilityAndInterval) {
+TEST(RunEpisodeTest, ContextReportsFeasibilityAndInterval) {
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 125.0, 500.0)}, 2);
 
   class Checker : public Dispatcher {
    public:
     const char* name() const override { return "checker"; }
-    int ChooseVehicle(const DispatchContext& ctx) override {
+    int Act(const DispatchContext& ctx) override {
       EXPECT_EQ(ctx.time_interval, 12);  // Minute 125 -> interval 12.
       EXPECT_EQ(ctx.options.size(), 2u);
       EXPECT_EQ(ctx.num_feasible, 2);
@@ -168,29 +168,29 @@ TEST(Simulator, ContextReportsFeasibilityAndInterval) {
       return 0;
     }
   };
-  Simulator sim(&inst);
+  Environment env(&inst);
   Checker checker;
-  (void)sim.RunEpisode(&checker);
+  (void)RunEpisode(&env, &checker);
 }
 
-TEST(Simulator, FleetResetBetweenEpisodes) {
+TEST(RunEpisodeTest, FleetResetBetweenEpisodes) {
   const Instance inst = MakeTestInstance(SmallDay(), 3);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MaxAcceptedOrdersDispatcher baseline;
-  const EpisodeResult a = sim.RunEpisode(&baseline);
+  const EpisodeResult a = RunEpisode(&env, &baseline);
   // Second run must not inherit used vehicles or routes.
-  const EpisodeResult b = sim.RunEpisode(&baseline);
+  const EpisodeResult b = RunEpisode(&env, &baseline);
   EXPECT_DOUBLE_EQ(a.nuv, b.nuv);
   EXPECT_DOUBLE_EQ(a.total_travel_length, b.total_travel_length);
 }
 
-TEST(Simulator, RecordsOrderAssignmentAndRoutes) {
+TEST(RunEpisodeTest, RecordsOrderAssignmentAndRoutes) {
   const Instance inst = MakeTestInstance(SmallDay(), 3);
   SimulatorConfig config;
   config.record_plan = true;
-  Simulator sim(&inst, config);
+  Environment env(&inst, config);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
   ASSERT_EQ(r.order_assignment.size(), 4u);
   ASSERT_EQ(r.routes.size(), 3u);
   // Every served order appears exactly once as pickup and once as
@@ -222,11 +222,11 @@ TEST(Simulator, RecordsOrderAssignmentAndRoutes) {
   EXPECT_TRUE(dpdp::testing::CheckEpisodeFeasible(inst, r));
 }
 
-TEST(Simulator, PlanNotRecordedByDefault) {
+TEST(RunEpisodeTest, PlanNotRecordedByDefault) {
   const Instance inst = MakeTestInstance(SmallDay(), 3);
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
   EXPECT_TRUE(r.order_assignment.empty());
   EXPECT_TRUE(r.routes.empty());
 }
@@ -248,9 +248,9 @@ TEST_P(SimulatorPropertyTest, MetricsConsistentOnRandomInstances) {
                                t, t + rng.Uniform(60.0, 400.0)));
   }
   const Instance inst = MakeTestInstance(orders, rng.UniformInt(1, 4));
-  Simulator sim(&inst);
+  Environment env(&inst);
   MinIncrementalLengthDispatcher baseline;
-  const EpisodeResult r = sim.RunEpisode(&baseline);
+  const EpisodeResult r = RunEpisode(&env, &baseline);
 
   EXPECT_EQ(r.num_served + r.num_unserved, r.num_orders);
   EXPECT_LE(r.nuv, inst.num_vehicles());

@@ -10,6 +10,8 @@
 #include "model/order.h"
 #include "model/vehicle.h"
 #include "net/road_network.h"
+#include "rl/config.h"
+#include "rl/dqn_agent.h"
 #include "sim/dispatcher.h"
 
 namespace dpdp::testing {
@@ -229,6 +231,28 @@ inline ::testing::AssertionResult CheckEpisodeFeasible(
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Bitwise episode-equality: every deterministic field of the outcome.
+/// Wall-clock fields are excluded on purpose (they measure the machine,
+/// not the policy).
+inline void ExpectSameEpisode(const EpisodeResult& a, const EpisodeResult& b) {
+  EXPECT_EQ(a.num_orders, b.num_orders);
+  EXPECT_EQ(a.num_served, b.num_served);
+  EXPECT_EQ(a.num_unserved, b.num_unserved);
+  EXPECT_EQ(a.num_decisions, b.num_decisions);
+  EXPECT_EQ(a.num_degraded_decisions, b.num_degraded_decisions);
+  EXPECT_EQ(a.nuv, b.nuv);
+  EXPECT_EQ(a.total_travel_length, b.total_travel_length);
+  EXPECT_EQ(a.total_cost, b.total_cost);
+  EXPECT_EQ(a.sum_incremental_length, b.sum_incremental_length);
+  EXPECT_EQ(a.order_assignment, b.order_assignment);
+}
+
+/// The decision a fresh evaluation-mode agent with `config` makes on `ctx`.
+inline int LocalChoice(const AgentConfig& config, const DispatchContext& ctx) {
+  DqnFleetAgent agent(config, "expected");
+  return agent.Act(ctx);
 }
 
 }  // namespace dpdp::testing

@@ -3,7 +3,7 @@
 // accounting), checkpoint roundtrips, the 1-vs-2-vs-4-actor deterministic
 // training golden (bit-identical final weights for any actor count), the
 // kill-the-learner checkpoint-resume golden, greedy fabric-vs-local
-// parity, the Environment step-API parity shim check, and the
+// parity, RunEpisode against a raw step loop, the episode recorder, and the
 // DPDP_TRAIN_* config layer. Runs under TSan in CI alongside the serve
 // suites — the replay stripes and the actor barrier must hold for
 // arbitrary interleavings.
@@ -21,8 +21,8 @@
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
 #include "rl/replay.h"
+#include "rl/state.h"
 #include "sim/environment.h"
-#include "sim/simulator.h"
 #include "test_util.h"
 #include "train/actor.h"
 #include "train/apex.h"
@@ -33,6 +33,7 @@
 namespace dpdp::train {
 namespace {
 
+using dpdp::testing::ExpectSameEpisode;
 using dpdp::testing::MakeOrder;
 using dpdp::testing::MakeTestInstance;
 
@@ -106,18 +107,6 @@ void ExpectSameWeights(const std::vector<nn::Matrix>& a,
       }
     }
   }
-}
-
-void ExpectSameEpisode(const EpisodeResult& a, const EpisodeResult& b) {
-  EXPECT_EQ(a.num_orders, b.num_orders);
-  EXPECT_EQ(a.num_served, b.num_served);
-  EXPECT_EQ(a.num_unserved, b.num_unserved);
-  EXPECT_EQ(a.num_decisions, b.num_decisions);
-  EXPECT_EQ(a.num_degraded_decisions, b.num_degraded_decisions);
-  EXPECT_EQ(a.nuv, b.nuv);
-  EXPECT_EQ(a.total_travel_length, b.total_travel_length);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_EQ(a.sum_incremental_length, b.sum_incremental_length);
 }
 
 // --- ShardedReplayBuffer ---------------------------------------------------
@@ -223,49 +212,132 @@ TEST(ShardedReplayBufferTest, SaveLoadRoundtrip) {
   EXPECT_FALSE(wrong_capacity.Load(&once_more));
 }
 
-// --- Reward folding --------------------------------------------------------
+// --- Reward folding and the episode recorder -------------------------------
 
 TEST(FoldEpisodeRewardsTest, FoldsEpisodeMeanIntoEveryStep) {
   std::vector<EpisodeStep> steps(3);
-  steps[0].instant_reward = -1.0;
-  steps[1].instant_reward = -2.0;
-  steps[2].instant_reward = -6.0;
-  steps[2].terminal = true;
+  const double instant[] = {-1.0, -2.0, -6.0};
+  for (int i = 0; i < 3; ++i) {
+    // Distinct one-vehicle states, so each next_state is identifiable.
+    steps[i].state.num_vehicles = 1;
+    steps[i].state.features.assign(kStateFeatures, 0.5f * i);
+    steps[i].state.feasible = {1};
+    steps[i].state.positions = {1.0f * i, 2.0f * i};
+    steps[i].action = 0;
+    steps[i].instant_reward = instant[i];
+  }
+  const std::vector<EpisodeStep> expected = steps;
   const std::vector<Transition> folded = FoldEpisodeRewards(std::move(steps));
   ASSERT_EQ(folded.size(), 3u);
   const double mean = (-1.0 - 2.0 - 6.0) / 3.0;
-  EXPECT_EQ(folded[0].reward, static_cast<float>(-1.0 + mean));
-  EXPECT_EQ(folded[1].reward, static_cast<float>(-2.0 + mean));
-  EXPECT_EQ(folded[2].reward, static_cast<float>(-6.0 + mean));
-  EXPECT_FALSE(folded[0].terminal);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(folded[i].reward, static_cast<float>(instant[i] + mean));
+    EXPECT_EQ(folded[i].state.features, expected[i].state.features);
+    EXPECT_EQ(folded[i].state.positions, expected[i].state.positions);
+  }
+  // Step i's next_state is step i+1's state; only the last step is
+  // terminal, with an empty next_state.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(folded[i].terminal);
+    EXPECT_EQ(folded[i].next_state.num_vehicles, 1);
+    EXPECT_EQ(folded[i].next_state.features, expected[i + 1].state.features);
+    EXPECT_EQ(folded[i].next_state.feasible, expected[i + 1].state.feasible);
+    EXPECT_EQ(folded[i].next_state.positions,
+              expected[i + 1].state.positions);
+  }
   EXPECT_TRUE(folded[2].terminal);
+  EXPECT_TRUE(folded[2].next_state.empty());
 }
 
-// --- Environment step-API shim ---------------------------------------------
+/// Records through EpisodeRecorder like every learning role, but chooses a
+/// feasible vehicle other than the greedy one whenever there is one, and
+/// keeps every option's instant reward of each decision for the check.
+class NonGreedyRecorder : public Dispatcher {
+ public:
+  explicit NonGreedyRecorder(const AgentConfig& config) : config_(config) {}
+  const char* name() const override { return "non_greedy"; }
 
-/// The greedy-insertion rule as a plain Dispatcher (not an Agent), to
-/// drive the facade.
+  int Act(const DispatchContext& context) override {
+    const int greedy = GreedyInsertionFallback(context);
+    int chosen = greedy;
+    std::vector<double> rewards(context.options.size(), 0.0);
+    for (const VehicleOption& option : context.options) {
+      if (!option.feasible) continue;
+      rewards[option.vehicle] = InstantReward(context, option.vehicle, config_);
+      if (chosen == greedy && option.vehicle != greedy) {
+        chosen = option.vehicle;
+      }
+    }
+    orders.push_back(context.order->id);
+    chosen_vehicles.push_back(chosen);
+    option_rewards.push_back(std::move(rewards));
+    recorder.Record(BuildFleetState(context, config_));
+    return chosen;
+  }
+  void Observe(const DispatchContext& context, int vehicle) override {
+    recorder.Observe(context, vehicle, config_);
+  }
+
+  EpisodeRecorder recorder;
+  std::vector<int> orders;
+  std::vector<int> chosen_vehicles;
+  std::vector<std::vector<double>> option_rewards;
+
+ private:
+  const AgentConfig config_;
+};
+
+TEST(EpisodeRecorderTest, RecordsTheExecutedVehicleNotTheChosenOne) {
+  const Instance instance = MakeTrainInstance();
+  SimulatorConfig sim_config;
+  // Every decision blows the budget, so the greedy fallback executes.
+  sim_config.decision_time_budget_s = 1e-12;
+  sim_config.record_plan = true;
+  Environment env(&instance, sim_config);
+  NonGreedyRecorder dispatcher(MakeTrainAgentConfig());
+  const EpisodeResult result = RunEpisode(&env, &dispatcher);
+  EXPECT_EQ(result.num_degraded_decisions, result.num_decisions);
+
+  const std::vector<EpisodeStep> steps = dispatcher.recorder.TakeSteps();
+  ASSERT_EQ(steps.size(), dispatcher.orders.size());
+  ASSERT_EQ(static_cast<int>(steps.size()), result.num_decisions);
+  int overridden = 0;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const int executed = result.order_assignment[dispatcher.orders[i]];
+    EXPECT_EQ(steps[i].action, executed) << "decision " << i;
+    EXPECT_EQ(steps[i].instant_reward,
+              dispatcher.option_rewards[i][executed])
+        << "decision " << i;
+    if (dispatcher.chosen_vehicles[i] != executed) ++overridden;
+  }
+  EXPECT_GT(overridden, 0);
+}
+
+// --- The episode loop ------------------------------------------------------
+
+/// The greedy-insertion rule as a plain Dispatcher (not an Agent).
 class GreedyDispatcher : public Dispatcher {
  public:
   const char* name() const override { return "greedy"; }
-  int ChooseVehicle(const DispatchContext& context) override {
+  int Act(const DispatchContext& context) override {
     return GreedyInsertionFallback(context);
   }
 };
 
-TEST(EnvironmentStepTest, StepLoopMatchesSimulatorFacade) {
+TEST(RunEpisodeTest, MatchesRawStepLoop) {
   const Instance instance = MakeTrainInstance();
-  Simulator facade(&instance);
+  Environment looped(&instance);
   GreedyDispatcher greedy;
-  const EpisodeResult via_facade = facade.RunEpisode(&greedy);
+  const EpisodeResult via_run_episode = RunEpisode(&looped, &greedy);
 
   Environment env(&instance);
   env.Reset();
   while (env.AdvanceToDecision()) {
     env.Apply(GreedyInsertionFallback(env.ObserveDecision()));
   }
-  ExpectSameEpisode(via_facade, env.result());
-  EXPECT_EQ(via_facade.num_orders, static_cast<int>(instance.orders.size()));
+  ExpectSameEpisode(via_run_episode, env.result());
+  EXPECT_EQ(via_run_episode.num_orders,
+            static_cast<int>(instance.orders.size()));
 }
 
 // --- Deterministic actor-count invariance ----------------------------------
@@ -398,8 +470,8 @@ TEST(ApexTrainerTest, GreedyFabricEpisodeMatchesLocalAgent) {
   const ApexReport report = trainer.Run();
 
   DqnFleetAgent local(agent_config, "local");
-  Simulator sim(&instance);
-  const EpisodeResult local_result = sim.RunEpisode(&local);
+  Environment env(&instance);
+  const EpisodeResult local_result = RunEpisode(&env, &local);
   ASSERT_EQ(report.episodes.size(), 1u);
   ExpectSameEpisode(report.episodes[0], local_result);
   EXPECT_EQ(report.explore_decisions, 0);
