@@ -79,10 +79,14 @@ void BM_BestInsertion(benchmark::State& state) {
     if (r.ok()) route = std::move(r).value().suffix;
   }
   const dpdp::Order& next = inst.order(route_orders);
+  // allocs_per_op is the same at every route size when no candidate
+  // allocates: only the winner's suffix and schedule are materialized.
+  const long long before = AllocCount();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         planner.BestInsertion(anchor, route, inst.vehicle_depots[0], next));
   }
+  ReportAllocs(state, before);
   state.SetLabel(std::to_string(route.size()) + " stops");
 }
 BENCHMARK(BM_BestInsertion)->Arg(2)->Arg(6)->Arg(12)->Arg(20);

@@ -2,56 +2,67 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+
+#include "net/road_network.h"
 
 namespace dpdp {
 
-RoutePlanner::RoutePlanner(const RoadNetwork* network,
-                           const VehicleConfig* config,
-                           const std::vector<Order>* orders)
-    : network_(network), config_(config), orders_(orders) {
-  DPDP_CHECK(network_ != nullptr);
-  DPDP_CHECK(config_ != nullptr);
-  DPDP_CHECK(orders_ != nullptr);
-}
+namespace {
 
-RoutePlanner::RoutePlanner(const Instance* instance)
-    : RoutePlanner(instance->network.get(), &instance->vehicle_config,
-                   &instance->orders) {
-  node_surcharge_ = &instance->node_service_surcharge_min;
-}
+/// Which rule a stop sequence breaks first (kNone: it breaks none).
+enum class Reject { kNone, kAnchorLoad, kCapacity, kLifo, kLate, kCargoLeft };
 
-const Order& RoutePlanner::LookupOrder(int id) const {
-  DPDP_CHECK(id >= 0 && id < static_cast<int>(orders_->size()));
-  return (*orders_)[id];
-}
+/// Outcome of one feasibility walk. `length` and `completion_time` are set
+/// only when `reject` is kNone.
+struct WalkResult {
+  Reject reject = Reject::kNone;
+  int order_id = -1;  ///< Order of the offending stop (capacity/LIFO/late).
+  double length = 0.0;
+  double completion_time = 0.0;
+};
 
-Result<SuffixSchedule> RoutePlanner::CheckSuffix(
-    const PlanAnchor& anchor, const std::vector<Stop>& suffix,
-    int depot_node, const VehicleConfig* vehicle) const {
-  const VehicleConfig& cfg = vehicle != nullptr ? *vehicle : *config_;
-  const bool surcharged =
-      node_surcharge_ != nullptr && !node_surcharge_->empty();
-  SuffixSchedule out;
-  out.stops.reserve(suffix.size());
-  out.residual_capacity.reserve(suffix.size());
+/// The planner's rules, written once: walks the `num_stops` stops yielded
+/// by `stop_at(k)` from `anchor` to `depot_node` under `cfg` and the
+/// instance's docking surcharge, stopping at the first violation. Checks,
+/// in order of detection: anchor load, then per stop the capacity at a
+/// pickup, or LIFO and the deadline at a delivery, then leftover cargo.
+/// Every accepted stop is passed to `record(arrival, service_start,
+/// departure, residual_capacity)`. `stack` is caller-owned scratch for the
+/// onboard LIFO stack; reserving anchor.onboard.size() + num_stops keeps
+/// the walk allocation-free.
+///
+/// CheckSuffix and BestInsertion both run this walk, so a candidate's
+/// length is computed by the same floating-point operations in the same
+/// order whichever of the two evaluates it.
+template <typename StopAt, typename Record>
+WalkResult WalkRoute(const Instance& instance, const VehicleConfig& cfg,
+                     const PlanAnchor& anchor, int num_stops,
+                     int depot_node, const StopAt& stop_at,
+                     const Record& record, std::vector<int>* stack) {
+  const RoadNetwork& network = *instance.network;
+  const std::vector<double>& surcharge = instance.node_service_surcharge_min;
+  WalkResult out;
 
-  std::vector<int> stack = anchor.onboard;
+  stack->assign(anchor.onboard.begin(), anchor.onboard.end());
   double load = 0.0;
-  for (int id : stack) load += LookupOrder(id).quantity;
+  for (int id : *stack) load += instance.order(id).quantity;
   if (load > cfg.capacity) {
-    return Status::Infeasible("anchor load already exceeds capacity");
+    out.reject = Reject::kAnchorLoad;
+    return out;
   }
 
   int node = anchor.node;
   double now = anchor.time;
   double length = 0.0;
 
-  for (const Stop& stop : suffix) {
-    const Order& order = LookupOrder(stop.order_id);
-    length += network_->Distance(node, stop.node);
+  for (int k = 0; k < num_stops; ++k) {
+    const Stop& stop = stop_at(k);
+    const Order& order = instance.order(stop.order_id);
+    length += network.Distance(node, stop.node);
     const double arrival =
-        now + network_->TravelTimeMinutes(node, stop.node, cfg.speed_kmph);
-    out.residual_capacity.push_back(cfg.capacity - load);
+        now + network.TravelTimeMinutes(node, stop.node, cfg.speed_kmph);
+    const double residual = cfg.capacity - load;
 
     double service_start = arrival;
     if (stop.type == StopType::kPickup) {
@@ -60,105 +71,173 @@ Result<SuffixSchedule> RoutePlanner::CheckSuffix(
       service_start = std::max(arrival, order.create_time_min);
       load += order.quantity;
       if (load > cfg.capacity + 1e-9) {
-        return Status::Infeasible("capacity exceeded at pickup of " +
-                                  order.DebugString());
+        out.reject = Reject::kCapacity;
+        out.order_id = stop.order_id;
+        return out;
       }
-      stack.push_back(stop.order_id);
+      stack->push_back(stop.order_id);
     } else {
       DPDP_CHECK(stop.node == order.delivery_node);
-      if (stack.empty() || stack.back() != stop.order_id) {
-        return Status::Infeasible("LIFO violation delivering " +
-                                  order.DebugString());
+      if (stack->empty() || stack->back() != stop.order_id) {
+        out.reject = Reject::kLifo;
+        out.order_id = stop.order_id;
+        return out;
       }
       if (service_start > order.latest_time_min + 1e-9) {
-        return Status::Infeasible("late delivery of " + order.DebugString());
+        out.reject = Reject::kLate;
+        out.order_id = stop.order_id;
+        return out;
       }
-      stack.pop_back();
+      stack->pop_back();
       load -= order.quantity;
     }
 
     double service_min = cfg.service_time_min;
-    if (surcharged) service_min += (*node_surcharge_)[stop.node];
+    if (!surcharge.empty()) service_min += surcharge[stop.node];
     const double departure = service_start + service_min;
-    out.stops.push_back({arrival, service_start, departure});
+    record(arrival, service_start, departure, residual);
     node = stop.node;
     now = departure;
   }
 
-  if (!stack.empty()) {
-    return Status::Infeasible("cargo left onboard at end of route");
+  if (!stack->empty()) {
+    out.reject = Reject::kCargoLeft;
+    return out;
   }
-
-  length += network_->Distance(node, depot_node);
-  out.length = length;
+  out.length = length + network.Distance(node, depot_node);
   out.completion_time =
-      now + network_->TravelTimeMinutes(node, depot_node, cfg.speed_kmph);
+      now + network.TravelTimeMinutes(node, depot_node, cfg.speed_kmph);
+  return out;
+}
+
+/// Stop k of the candidate that inserts `pickup` at position i and
+/// `delivery` at position j (i < j, both in the new sequence) into `old`:
+/// old[0, i) -> pickup -> old[i, j-1) -> delivery -> old[j-1, n).
+const Stop& CandidateStop(const std::vector<Stop>& old, const Stop& pickup,
+                          const Stop& delivery, int i, int j, int k) {
+  if (k < i) return old[k];
+  if (k == i) return pickup;
+  if (k < j) return old[k - 1];
+  if (k == j) return delivery;
+  return old[k - 2];
+}
+
+}  // namespace
+
+RoutePlanner::RoutePlanner(const Instance* instance) : instance_(instance) {
+  DPDP_CHECK(instance_ != nullptr && instance_->network != nullptr);
+}
+
+Result<SuffixSchedule> RoutePlanner::CheckSuffix(
+    const PlanAnchor& anchor, const std::vector<Stop>& suffix,
+    int depot_node, const VehicleConfig* vehicle) const {
+  const VehicleConfig& cfg =
+      vehicle != nullptr ? *vehicle : instance_->vehicle_config;
+  SuffixSchedule out;
+  out.stops.reserve(suffix.size());
+  out.residual_capacity.reserve(suffix.size());
+  std::vector<int> stack;
+  stack.reserve(anchor.onboard.size() + suffix.size());
+
+  const WalkResult walk = WalkRoute(
+      *instance_, cfg, anchor, static_cast<int>(suffix.size()), depot_node,
+      [&suffix](int k) -> const Stop& { return suffix[k]; },
+      [&out](double arrival, double service_start, double departure,
+             double residual) {
+        out.stops.push_back({arrival, service_start, departure});
+        out.residual_capacity.push_back(residual);
+      },
+      &stack);
+
+  switch (walk.reject) {
+    case Reject::kNone:
+      break;
+    case Reject::kAnchorLoad:
+      return Status::Infeasible("anchor load already exceeds capacity");
+    case Reject::kCapacity:
+      return Status::Infeasible("capacity exceeded at pickup of " +
+                                order(walk.order_id).DebugString());
+    case Reject::kLifo:
+      return Status::Infeasible("LIFO violation delivering " +
+                                order(walk.order_id).DebugString());
+    case Reject::kLate:
+      return Status::Infeasible("late delivery of " +
+                                order(walk.order_id).DebugString());
+    case Reject::kCargoLeft:
+      return Status::Infeasible("cargo left onboard at end of route");
+  }
+  out.length = walk.length;
+  out.completion_time = walk.completion_time;
   return out;
 }
 
 double RoutePlanner::SuffixLength(const PlanAnchor& anchor,
                                   const std::vector<Stop>& suffix,
                                   int depot_node) const {
+  const RoadNetwork& network = *instance_->network;
   int node = anchor.node;
   double length = 0.0;
   for (const Stop& stop : suffix) {
-    length += network_->Distance(node, stop.node);
+    length += network.Distance(node, stop.node);
     node = stop.node;
   }
-  return length + network_->Distance(node, depot_node);
+  return length + network.Distance(node, depot_node);
 }
 
 Result<Insertion> RoutePlanner::BestInsertion(
     const PlanAnchor& anchor, const std::vector<Stop>& old_suffix,
     int depot_node, const Order& order, const VehicleConfig* vehicle) const {
+  const VehicleConfig& cfg =
+      vehicle != nullptr ? *vehicle : instance_->vehicle_config;
   const int n = static_cast<int>(old_suffix.size());
-  const double old_length = SuffixLength(anchor, old_suffix, depot_node);
-
   const Stop pickup{order.pickup_node, order.id, StopType::kPickup};
   const Stop delivery{order.delivery_node, order.id, StopType::kDelivery};
 
-  Insertion best;
+  std::vector<int> stack;
+  stack.reserve(anchor.onboard.size() + old_suffix.size() + 2);
   double best_length = std::numeric_limits<double>::infinity();
-  bool found = false;
+  int best_i = -1;
+  int best_j = -1;
   last_candidates_ = 0;
 
-  std::vector<Stop> candidate;
-  candidate.reserve(old_suffix.size() + 2);
   // Insert the pickup at position i and the delivery at position j (both in
   // the *new* suffix), i < j. Enumerating all pairs is the paper's
-  // "enumeration way"; CheckSuffix rejects LIFO-invalid placements.
+  // "enumeration way"; the walk rejects LIFO-invalid placements. Candidates
+  // are walked in place and only the winner is materialized.
   for (int i = 0; i <= n; ++i) {
     for (int j = i + 1; j <= n + 1; ++j) {
-      candidate.clear();
-      candidate.insert(candidate.end(), old_suffix.begin(),
-                       old_suffix.begin() + i);
-      candidate.push_back(pickup);
-      candidate.insert(candidate.end(), old_suffix.begin() + i,
-                       old_suffix.begin() + (j - 1));
-      candidate.push_back(delivery);
-      candidate.insert(candidate.end(), old_suffix.begin() + (j - 1),
-                       old_suffix.end());
       ++last_candidates_;
-
-      Result<SuffixSchedule> checked =
-          CheckSuffix(anchor, candidate, depot_node, vehicle);
-      if (!checked.ok()) continue;
-      if (checked.value().length < best_length) {
-        best_length = checked.value().length;
-        best.pickup_pos = i;
-        best.delivery_pos = j;
-        best.suffix = candidate;
-        best.schedule = std::move(checked).value();
-        found = true;
+      const WalkResult walk = WalkRoute(
+          *instance_, cfg, anchor, n + 2, depot_node,
+          [&](int k) -> const Stop& {
+            return CandidateStop(old_suffix, pickup, delivery, i, j, k);
+          },
+          [](double, double, double, double) {}, &stack);
+      if (walk.reject == Reject::kNone && walk.length < best_length) {
+        best_length = walk.length;
+        best_i = i;
+        best_j = j;
       }
     }
   }
 
-  if (!found) {
-    return Status::Infeasible("no feasible insertion for " +
-                              order.DebugString());
+  if (best_i < 0) return Status::Infeasible("no feasible insertion");
+
+  Insertion best;
+  best.pickup_pos = best_i;
+  best.delivery_pos = best_j;
+  best.suffix.reserve(n + 2);
+  for (int k = 0; k < n + 2; ++k) {
+    best.suffix.push_back(
+        CandidateStop(old_suffix, pickup, delivery, best_i, best_j, k));
   }
-  best.incremental_length = best.schedule.length - old_length;
+  Result<SuffixSchedule> checked =
+      CheckSuffix(anchor, best.suffix, depot_node, vehicle);
+  DPDP_CHECK_OK(checked.status());
+  best.schedule = std::move(checked).value();
+  DPDP_CHECK(best.schedule.length == best_length);
+  best.incremental_length =
+      best.schedule.length - SuffixLength(anchor, old_suffix, depot_node);
   return best;
 }
 

@@ -6,7 +6,6 @@
 #include "model/instance.h"
 #include "model/order.h"
 #include "model/vehicle.h"
-#include "net/road_network.h"
 #include "util/result.h"
 
 namespace dpdp {
@@ -48,27 +47,26 @@ struct Insertion {
 /// pickup/delivery insertion positions with time-window, LIFO and capacity
 /// validation, returning the shortest feasible temporary route.
 ///
-/// The planner is stateless and cheap to construct; it borrows the network,
-/// config and order pool, which must outlive it.
+/// The planner is stateless and cheap to construct; it borrows the
+/// instance (network, vehicle config, order pool and docking surcharge),
+/// which must outlive it.
 class RoutePlanner {
  public:
-  RoutePlanner(const RoadNetwork* network, const VehicleConfig* config,
-               const std::vector<Order>* orders);
-
-  /// Convenience: planner over an instance's components.
   explicit RoutePlanner(const Instance* instance);
 
   /// Validates `suffix` departing from `anchor` and ending at `depot_node`.
-  /// Checks, in order of detection: LIFO stack discipline (every delivery
-  /// matches the top of the stack and nothing remains at the end), capacity
-  /// (load never exceeds Q), and time windows (pickups wait for order
-  /// creation; deliveries must begin no later than the order's latest
-  /// time). Returns the schedule on success, Status::Infeasible otherwise.
+  /// Checks LIFO stack discipline (every delivery matches the top of the
+  /// stack and nothing remains at the end), capacity (load never exceeds
+  /// Q), and time windows (pickups wait for order creation; deliveries must
+  /// begin no later than the order's latest time); every stop costs the
+  /// service time plus the instance's docking surcharge at its node.
+  /// Returns the schedule on success, Status::Infeasible naming the first
+  /// violation otherwise.
   ///
-  /// `vehicle` overrides the constructor's config for this call — the
+  /// `vehicle` overrides the instance's vehicle_config for this call — the
   /// heterogeneous-fleet hook: one planner serves a mixed fleet by passing
-  /// each vehicle's own profile. nullptr (the default) keeps the
-  /// constructor config, which is the pre-scenario behaviour exactly.
+  /// each vehicle's own profile. nullptr (the default) keeps the shared
+  /// config, which is the pre-scenario behaviour exactly.
   Result<SuffixSchedule> CheckSuffix(const PlanAnchor& anchor,
                                      const std::vector<Stop>& suffix,
                                      int depot_node,
@@ -82,31 +80,28 @@ class RoutePlanner {
 
   /// Algorithm 2: tries every (pickup, delivery) insertion position pair in
   /// `old_suffix`, keeps feasible candidates, and returns the one with the
-  /// shortest resulting suffix. Status::Infeasible when no placement works.
+  /// shortest resulting suffix (the first in (pickup, delivery) order on a
+  /// tie). Candidates are checked in place by CheckSuffix's own walk, with
+  /// no allocation per candidate; only the winner is materialized and
+  /// scheduled, so its result is bit-identical to running CheckSuffix on
+  /// every candidate. Status::Infeasible when no placement works.
   Result<Insertion> BestInsertion(const PlanAnchor& anchor,
                                   const std::vector<Stop>& old_suffix,
                                   int depot_node, const Order& order,
                                   const VehicleConfig* vehicle =
                                       nullptr) const;
 
-  /// Number of candidate suffixes evaluated by the last BestInsertion call
-  /// (for the constraint-embedding micro-benchmarks).
+  /// Number of (pickup, delivery) candidates the last BestInsertion call
+  /// enumerated, (n+1)(n+2)/2 for an n-stop suffix (route_planner_test
+  /// reads it).
   int last_candidates_evaluated() const { return last_candidates_; }
 
   /// The order pool entry with the given id (shared with callers such as
   /// the local-search improver).
-  const Order& order(int id) const { return LookupOrder(id); }
+  const Order& order(int id) const { return instance_->order(id); }
 
  private:
-  const Order& LookupOrder(int id) const;
-
-  const RoadNetwork* network_;
-  const VehicleConfig* config_;
-  const std::vector<Order>* orders_;
-  /// Per-node docking surcharge (scenario topology layer); nullptr or
-  /// empty means none. Borrowed from the instance when constructed from
-  /// one; the bare ctor has no surcharge.
-  const std::vector<double>* node_surcharge_ = nullptr;
+  const Instance* instance_;
   mutable int last_candidates_ = 0;
 };
 

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+#include <numeric>
+#include <string>
 #include <vector>
 
+#include "datagen/dataset.h"
+#include "exp/harness.h"
 #include "routing/route_planner.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -9,8 +15,10 @@
 namespace dpdp {
 namespace {
 
+using testing::MakeLineNetwork;
 using testing::MakeOrder;
 using testing::MakeTestInstance;
+using testing::MakeTestVehicleConfig;
 
 // The line network with 1 km/min speed and zero service time makes all
 // schedule arithmetic exact: depot(0,0), F1(10,0), F2(20,0), F3(10,10),
@@ -119,6 +127,39 @@ TEST_F(RoutePlannerTest, AnchorOnboardMustBeDelivered) {
   EXPECT_DOUBLE_EQ(ok.value().stops[0].arrival, 40.0);
   // ...but an empty suffix leaves it onboard.
   EXPECT_FALSE(planner.CheckSuffix(anchor, {}, 0).ok());
+}
+
+TEST_F(RoutePlannerTest, DockingSurchargeAndVehicleProfileShapeSchedule) {
+  Instance inst = MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 500.0)});
+  inst.node_service_surcharge_min.assign(inst.network->num_nodes(), 0.0);
+  inst.node_service_surcharge_min[1] = 7.0;  // Docking wait at F1 only.
+  RoutePlanner planner(&inst);
+  VehicleConfig slow = inst.vehicle_config;
+  slow.speed_kmph = 30.0;  // 2 min per km.
+  slow.service_time_min = 3.0;
+  const auto r = planner.CheckSuffix(DepotAnchor(),
+                                     {P(0, inst), D(0, inst)}, 0, &slow);
+  ASSERT_TRUE(r.ok());
+  const std::vector<StopSchedule>& stops = r.value().stops;
+  ASSERT_EQ(stops.size(), 2u);
+  // depot -> F1: 10 km = 20 min; service 3 + dock 7 -> depart at 30.
+  EXPECT_DOUBLE_EQ(stops[0].arrival, 20.0);
+  EXPECT_DOUBLE_EQ(stops[0].departure, 30.0);
+  // F1 -> F2: 10 km = 20 min; service 3, no dock at F2.
+  EXPECT_DOUBLE_EQ(stops[1].arrival, 50.0);
+  EXPECT_DOUBLE_EQ(stops[1].departure, 53.0);
+  // F2 -> depot: 20 km = 40 min.
+  EXPECT_DOUBLE_EQ(r.value().completion_time, 93.0);
+
+  // The dock pushes the delivery past a deadline it would otherwise meet.
+  inst.orders[0].latest_time_min = 45.0;
+  EXPECT_FALSE(planner.CheckSuffix(DepotAnchor(), {P(0, inst), D(0, inst)},
+                                   0, &slow)
+                   .ok());
+  inst.node_service_surcharge_min[1] = 0.0;
+  EXPECT_TRUE(planner.CheckSuffix(DepotAnchor(), {P(0, inst), D(0, inst)},
+                                  0, &slow)
+                  .ok());
 }
 
 TEST_F(RoutePlannerTest, ResidualCapacityProfile) {
@@ -298,6 +339,273 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{10, 12}, SweepParam{11, 3},
                       SweepParam{12, 5}, SweepParam{13, 7},
                       SweepParam{14, 9}, SweepParam{15, 11}));
+
+// ------------------------------------- Differential vs. the reference ------
+
+// The enumerator BestInsertion replaced, kept as the slow, obviously correct
+// reference: materializes every (i, j) candidate, schedules it with
+// CheckSuffix and keeps the first strict minimum.
+struct ReferenceResult {
+  Result<Insertion> insertion = Status::Infeasible("no feasible insertion");
+  int candidates = 0;
+  int tied = 0;  ///< Feasible candidates exactly as short as the winner.
+  int late = 0;  ///< Candidates rejected for a missed deadline.
+  int lifo = 0;
+  int capacity = 0;
+};
+
+bool StartsWith(const std::string& text, const std::string& prefix) {
+  return text.compare(0, prefix.size(), prefix) == 0;
+}
+
+ReferenceResult ReferenceBestInsertion(const RoutePlanner& planner,
+                                       const PlanAnchor& anchor,
+                                       const std::vector<Stop>& old_suffix,
+                                       int depot_node, const Order& order,
+                                       const VehicleConfig* vehicle) {
+  const int n = static_cast<int>(old_suffix.size());
+  const Stop pickup{order.pickup_node, order.id, StopType::kPickup};
+  const Stop delivery{order.delivery_node, order.id, StopType::kDelivery};
+  ReferenceResult out;
+  Insertion best;
+  double best_length = std::numeric_limits<double>::infinity();
+  for (int i = 0; i <= n; ++i) {
+    for (int j = i + 1; j <= n + 1; ++j) {
+      std::vector<Stop> candidate(old_suffix.begin(), old_suffix.begin() + i);
+      candidate.push_back(pickup);
+      candidate.insert(candidate.end(), old_suffix.begin() + i,
+                       old_suffix.begin() + (j - 1));
+      candidate.push_back(delivery);
+      candidate.insert(candidate.end(), old_suffix.begin() + (j - 1),
+                       old_suffix.end());
+      ++out.candidates;
+      Result<SuffixSchedule> checked =
+          planner.CheckSuffix(anchor, candidate, depot_node, vehicle);
+      if (!checked.ok()) {
+        const std::string& why = checked.status().message();
+        out.late += StartsWith(why, "late delivery") ? 1 : 0;
+        out.lifo += StartsWith(why, "LIFO violation") ? 1 : 0;
+        out.capacity += StartsWith(why, "capacity exceeded") ? 1 : 0;
+        continue;
+      }
+      const double length = checked.value().length;
+      if (length == best_length) ++out.tied;
+      if (length < best_length) {
+        best_length = length;
+        out.tied = 1;
+        best.pickup_pos = i;
+        best.delivery_pos = j;
+        best.suffix = candidate;
+        best.schedule = std::move(checked).value();
+      }
+    }
+  }
+  if (out.tied > 0) {
+    best.incremental_length =
+        best.schedule.length -
+        planner.SuffixLength(anchor, old_suffix, depot_node);
+    out.insertion = std::move(best);
+  }
+  return out;
+}
+
+// What a sweep exercised, so a generator change cannot quietly turn it
+// into a sweep of trivial cases.
+struct DifferentialCoverage {
+  int cases = 0;
+  int feasible = 0;
+  int tied = 0;  ///< Feasible cases whose winner had an equal-length rival.
+  int onboard = 0;
+  int surcharged = 0;
+  int hetero = 0;
+  int long_routes = 0;  ///< Old suffix of at least 30 stops.
+  int late = 0;
+  int lifo = 0;
+  int capacity = 0;
+};
+
+// One seeded case: an anchor with 0-3 onboard orders, a route of up to 20
+// existing orders built by best insertion, optionally tightened so that
+// some deliveries are due exactly when the route serves them and the
+// capacity barely exceeds the route's peak load, a docking surcharge on
+// some factories and a vehicle profile with its own speed, capacity and
+// service time. BestInsertion must reproduce the reference bit for bit.
+void RunDifferentialCase(const std::shared_ptr<const RoadNetwork>& network,
+                         const VehicleConfig& shared, uint64_t seed,
+                         DifferentialCoverage* coverage) {
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  Rng rng(seed);
+  const std::vector<int>& factories = network->factory_ids();
+  const int num_factories = static_cast<int>(factories.size());
+  const int depot = network->depot_ids()[rng.UniformInt(
+      static_cast<int>(network->depot_ids().size()))];
+  const int num_onboard = rng.Bernoulli(0.4) ? rng.UniformInt(1, 3) : 0;
+  const int num_existing = rng.UniformInt(0, 20);
+  const int total = num_onboard + num_existing + 1;
+
+  Instance inst;
+  inst.name = "differential";
+  inst.network = network;
+  inst.vehicle_config = shared;
+  inst.vehicle_depots = {depot};
+  for (int o = 0; o < total; ++o) {
+    const int pickup = factories[rng.UniformInt(num_factories)];
+    int delivery = pickup;
+    while (delivery == pickup) {
+      delivery = factories[rng.UniformInt(num_factories)];
+    }
+    const double create = rng.Uniform(0.0, 240.0);
+    inst.orders.push_back(MakeOrder(o, pickup, delivery,
+                                    rng.Uniform(5.0, 30.0), create,
+                                    create + rng.Uniform(120.0, 900.0)));
+  }
+  CanonicalizeOrders(&inst.orders);
+  if (rng.Bernoulli(0.5)) {
+    inst.node_service_surcharge_min.assign(network->num_nodes(), 0.0);
+    for (int f : factories) {
+      if (rng.Bernoulli(0.3)) {
+        inst.node_service_surcharge_min[f] = rng.UniformInt(1, 8);
+      }
+    }
+  }
+  VehicleConfig hetero = shared;
+  const bool use_hetero = rng.Bernoulli(0.5);
+  if (use_hetero) {
+    hetero.speed_kmph = shared.speed_kmph * 0.75;
+    hetero.capacity = rng.Uniform(60.0, 150.0);
+    hetero.service_time_min = shared.service_time_min + 2.0;
+  }
+  VehicleConfig& cfg = use_hetero ? hetero : inst.vehicle_config;
+  const VehicleConfig* vehicle = use_hetero ? &hetero : nullptr;
+
+  // Roles: onboard cargo (stack bottom first), the route's orders, the new
+  // order last.
+  std::vector<int> ids(total);
+  std::iota(ids.begin(), ids.end(), 0);
+  rng.Shuffle(&ids);
+  const PlanAnchor anchor{rng.UniformInt(network->num_nodes()),
+                          rng.Uniform(0.0, 120.0),
+                          {ids.begin(), ids.begin() + num_onboard}};
+  const int new_id = ids.back();
+
+  RoutePlanner planner(&inst);
+  std::vector<Stop> route;
+  for (auto it = anchor.onboard.rbegin(); it != anchor.onboard.rend(); ++it) {
+    route.push_back({inst.order(*it).delivery_node, *it,
+                     StopType::kDelivery});
+  }
+  for (int e = 0; e < num_existing; ++e) {
+    auto r = planner.BestInsertion(anchor, route, depot,
+                                   inst.order(ids[num_onboard + e]), vehicle);
+    if (r.ok()) route = std::move(r).value().suffix;
+  }
+
+  const auto schedule = planner.CheckSuffix(anchor, route, depot, vehicle);
+  if (schedule.ok() && rng.Bernoulli(0.5)) {
+    for (size_t s = 0; s < route.size(); ++s) {
+      if (route[s].type != StopType::kDelivery || !rng.Bernoulli(0.6)) {
+        continue;
+      }
+      inst.orders[route[s].order_id].latest_time_min =
+          schedule.value().stops[s].service_start +
+          (rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(0.0, 20.0));
+    }
+  }
+  if (schedule.ok() && rng.Bernoulli(0.5)) {
+    // Peak load, summed in the planner's order so the tightened capacity
+    // still admits the route exactly.
+    double load = 0.0;
+    for (int id : anchor.onboard) load += inst.order(id).quantity;
+    double peak = load;
+    for (const Stop& stop : route) {
+      const double q = inst.order(stop.order_id).quantity;
+      load = stop.type == StopType::kPickup ? load + q : load - q;
+      peak = std::max(peak, load);
+    }
+    cfg.capacity = peak + rng.Uniform(0.0, 1.5 * inst.order(new_id).quantity);
+  }
+  if (rng.Bernoulli(0.4)) {
+    inst.orders[new_id].latest_time_min =
+        inst.orders[new_id].create_time_min + rng.Uniform(5.0, 60.0);
+  }
+  const Order& order = inst.order(new_id);
+
+  const ReferenceResult expected =
+      ReferenceBestInsertion(planner, anchor, route, depot, order, vehicle);
+  const Result<Insertion> actual =
+      planner.BestInsertion(anchor, route, depot, order, vehicle);
+
+  ++coverage->cases;
+  coverage->onboard += num_onboard > 0 ? 1 : 0;
+  coverage->surcharged += inst.node_service_surcharge_min.empty() ? 0 : 1;
+  coverage->hetero += use_hetero ? 1 : 0;
+  coverage->long_routes += route.size() >= 30 ? 1 : 0;
+  coverage->late += expected.late;
+  coverage->lifo += expected.lifo;
+  coverage->capacity += expected.capacity;
+
+  EXPECT_EQ(planner.last_candidates_evaluated(), expected.candidates);
+  ASSERT_EQ(actual.ok(), expected.insertion.ok());
+  if (!actual.ok()) {
+    EXPECT_EQ(actual.status().code(), StatusCode::kInfeasible);
+    return;
+  }
+  ++coverage->feasible;
+  coverage->tied += expected.tied > 1 ? 1 : 0;
+  const Insertion& got = actual.value();
+  const Insertion& want = expected.insertion.value();
+  EXPECT_EQ(got.pickup_pos, want.pickup_pos);
+  EXPECT_EQ(got.delivery_pos, want.delivery_pos);
+  EXPECT_EQ(got.suffix, want.suffix);
+  ASSERT_EQ(got.schedule.stops.size(), want.schedule.stops.size());
+  for (size_t s = 0; s < want.schedule.stops.size(); ++s) {
+    EXPECT_EQ(got.schedule.stops[s].arrival, want.schedule.stops[s].arrival);
+    EXPECT_EQ(got.schedule.stops[s].service_start,
+              want.schedule.stops[s].service_start);
+    EXPECT_EQ(got.schedule.stops[s].departure,
+              want.schedule.stops[s].departure);
+  }
+  EXPECT_EQ(got.schedule.residual_capacity, want.schedule.residual_capacity);
+  EXPECT_EQ(got.schedule.length, want.schedule.length);
+  EXPECT_EQ(got.schedule.completion_time, want.schedule.completion_time);
+  EXPECT_EQ(got.incremental_length, want.incremental_length);
+}
+
+void ExpectBroadCoverage(const DifferentialCoverage& c) {
+  EXPECT_GT(c.feasible, c.cases / 4);
+  EXPECT_GT(c.cases - c.feasible, 0);
+  EXPECT_GT(c.onboard, 0);
+  EXPECT_GT(c.surcharged, 0);
+  EXPECT_GT(c.hetero, 0);
+  EXPECT_GT(c.long_routes, 0);
+  EXPECT_GT(c.late, 0);
+  EXPECT_GT(c.lifo, 0);
+  EXPECT_GT(c.capacity, 0);
+}
+
+// Exact arithmetic on the line network makes many equal-length candidates,
+// so this sweep pins the first-minimum tie-break.
+TEST(BestInsertionDifferential, MatchesReferenceOnLineNetwork) {
+  const std::shared_ptr<const RoadNetwork> network = MakeLineNetwork();
+  DifferentialCoverage coverage;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    RunDifferentialCase(network, MakeTestVehicleConfig(), seed, &coverage);
+  }
+  ExpectBroadCoverage(coverage);
+  EXPECT_GT(coverage.tied, 0);
+}
+
+// Irrational campus distances: lengths and times accumulate rounding, so
+// this sweep pins the order of the floating-point operations.
+TEST(BestInsertionDifferential, MatchesReferenceOnDatasetCampus) {
+  const DpdpDataset dataset(StandardDatasetConfig(7, 620.0));
+  DifferentialCoverage coverage;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    RunDifferentialCase(dataset.network(), dataset.config().vehicle, seed,
+                        &coverage);
+  }
+  ExpectBroadCoverage(coverage);
+}
 
 }  // namespace
 }  // namespace dpdp
