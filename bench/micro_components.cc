@@ -106,9 +106,10 @@ void BM_AttentionForward(benchmark::State& state) {
     pos(r, 0) = rng.Uniform(0, 8);
     pos(r, 1) = rng.Uniform(0, 8);
   }
-  const dpdp::nn::Matrix adj = dpdp::BuildNeighborAdjacency(pos, 8);
+  dpdp::nn::Neighbors neighbors;
+  dpdp::AppendNeighbors(pos, 8, 0, &neighbors);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attn.Forward(x, adj));
+    benchmark::DoNotOptimize(attn.Forward(x, neighbors));
   }
 }
 BENCHMARK(BM_AttentionForward)->Arg(10)->Arg(50)->Arg(150);
@@ -125,10 +126,10 @@ void BM_AttentionBackward(benchmark::State& state) {
       dy(r, c) = rng.Normal();
     }
   }
-  const dpdp::nn::Matrix adj =
-      dpdp::nn::Matrix(fleet, fleet, 0.0).Add(dpdp::nn::Matrix::Identity(fleet));
+  dpdp::nn::Neighbors self_only;  // k = 0: every row attends to itself.
+  dpdp::AppendNeighbors(dpdp::nn::Matrix(fleet, 2), 0, 0, &self_only);
   for (auto _ : state) {
-    attn.Forward(x, adj);
+    attn.Forward(x, self_only);
     attn.Backward(dy);
   }
 }
@@ -215,10 +216,10 @@ void BM_GraphQForward(benchmark::State& state) {
     pos(r, 0) = rng.Uniform(0, 8);
     pos(r, 1) = rng.Uniform(0, 8);
   }
-  const dpdp::nn::Matrix adj =
-      dpdp::BuildNeighborAdjacency(pos, config.num_neighbors);
+  dpdp::nn::Neighbors neighbors;
+  dpdp::AppendNeighbors(pos, config.num_neighbors, 0, &neighbors);
   dpdp::DecisionBatch batch;
-  batch.Add(features, adj);
+  batch.Add(features, neighbors);
   net.EvaluateBatch(batch);  // Warm the activation caches.
   const long long before = AllocCount();
   for (auto _ : state) {
@@ -233,13 +234,14 @@ BENCHMARK(BM_GraphQForward)->Arg(10)->Arg(30)->Arg(75)->Arg(150);
 // ------------------------------------------- batched Q evaluation API ----
 
 // Builds `items` feasible sub-fleets of 30 vehicles each as one
-// DecisionBatch (block-diagonal adjacency) and scores them in a single
+// DecisionBatch (per-row neighbor lists) and scores them in a single
 // forward pass. Compare against BM_QForwardLooped, which walks the same
 // items one one-item DecisionBatch at a time (the unbatched decision
 // loop). allocs_per_op must read 0: the decision hot path reuses every
 // buffer in steady state.
 void MakeSubFleetItem(dpdp::Rng* rng, int m, int num_neighbors,
-                      dpdp::nn::Matrix* features, dpdp::nn::Matrix* adj) {
+                      dpdp::nn::Matrix* features,
+                      dpdp::nn::Neighbors* neighbors) {
   *features = dpdp::nn::Matrix(m, dpdp::kStateFeatures);
   dpdp::nn::Matrix pos(m, 2);
   for (int r = 0; r < m; ++r) {
@@ -249,7 +251,7 @@ void MakeSubFleetItem(dpdp::Rng* rng, int m, int num_neighbors,
     pos(r, 0) = rng->Uniform(0, 8);
     pos(r, 1) = rng->Uniform(0, 8);
   }
-  *adj = dpdp::BuildNeighborAdjacency(pos, num_neighbors);
+  dpdp::AppendNeighbors(pos, num_neighbors, 0, neighbors);
 }
 
 void BM_EvaluateBatch(benchmark::State& state) {
@@ -261,9 +263,9 @@ void BM_EvaluateBatch(benchmark::State& state) {
   dpdp::DecisionBatch batch;
   for (int i = 0; i < items; ++i) {
     dpdp::nn::Matrix features;
-    dpdp::nn::Matrix adj;
-    MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &adj);
-    batch.Add(features, adj);
+    dpdp::nn::Neighbors neighbors;
+    MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &neighbors);
+    batch.Add(features, neighbors);
   }
   net.EvaluateBatch(batch);  // Warm the activation caches.
   const long long before = AllocCount();
@@ -288,9 +290,9 @@ void BM_QForwardLooped(benchmark::State& state) {
   std::vector<dpdp::DecisionBatch> batches(items);
   for (int i = 0; i < items; ++i) {
     dpdp::nn::Matrix features;
-    dpdp::nn::Matrix adj;
-    MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &adj);
-    batches[i].Add(features, adj);
+    dpdp::nn::Neighbors neighbors;
+    MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &neighbors);
+    batches[i].Add(features, neighbors);
   }
   net.EvaluateBatch(batches[0]);  // Warm the activation caches.
   const long long before = AllocCount();

@@ -180,7 +180,7 @@ int main() {
   serve_config.shard.queue_capacity = 256;
   serve_config.shard.deadline_us = deadline_us;
   serve_config.shard.chaos.seed =
-      static_cast<uint64_t>(dpdp::EnvInt("DPDP_SERVE_CHAOS_SEED", 42));
+      dpdp::EnvU64Strict("DPDP_SERVE_CHAOS_SEED", 42);
   serve_config.shard.chaos.crash_prob = 0.05;
   serve_config.shard.chaos.stall_prob = 0.05;
   serve_config.shard.chaos.stall_us = 5000;

@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dpdp::nn {
@@ -18,64 +19,56 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int num_heads,
 }
 
 const Matrix& MultiHeadSelfAttention::Forward(const Matrix& x,
-                                              const Matrix& mask,
-                                              const RowSpans* spans,
+                                              const Neighbors& neighbors,
                                               Workspace& ws) {
   const int n = x.rows();
   DPDP_CHECK(x.cols() == d_model_);
-  DPDP_CHECK(mask.rows() == n && mask.cols() == n);
-  DPDP_CHECK(spans == nullptr || static_cast<int>(spans->size()) == n);
+  DPDP_CHECK(neighbors.rows() == n);
+  const int* cols = neighbors.cols.data();
+  const int* row = neighbors.offsets.data();
 
-  mask_ = &mask;
-  spans_.clear();
-  if (spans != nullptr) spans_ = *spans;
+  neighbors_ = &neighbors;
   q_ = &wq_.Forward(x, ws);
   k_ = &wk_.Forward(x, ws);
   v_ = &wv_.Forward(x, ws);
 
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
-  // Uninitialized resize is safe: the softmax pass writes every attention
-  // entry inside each row's span (outside-span entries stay undefined and
-  // are never read back — every walk below is span-restricted), and each
-  // concat segment is zeroed before its weighted sum.
-  attn_.resize(num_heads_);
-  for (Matrix& a : attn_) a.Resize(n, n);
+  // Uninitialized resize is safe: the softmax pass writes every edge
+  // weight, and each concat segment is zeroed before its weighted sum.
+  attn_.Resize(num_heads_, neighbors.edges());
   concat_.Resize(n, d_model_);
 
   for (int h = 0; h < num_heads_; ++h) {
     const int off = h * d_head_;
-    Matrix& a = attn_[h];
+    double* a = attn_.data() + static_cast<size_t>(h) * neighbors.edges();
     for (int i = 0; i < n; ++i) {
-      const int jb = spans ? (*spans)[i].first : 0;
-      const int je = spans ? (*spans)[i].second : n;
-      // Masked, numerically-stabilized softmax over allowed positions.
+      const int eb = row[i];
+      const int ee = row[i + 1];
+      // Numerically-stabilized softmax over the listed neighbors.
       double mx = -1e300;
-      for (int j = jb; j < je; ++j) {
-        if (mask(i, j) == 0.0) continue;
+      for (int e = eb; e < ee; ++e) {
+        const int j = cols[e];
         double s = 0.0;
         for (int c = 0; c < d_head_; ++c) {
           s += (*q_)(i, off + c) * (*k_)(j, off + c);
         }
         s *= scale;
-        a(i, j) = s;
+        a[e] = s;
         mx = std::max(mx, s);
       }
       DPDP_CHECK(mx > -1e299);  // Every row must attend to something.
       double denom = 0.0;
-      for (int j = jb; j < je; ++j) {
-        if (mask(i, j) == 0.0) {
-          a(i, j) = 0.0;
-        } else {
-          a(i, j) = std::exp(a(i, j) - mx);
-          denom += a(i, j);
-        }
+      for (int e = eb; e < ee; ++e) {
+        a[e] = std::exp(a[e] - mx);
+        denom += a[e];
       }
-      for (int j = jb; j < je; ++j) a(i, j) /= denom;
+      for (int e = eb; e < ee; ++e) a[e] /= denom;
       // Weighted sum of values for this head.
       for (int c = 0; c < d_head_; ++c) concat_(i, off + c) = 0.0;
-      for (int j = jb; j < je; ++j) {
-        const double w = a(i, j);
+      for (int e = eb; e < ee; ++e) {
+        const double w = a[e];
         if (w == 0.0) continue;
+        const int j = cols[e];
         for (int c = 0; c < d_head_; ++c) {
           concat_(i, off + c) += w * (*v_)(j, off + c);
         }
@@ -85,21 +78,18 @@ const Matrix& MultiHeadSelfAttention::Forward(const Matrix& x,
   return wo_.Forward(concat_, ws);
 }
 
-const Matrix& MultiHeadSelfAttention::Forward(const Matrix& x,
-                                              const Matrix& mask,
-                                              Workspace& ws) {
-  return Forward(x, mask, nullptr, ws);
-}
-
-Matrix MultiHeadSelfAttention::Forward(const Matrix& x, const Matrix& mask) {
-  return Forward(x, mask, nullptr, ThreadLocalWorkspace());
+Matrix MultiHeadSelfAttention::Forward(const Matrix& x,
+                                       const Neighbors& neighbors) {
+  return Forward(x, neighbors, ThreadLocalWorkspace());
 }
 
 const Matrix& MultiHeadSelfAttention::Backward(const Matrix& dy,
                                                Workspace& ws) {
   const int n = dy.rows();
   DPDP_CHECK(dy.cols() == d_model_);
-  DPDP_CHECK(!attn_.empty());
+  DPDP_CHECK(neighbors_ != nullptr && neighbors_->rows() == n);
+  const int* cols = neighbors_->cols.data();
+  const int* row = neighbors_->offsets.data();
 
   const Matrix& dconcat = wo_.Backward(dy, ws);
 
@@ -109,34 +99,33 @@ const Matrix& MultiHeadSelfAttention::Backward(const Matrix& dy,
   dk_.Fill(0.0);
   dv_.Resize(n, d_model_);
   dv_.Fill(0.0);
-  da_.resize(n);
+  da_.resize(neighbors_->edges());
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
-  const bool spanned = !spans_.empty();
   for (int h = 0; h < num_heads_; ++h) {
     const int off = h * d_head_;
-    const Matrix& a = attn_[h];
+    const double* a =
+        attn_.data() + static_cast<size_t>(h) * neighbors_->edges();
     for (int i = 0; i < n; ++i) {
-      const int jb = spanned ? spans_[i].first : 0;
-      const int je = spanned ? spans_[i].second : n;
+      const int eb = row[i];
+      const int ee = row[i + 1];
       // dA(i, j) = dconcat(i, head) . V(j, head); dV += A^T dconcat.
-      std::fill(da_.begin() + jb, da_.begin() + je, 0.0);
-      for (int j = jb; j < je; ++j) {
-        if ((*mask_)(i, j) == 0.0) continue;
+      for (int e = eb; e < ee; ++e) {
+        const int j = cols[e];
         double s = 0.0;
         for (int c = 0; c < d_head_; ++c) {
           s += dconcat(i, off + c) * (*v_)(j, off + c);
-          dv_(j, off + c) += a(i, j) * dconcat(i, off + c);
+          dv_(j, off + c) += a[e] * dconcat(i, off + c);
         }
-        da_[j] = s;
+        da_[e] = s;
       }
       // Softmax backward: dS = A .* (dA - sum_j dA_j A_j).
       double dot = 0.0;
-      for (int j = jb; j < je; ++j) dot += da_[j] * a(i, j);
-      for (int j = jb; j < je; ++j) {
-        if ((*mask_)(i, j) == 0.0) continue;
-        const double ds = a(i, j) * (da_[j] - dot) * scale;
+      for (int e = eb; e < ee; ++e) dot += da_[e] * a[e];
+      for (int e = eb; e < ee; ++e) {
+        const double ds = a[e] * (da_[e] - dot) * scale;
         if (ds == 0.0) continue;
+        const int j = cols[e];
         for (int c = 0; c < d_head_; ++c) {
           dq_(i, off + c) += ds * (*k_)(j, off + c);
           dk_(j, off + c) += ds * (*q_)(i, off + c);

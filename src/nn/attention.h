@@ -1,7 +1,6 @@
 #ifndef DPDP_NN_ATTENTION_H_
 #define DPDP_NN_ATTENTION_H_
 
-#include <utility>
 #include <vector>
 
 #include "nn/layers.h"
@@ -10,16 +9,34 @@
 
 namespace dpdp::nn {
 
-/// Masked multi-head scaled dot-product self-attention (Vaswani et al.),
-/// the "neighborhood attention" block of ST-DDGN (paper Fig. 5).
+/// A sparse self-attention graph in CSR form: row i may attend to the
+/// columns cols[offsets[i], offsets[i + 1]), listed in ascending order and
+/// including i itself (the self loop keeps every softmax row non-empty).
+/// Stacked batches list global column indices, so an item's rows name
+/// only rows of the same item.
+struct Neighbors {
+  std::vector<int> offsets = {0};  ///< Size rows() + 1.
+  std::vector<int> cols;           ///< Size edges().
+
+  int rows() const { return static_cast<int>(offsets.size()) - 1; }
+  int edges() const { return static_cast<int>(cols.size()); }
+  /// Drops every row; capacity is retained.
+  void Clear() {
+    offsets.resize(1);
+    cols.clear();
+  }
+};
+
+/// Multi-head scaled dot-product self-attention (Vaswani et al.) over a
+/// neighbor graph, the "neighborhood attention" block of ST-DDGN (paper
+/// Fig. 5).
 ///
-/// Each vehicle is a row of the input feature matrix X (K x d_model). The
-/// adjacency mask (K x K, entries in {0,1}) restricts which vehicles each
-/// row may attend to; row k of the mask is the one-hot neighbor selection
-/// of vehicle k (its NE nearest vehicles plus itself). The product of the
-/// feature matrix with this selection is exactly the paper's "relational
-/// feature"; attention then mixes the selected rows, and a final dense
-/// projection produces the higher-level representation.
+/// Each vehicle is a row of the input feature matrix X (K x d_model). Row
+/// k of the neighbor graph lists vehicle k's NE nearest vehicles plus
+/// itself; gathering those rows of the feature matrix is exactly the
+/// paper's "relational feature". Attention mixes the listed rows, and a
+/// final dense projection produces the higher-level representation. Cost
+/// and memory are linear in the edge count, never quadratic in K.
 ///
 /// Forward/Backward alternate strictly: Backward consumes the caches of the
 /// immediately preceding Forward.
@@ -28,35 +45,18 @@ class MultiHeadSelfAttention {
   /// d_model must be divisible by num_heads.
   MultiHeadSelfAttention(int d_model, int num_heads, Rng* rng);
 
-  /// Per-row column windows: row i may only attend within columns
-  /// [spans[i].first, spans[i].second). Lets a block-diagonal batch skip
-  /// the quadratic cross-item scan — with spans, cost is the sum of the
-  /// per-block costs instead of (total rows)^2.
-  using RowSpans = std::vector<std::pair<int, int>>;
-
-  /// X: (K x d_model); mask: (K x K) with mask(i, j) = 1 iff row i may
-  /// attend to row j. Every row must allow at least one position (ensure
-  /// the diagonal is set). Returns (K x d_model).
+  /// X: (K x d_model); `neighbors` has K rows. Returns (K x d_model).
   ///
   /// The Workspace overload returns a reference to a layer-owned buffer
   /// (valid until the next Forward) and performs no heap allocation once
   /// the caches have grown to the working shape.
   ///
-  /// `spans` (may be nullptr = full rows) promises mask(i, j) == 0 for
-  /// every j outside row i's span; the caller owns that invariant.
-  /// Numerics are bit-identical to the full-row walk because skipped
-  /// columns are exactly the masked-out ones. With spans, attention-weight
-  /// entries outside each row's span (last_attention_weights()) are
-  /// uninitialized — only the softmax entries inside the span are defined.
-  ///
-  /// `mask` is borrowed, not copied: it must stay alive and unmodified
-  /// until the matching Backward (or the next Forward) completes. Batched
-  /// masks grow with the square of the total row count, so copying one
-  /// per level would dwarf the attention math itself.
-  const Matrix& Forward(const Matrix& x, const Matrix& mask,
-                        const RowSpans* spans, Workspace& ws);
-  const Matrix& Forward(const Matrix& x, const Matrix& mask, Workspace& ws);
-  Matrix Forward(const Matrix& x, const Matrix& mask);
+  /// `neighbors` is borrowed, not copied: it must stay alive and
+  /// unmodified until the matching Backward (or the next Forward)
+  /// completes.
+  const Matrix& Forward(const Matrix& x, const Neighbors& neighbors,
+                        Workspace& ws);
+  Matrix Forward(const Matrix& x, const Neighbors& neighbors);
 
   /// dY: (K x d_model) -> dX (K x d_model); accumulates parameter grads.
   const Matrix& Backward(const Matrix& dy, Workspace& ws);
@@ -67,9 +67,10 @@ class MultiHeadSelfAttention {
   int d_model() const { return d_model_; }
   int num_heads() const { return num_heads_; }
 
-  /// Attention weights of the last Forward, one (K x K) matrix per head
-  /// (for diagnostics / tests).
-  const std::vector<Matrix>& last_attention_weights() const { return attn_; }
+  /// Softmax weights of the last Forward, (num_heads x edges): entry
+  /// (h, e) is head h's weight on edge e of the neighbor graph (for
+  /// diagnostics / tests).
+  const Matrix& last_attention_weights() const { return attn_; }
 
  private:
   int d_model_;
@@ -82,21 +83,21 @@ class MultiHeadSelfAttention {
   Linear wo_;
 
   // Forward caches. Owned buffers are reused across calls (resized, never
-  // reallocated in steady state); mask_/q_/k_/v_ are borrowed — the mask
-  // from the caller, the projections from wq_/wk_/wv_'s output buffers
-  // (valid until those layers run again, i.e. until the next Forward).
-  const Matrix* mask_ = nullptr;
-  RowSpans spans_;             // Active row windows; empty = full rows.
+  // reallocated in steady state); neighbors_/q_/k_/v_ are borrowed — the
+  // graph from the caller, the projections from wq_/wk_/wv_'s output
+  // buffers (valid until those layers run again, i.e. until the next
+  // Forward).
+  const Neighbors* neighbors_ = nullptr;
   const Matrix* q_ = nullptr;  // (K x d_model) projected inputs.
   const Matrix* k_ = nullptr;
   const Matrix* v_ = nullptr;
-  std::vector<Matrix> attn_;   // Per-head (K x K) softmax weights.
+  Matrix attn_;                // (num_heads x edges) softmax weights.
   Matrix concat_;              // (K x d_model) pre-output concat.
 
   // Backward scratch, same reuse policy.
   Matrix dq_, dk_, dv_;
   Matrix dx_;
-  std::vector<double> da_;     // Per-row attention-grad scratch.
+  std::vector<double> da_;     // Per-edge attention-grad scratch.
 };
 
 }  // namespace dpdp::nn

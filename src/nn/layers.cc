@@ -104,7 +104,7 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng)
 
 const Matrix& Linear::Forward(const Matrix& x, Workspace& ws) {
   DPDP_CHECK(x.cols() == w_.value.rows());
-  cached_x_ = x;
+  x_ = &x;
   GemmBias(x, w_.value, b_.value, &y_, &ws);
   return y_;
 }
@@ -114,9 +114,9 @@ Matrix Linear::Forward(const Matrix& x) {
 }
 
 const Matrix& Linear::Backward(const Matrix& dy, Workspace& ws) {
-  DPDP_CHECK(dy.rows() == cached_x_.rows());
+  DPDP_CHECK(x_ != nullptr && dy.rows() == x_->rows());
   DPDP_CHECK(dy.cols() == w_.value.cols());
-  GemmTransposedA(cached_x_, dy, &w_.grad, &ws, /*accumulate=*/true);
+  GemmTransposedA(*x_, dy, &w_.grad, &ws, /*accumulate=*/true);
   for (int r = 0; r < dy.rows(); ++r) {
     for (int c = 0; c < dy.cols(); ++c) b_.grad(0, c) += dy(r, c);
   }
@@ -132,15 +132,11 @@ std::vector<Parameter*> Linear::Params() { return {&w_, &b_}; }
 
 const Matrix& ReLU::Forward(const Matrix& x, Workspace& ws) {
   (void)ws;
-  // Every element of both buffers is written, so the uninitialized Resize
-  // is safe.
-  cached_mask_.Resize(x.rows(), x.cols());
+  // Every element is written, so the uninitialized Resize is safe.
   y_.Resize(x.rows(), x.cols());
   for (int r = 0; r < x.rows(); ++r) {
     for (int c = 0; c < x.cols(); ++c) {
-      const bool on = x(r, c) > 0.0;
-      y_(r, c) = on ? x(r, c) : 0.0;
-      cached_mask_(r, c) = on ? 1.0 : 0.0;
+      y_(r, c) = x(r, c) > 0.0 ? x(r, c) : 0.0;
     }
   }
   return y_;
@@ -152,19 +148,19 @@ Matrix ReLU::Forward(const Matrix& x) {
 
 const Matrix& ReLU::Backward(const Matrix& dy, Workspace& ws) {
   (void)ws;
-  DPDP_CHECK(dy.rows() == cached_mask_.rows());
-  DPDP_CHECK(dy.cols() == cached_mask_.cols());
+  DPDP_CHECK(dy.rows() == y_.rows());
+  DPDP_CHECK(dy.cols() == y_.cols());
   dx_.Resize(dy.rows(), dy.cols());
   for (int r = 0; r < dy.rows(); ++r) {
     for (int c = 0; c < dy.cols(); ++c) {
-      dx_(r, c) = dy(r, c) * cached_mask_(r, c);
+      dx_(r, c) = dy(r, c) * (y_(r, c) > 0.0 ? 1.0 : 0.0);
     }
   }
   return dx_;
 }
 
-Matrix ReLU::Backward(const Matrix& dy) const {
-  return dy.Hadamard(cached_mask_);
+Matrix ReLU::Backward(const Matrix& dy) {
+  return Backward(dy, ThreadLocalWorkspace());
 }
 
 const Matrix& Tanh::Forward(const Matrix& x, Workspace& ws) {

@@ -46,11 +46,13 @@ void SaveMatrix(const Matrix& m, std::ostream* os);
 /// replaced). Returns false on malformed input.
 bool LoadMatrix(std::istream* is, Matrix* m);
 
-/// Fully-connected layer y = x W + b with cached input for backprop.
-/// Weights use He initialization (suited to the ReLU nets in this project).
+/// Fully-connected layer y = x W + b. Weights use He initialization
+/// (suited to the ReLU nets in this project).
 ///
 /// Forward/Backward must be called in strict alternation: each Backward
-/// consumes the cache left by the immediately preceding Forward.
+/// consumes the cache left by the immediately preceding Forward. The input
+/// is borrowed for that cache, not copied: `x` must stay alive and
+/// unmodified until the matching Backward (or the next Forward).
 ///
 /// The Workspace overloads are the hot path: they run on the blocked gemm
 /// kernels and return references to layer-owned buffers (valid until the
@@ -77,7 +79,7 @@ class Linear {
  private:
   Parameter w_;  ///< (in_dim x out_dim)
   Parameter b_;  ///< (1 x out_dim)
-  Matrix cached_x_;
+  const Matrix* x_ = nullptr;  ///< Borrowed Forward input.
   Matrix y_;   ///< Layer-owned Forward output.
   Matrix dx_;  ///< Layer-owned Backward output.
 };
@@ -85,16 +87,16 @@ class Linear {
 /// Supported nonlinearities for MLP hidden layers.
 enum class Activation { kReLU, kTanh, kIdentity };
 
-/// ReLU with cached activation mask.
+/// ReLU. Backward reads the mask off the cached output: y > 0 exactly
+/// where x > 0.
 class ReLU {
  public:
   const Matrix& Forward(const Matrix& x, Workspace& ws);
   Matrix Forward(const Matrix& x);
   const Matrix& Backward(const Matrix& dy, Workspace& ws);
-  Matrix Backward(const Matrix& dy) const;
+  Matrix Backward(const Matrix& dy);
 
  private:
-  Matrix cached_mask_;
   Matrix y_;
   Matrix dx_;
 };

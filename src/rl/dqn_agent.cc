@@ -255,9 +255,9 @@ double DqnFleetAgent::TrainOnBatch(
 
   // Serial path, fully batched: every transition's next-state sub-fleet is
   // scored in one EvaluateBatch per network, then every state sub-fleet in
-  // one more, with a single backward. Rows of a stacked batch are
-  // independent (block-diagonal masks), so each TD target is bit-identical
-  // to the per-transition evaluation.
+  // one more, with a single backward. Items of a stacked batch never see
+  // each other (their neighbor lists stay inside the item), so each TD
+  // target is bit-identical to the per-transition evaluation.
   const int n = static_cast<int>(batch.size());
   const double inv_batch = 1.0 / static_cast<double>(n);
 

@@ -9,8 +9,7 @@ void DecisionBatch::Clear() {
   num_items_ = 0;
   offsets_.resize(1);
   features_.Resize(0, features_.cols());
-  row_spans_.clear();
-  adjacency_dirty_ = true;
+  neighbors_.Clear();
 }
 
 int DecisionBatch::AddItem(int rows, int cols) {
@@ -20,23 +19,13 @@ int DecisionBatch::AddItem(int rows, int cols) {
   const int begin = offsets_[item];
   features_.Resize(begin + rows, cols);
   offsets_.push_back(begin + rows);
-  row_spans_.insert(row_spans_.end(), static_cast<size_t>(rows),
-                    {begin, begin + rows});
-  if (item < static_cast<int>(adjacencies_.size())) {
-    adjacencies_[item].Resize(rows, rows);
-    adjacencies_[item].Fill(0.0);
-  } else {
-    adjacencies_.emplace_back(rows, rows);
-  }
   ++num_items_;
-  adjacency_dirty_ = true;
   return item;
 }
 
 int DecisionBatch::Add(const nn::Matrix& features,
-                       const nn::Matrix& adjacency) {
-  DPDP_CHECK(adjacency.empty() || (adjacency.rows() == features.rows() &&
-                                   adjacency.cols() == features.rows()));
+                       const nn::Neighbors& neighbors) {
+  DPDP_CHECK(neighbors.rows() == 0 || neighbors.rows() == features.rows());
   const int item = AddItem(features.rows(), features.cols());
   const int begin = offset(item);
   for (int r = 0; r < features.rows(); ++r) {
@@ -44,35 +33,15 @@ int DecisionBatch::Add(const nn::Matrix& features,
       features_(begin + r, c) = features(r, c);
     }
   }
-  if (!adjacency.empty()) adjacencies_[item] = adjacency;
-  return item;
-}
-
-nn::Matrix& DecisionBatch::mutable_adjacency(int item) {
-  DPDP_CHECK(item >= 0 && item < num_items_);
-  adjacency_dirty_ = true;
-  return adjacencies_[item];
-}
-
-const nn::Matrix& DecisionBatch::adjacency() const {
-  if (adjacency_dirty_) {
-    const int total = total_rows();
-    block_adjacency_.Resize(total, total);
-    block_adjacency_.Fill(0.0);
-    for (int i = 0; i < num_items_; ++i) {
-      const nn::Matrix& a = adjacencies_[i];
-      const int begin = offsets_[i];
-      const int m = rows(i);
-      DPDP_CHECK(a.rows() == m && a.cols() == m);
-      for (int r = 0; r < m; ++r) {
-        for (int c = 0; c < m; ++c) {
-          block_adjacency_(begin + r, begin + c) = a(r, c);
-        }
-      }
+  for (int r = 0; r < neighbors.rows(); ++r) {
+    for (int e = neighbors.offsets[r]; e < neighbors.offsets[r + 1]; ++e) {
+      const int j = neighbors.cols[e];
+      DPDP_CHECK(j >= 0 && j < features.rows());
+      neighbors_.cols.push_back(begin + j);
     }
-    adjacency_dirty_ = false;
+    neighbors_.offsets.push_back(static_cast<int>(neighbors_.cols.size()));
   }
-  return block_adjacency_;
+  return item;
 }
 
 MlpQNetwork::MlpQNetwork(const AgentConfig& config, Rng* rng)
@@ -111,15 +80,15 @@ const nn::Matrix& GraphQNetwork::EvaluateBatch(const DecisionBatch& batch) {
   DPDP_TRACE_SPAN("nn.forward");
   const int m = batch.total_rows();
   const int d = encoder_.out_dim();
-  const nn::Matrix& adjacency = batch.adjacency();
+  const nn::Neighbors& neighbors = batch.neighbors();
+  DPDP_CHECK(neighbors.rows() == m);
 
   // The level outputs live in the layers' own buffers; each level has its
   // own ReLU, so the references stay valid through concatenation.
   level_[0] = &encoder_.Forward(batch.features(), ws_);
   for (int l = 0; l < levels_; ++l) {
     level_[l + 1] = &relus_[l].Forward(
-        attention_[l].Forward(*level_[l], adjacency, &batch.row_spans(),
-                              ws_),
+        attention_[l].Forward(*level_[l], neighbors, ws_),
         ws_);
   }
   // Concatenate every level's representation (paper: initial + high-level

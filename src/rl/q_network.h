@@ -15,12 +15,11 @@ namespace dpdp {
 
 /// A batch of candidate decision items for one Q-network evaluation. Each
 /// item is a feasible sub-fleet: `rows(i)` feature rows (one per candidate
-/// vehicle) plus an optional per-item adjacency. Items are stacked into a
-/// single feature matrix so the network scores every candidate of every
-/// item in ONE forward pass; the per-item adjacencies are assembled lazily
-/// into a block-diagonal mask, which makes the relational nets' attention
-/// numerics bit-identical to evaluating each item alone (masked rows never
-/// see other blocks).
+/// vehicle) plus, for relational nets, one neighbor list per row. Items
+/// are stacked into a single feature matrix so the network scores every
+/// candidate of every item in ONE forward pass; an item's neighbor lists
+/// name only rows of the same item, which makes the relational nets'
+/// attention numerics bit-identical to evaluating each item alone.
 ///
 /// All storage is reused across Clear() cycles, so a caller that keeps one
 /// DecisionBatch alive builds batches with no steady-state heap traffic.
@@ -29,23 +28,21 @@ class DecisionBatch {
   /// Drops all items; capacity is retained.
   void Clear();
 
-  /// Appends an item by copying `features` (rows x feature_dim) and
-  /// `adjacency` (rows x rows, or empty for non-relational nets). Returns
-  /// the item index.
-  int Add(const nn::Matrix& features, const nn::Matrix& adjacency);
-  int Add(const nn::Matrix& features) { return Add(features, nn::Matrix()); }
+  /// Appends an item by copying `features` (rows x feature_dim) and, for
+  /// relational nets, `neighbors` (`rows` lists of item-local columns,
+  /// shifted here to global ones). Returns the item index.
+  int Add(const nn::Matrix& features, const nn::Neighbors& neighbors = {});
 
   /// Opens an item of `rows` x `cols` UNINITIALIZED feature rows (write
   /// them via mutable_features(), global rows [offset(i), offset(i) +
-  /// rows(i))) and a zeroed rows x rows adjacency. Returns the item index.
+  /// rows(i))). Relational callers then append the item's neighbor lists
+  /// to mutable_neighbors() (see AppendNeighbors). Returns the item index.
   int AddItem(int rows, int cols);
 
   /// Stacked feature storage; only rows of already-added items may be
   /// written.
   nn::Matrix& mutable_features() { return features_; }
-
-  /// The item's rows(i) x rows(i) adjacency block, zeroed at AddItem.
-  nn::Matrix& mutable_adjacency(int item);
+  nn::Neighbors& mutable_neighbors() { return neighbors_; }
 
   int num_items() const { return num_items_; }
   int total_rows() const { return offsets_[num_items_]; }
@@ -57,28 +54,15 @@ class DecisionBatch {
   /// Stacked features, (total_rows x feature_dim).
   const nn::Matrix& features() const { return features_; }
 
-  /// Block-diagonal adjacency over all items, (total_rows x total_rows),
-  /// assembled on first use after a mutation. Every item must carry an
-  /// adjacency of its own row count.
-  const nn::Matrix& adjacency() const;
-
-  /// Per-row attention windows: row r of item i gets [offset(i),
-  /// offset(i) + rows(i)). Hands the block structure to the attention
-  /// layers so a batched pass costs the sum of per-block costs rather
-  /// than (total_rows)^2.
-  const nn::MultiHeadSelfAttention::RowSpans& row_spans() const {
-    return row_spans_;
-  }
+  /// Neighbor graph over the stacked rows (global column indices); empty
+  /// for non-relational nets, one list per row otherwise.
+  const nn::Neighbors& neighbors() const { return neighbors_; }
 
  private:
   nn::Matrix features_;            ///< Stacked item features.
   std::vector<int> offsets_ = {0};  ///< Row offsets; size num_items_ + 1.
-  std::vector<nn::Matrix> adjacencies_;  ///< Reused per-item blocks.
-  nn::MultiHeadSelfAttention::RowSpans row_spans_;
+  nn::Neighbors neighbors_;
   int num_items_ = 0;
-
-  mutable nn::Matrix block_adjacency_;
-  mutable bool adjacency_dirty_ = true;
 };
 
 /// Per-fleet Q-value network. EvaluateBatch scores every candidate row of
@@ -90,8 +74,9 @@ class DecisionBatch {
 /// BackwardBatch must follow the corresponding EvaluateBatch (gradients
 /// accumulate across calls until the optimizer steps), and the
 /// DecisionBatch passed to that EvaluateBatch must stay alive through the
-/// backward pass: the graph network's attention levels hold references to
-/// the batch's adjacency mask and row spans rather than copying them.
+/// backward pass: the first layer holds a reference to the batch's
+/// features, and the graph network's attention levels one to its neighbor
+/// graph, rather than copying them.
 class FleetQNetwork {
  public:
   virtual ~FleetQNetwork() = default;
@@ -123,8 +108,8 @@ class MlpQNetwork : public FleetQNetwork {
 
 /// The DGN / DDGN / ST-DDGN network (paper Fig. 4): shared encoder MLP ->
 /// stacked neighborhood-attention blocks (with ReLU) -> concatenation of
-/// every level's representation -> Q head MLP. Batched items attend over
-/// the DecisionBatch's block-diagonal mask.
+/// every level's representation -> Q head MLP. Every row attends over its
+/// DecisionBatch neighbor list, so batched items never see each other.
 class GraphQNetwork : public FleetQNetwork {
  public:
   GraphQNetwork(const AgentConfig& config, Rng* rng);

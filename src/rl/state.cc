@@ -81,25 +81,6 @@ FleetState BuildFleetState(const DispatchContext& context,
   return state;
 }
 
-SubFleetInputs BuildSubFleetInputs(const FleetState& state,
-                                   const std::vector<int>& idx,
-                                   bool use_graph, int num_neighbors) {
-  SubFleetInputs out;
-  out.features = nn::Matrix(static_cast<int>(idx.size()), kStateFeatures);
-  nn::Matrix pos(static_cast<int>(idx.size()), 2);
-  for (size_t r = 0; r < idx.size(); ++r) {
-    for (int c = 0; c < kStateFeatures; ++c) {
-      out.features(static_cast<int>(r), c) = state.features(idx[r], c);
-    }
-    pos(static_cast<int>(r), 0) = state.positions(idx[r], 0);
-    pos(static_cast<int>(r), 1) = state.positions(idx[r], 1);
-  }
-  if (use_graph) {
-    out.adjacency = BuildNeighborAdjacency(pos, num_neighbors);
-  }
-  return out;
-}
-
 int AppendSubFleetInputs(const FleetState& state, const std::vector<int>& idx,
                          bool use_graph, int num_neighbors,
                          DecisionBatch* batch) {
@@ -118,7 +99,7 @@ int AppendSubFleetInputs(const FleetState& state, const std::vector<int>& idx,
       pos(r, 0) = state.positions(idx[r], 0);
       pos(r, 1) = state.positions(idx[r], 1);
     }
-    FillNeighborAdjacency(pos, num_neighbors, &batch->mutable_adjacency(item));
+    AppendNeighbors(pos, num_neighbors, begin, &batch->mutable_neighbors());
   }
   return item;
 }
@@ -149,33 +130,31 @@ GreedyQChoice ArgmaxFeasibleQ(const FleetState& state,
   return best;
 }
 
-nn::Matrix BuildNeighborAdjacency(const nn::Matrix& positions,
-                                  int num_neighbors) {
-  nn::Matrix adj(positions.rows(), positions.rows());
-  FillNeighborAdjacency(positions, num_neighbors, &adj);
-  return adj;
-}
-
-void FillNeighborAdjacency(const nn::Matrix& positions, int num_neighbors,
-                           nn::Matrix* adj) {
+void AppendNeighbors(const nn::Matrix& positions, int k, int offset,
+                     nn::Neighbors* out) {
   DPDP_CHECK(positions.cols() == 2);
   const int m = positions.rows();
-  DPDP_CHECK(adj->rows() == m && adj->cols() == m);
   std::vector<std::pair<double, int>> dist;
   dist.reserve(m);
   for (int i = 0; i < m; ++i) {
-    (*adj)(i, i) = 1.0;
-    if (num_neighbors <= 0) continue;
-    dist.clear();
-    for (int j = 0; j < m; ++j) {
-      if (j == i) continue;
-      const double dx = positions(i, 0) - positions(j, 0);
-      const double dy = positions(i, 1) - positions(j, 1);
-      dist.emplace_back(dx * dx + dy * dy, j);
+    const size_t row_begin = out->cols.size();
+    out->cols.push_back(offset + i);
+    if (k > 0) {
+      dist.clear();
+      for (int j = 0; j < m; ++j) {
+        if (j == i) continue;
+        const double dx = positions(i, 0) - positions(j, 0);
+        const double dy = positions(i, 1) - positions(j, 1);
+        dist.emplace_back(dx * dx + dy * dy, j);
+      }
+      const int take = std::min<int>(k, static_cast<int>(dist.size()));
+      std::partial_sort(dist.begin(), dist.begin() + take, dist.end());
+      for (int t = 0; t < take; ++t) {
+        out->cols.push_back(offset + dist[t].second);
+      }
+      std::sort(out->cols.begin() + row_begin, out->cols.end());
     }
-    const int take = std::min<int>(num_neighbors, static_cast<int>(dist.size()));
-    std::partial_sort(dist.begin(), dist.begin() + take, dist.end());
-    for (int k = 0; k < take; ++k) (*adj)(i, dist[k].second) = 1.0;
+    out->offsets.push_back(static_cast<int>(out->cols.size()));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/attention.h"
 #include "nn/matrix.h"
 #include "rl/config.h"
 #include "rl/q_network.h"
@@ -19,8 +20,9 @@ namespace dpdp {
 inline constexpr int kStateFeatures = 6;
 
 /// The joint MDP state S_t^i in tensor form: one feature row per vehicle
-/// (K x 5), the feasibility mask from constraint embedding, and vehicle
-/// planar positions (K x 2) for the Euclidean nearest-neighbor adjacency.
+/// (K x kStateFeatures), the feasibility flags from constraint embedding,
+/// and vehicle planar positions (K x 2) for the Euclidean nearest-neighbor
+/// graph.
 struct FleetState {
   nn::Matrix features;          ///< (K x kStateFeatures), normalized.
   std::vector<uint8_t> feasible;  ///< Size K; 1 when the vehicle may serve.
@@ -43,25 +45,10 @@ struct FleetState {
 FleetState BuildFleetState(const DispatchContext& context,
                            const AgentConfig& config);
 
-/// Network inputs for a sub-fleet selection: the selected feature rows and
-/// (when a relational model is used) the nearest-neighbor adjacency over
-/// the selected vehicles' positions.
-struct SubFleetInputs {
-  nn::Matrix features;   ///< (|idx| x kStateFeatures).
-  nn::Matrix adjacency;  ///< (|idx| x |idx|), empty when use_graph = false.
-};
-
-/// Gathers rows `idx` of `state` and, if `use_graph`, builds their
-/// `num_neighbors`-nearest adjacency. Shared by the DQN-family and
-/// Actor-Critic agents.
-SubFleetInputs BuildSubFleetInputs(const FleetState& state,
-                                   const std::vector<int>& idx,
-                                   bool use_graph, int num_neighbors);
-
 /// Appends the sub-fleet selection `idx` of `state` as one item of `batch`
-/// (features written in place; when `use_graph`, the nearest-neighbor
-/// adjacency is filled into the item's block). Returns the item index.
-/// The batched twin of BuildSubFleetInputs for the EvaluateBatch hot path.
+/// (features written in place; when `use_graph`, the item's
+/// `num_neighbors`-nearest neighbor lists are appended to the batch's
+/// graph). Returns the item index.
 int AppendSubFleetInputs(const FleetState& state, const std::vector<int>& idx,
                          bool use_graph, int num_neighbors,
                          DecisionBatch* batch);
@@ -100,18 +87,14 @@ GreedyQChoice ArgmaxFeasibleQ(const FleetState& state,
                               const std::vector<int>& idx,
                               const nn::Matrix& q, int q_offset = 0);
 
-/// Builds the {0,1} adjacency mask over the *feasible sub-fleet*: entry
-/// (i, j) = 1 when j is one of i's `num_neighbors` nearest feasible
-/// vehicles by Euclidean distance, or j == i (self-loops keep every
-/// softmax row non-empty). `positions` is (M x 2) for the M feasible
-/// vehicles.
-nn::Matrix BuildNeighborAdjacency(const nn::Matrix& positions,
-                                  int num_neighbors);
-
-/// In-place form of BuildNeighborAdjacency: writes the mask into `adj`,
-/// which must already be (M x M) and zeroed.
-void FillNeighborAdjacency(const nn::Matrix& positions, int num_neighbors,
-                           nn::Matrix* adj);
+/// Appends the neighbor lists of the M vehicles at `positions` (M x 2) to
+/// `out` as M rows: row i lists i itself and its `k` nearest other
+/// vehicles by Euclidean distance (equal distances go to the lower index),
+/// in ascending order, with every column shifted by `offset` (the item's
+/// first row within a stacked batch). k <= 0 leaves only the self loops;
+/// k >= M - 1 connects every pair.
+void AppendNeighbors(const nn::Matrix& positions, int k, int offset,
+                     nn::Neighbors* out);
 
 }  // namespace dpdp
 

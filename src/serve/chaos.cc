@@ -34,20 +34,19 @@ bool Draw(uint64_t cell, uint64_t stream, double prob) {
 
 ChaosConfig ChaosConfigFromEnv() {
   ChaosConfig config;
-  config.seed = static_cast<uint64_t>(
-      EnvInt("DPDP_SERVE_CHAOS_SEED", static_cast<int>(config.seed)));
-  config.stall_prob = EnvDouble("DPDP_SERVE_CHAOS_STALL_PROB",
-                                config.stall_prob);
-  config.stall_us = EnvInt("DPDP_SERVE_CHAOS_STALL_US",
-                           static_cast<int>(config.stall_us));
-  config.slow_prob = EnvDouble("DPDP_SERVE_CHAOS_SLOW_PROB",
-                               config.slow_prob);
-  config.slow_us = EnvInt("DPDP_SERVE_CHAOS_SLOW_US",
-                          static_cast<int>(config.slow_us));
-  config.crash_prob = EnvDouble("DPDP_SERVE_CHAOS_CRASH_PROB",
-                                config.crash_prob);
-  config.corrupt_publish_prob = EnvDouble("DPDP_SERVE_CHAOS_CORRUPT_PROB",
-                                          config.corrupt_publish_prob);
+  config.seed = EnvU64Strict("DPDP_SERVE_CHAOS_SEED", config.seed);
+  config.stall_prob = EnvDoubleStrict("DPDP_SERVE_CHAOS_STALL_PROB",
+                                      config.stall_prob, 0.0, 1.0);
+  config.stall_us = EnvInt64Strict("DPDP_SERVE_CHAOS_STALL_US",
+                                   config.stall_us, 0, 60000000);
+  config.slow_prob = EnvDoubleStrict("DPDP_SERVE_CHAOS_SLOW_PROB",
+                                     config.slow_prob, 0.0, 1.0);
+  config.slow_us = EnvInt64Strict("DPDP_SERVE_CHAOS_SLOW_US", config.slow_us,
+                                  0, 60000000);
+  config.crash_prob = EnvDoubleStrict("DPDP_SERVE_CHAOS_CRASH_PROB",
+                                      config.crash_prob, 0.0, 1.0);
+  config.corrupt_publish_prob = EnvDoubleStrict(
+      "DPDP_SERVE_CHAOS_CORRUPT_PROB", config.corrupt_publish_prob, 0.0, 1.0);
   return config;
 }
 

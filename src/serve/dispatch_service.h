@@ -84,11 +84,11 @@ struct ShardTag {
 /// stacked DecisionBatch evaluations on the current ModelSnapshot.
 ///
 /// Correctness invariant: because a stacked EvaluateBatch is bit-identical
-/// to per-item evaluation (block-diagonal masks + one-chain-per-element
-/// GEMM; see DESIGN.md "Compute kernel model"), a served decision equals
-/// the decision a local agent with the same weights would make — however
-/// requests happen to interleave into batches. Batching changes wall-clock
-/// cost, never decisions.
+/// to per-item evaluation (neighbor lists that never cross items + one-
+/// chain-per-element GEMM; see DESIGN.md "Compute kernel model"), a served
+/// decision equals the decision a local agent with the same weights would
+/// make — however requests happen to interleave into batches. Batching
+/// changes wall-clock cost, never decisions.
 ///
 /// Overload semantics: admission control degrades, it never stalls. A
 /// request that cannot be admitted is answered immediately on the caller's

@@ -280,7 +280,8 @@ TEST(ChaosPolicyTest, CorruptPublishStreamIsDeterministicAndIndependent) {
 }
 
 TEST(ChaosPolicyTest, ConfigFromEnvParsesEveryKnob) {
-  ::setenv("DPDP_SERVE_CHAOS_SEED", "42", 1);
+  // Above 2^32: a seed squeezed through int would wrap.
+  ::setenv("DPDP_SERVE_CHAOS_SEED", "5000000000", 1);
   ::setenv("DPDP_SERVE_CHAOS_STALL_PROB", "0.25", 1);
   ::setenv("DPDP_SERVE_CHAOS_STALL_US", "1234", 1);
   ::setenv("DPDP_SERVE_CHAOS_SLOW_PROB", "0.125", 1);
@@ -296,7 +297,7 @@ TEST(ChaosPolicyTest, ConfigFromEnvParsesEveryKnob) {
   ::unsetenv("DPDP_SERVE_CHAOS_CRASH_PROB");
   ::unsetenv("DPDP_SERVE_CHAOS_CORRUPT_PROB");
 
-  EXPECT_EQ(config.seed, 42u);
+  EXPECT_EQ(config.seed, 5000000000u);
   EXPECT_DOUBLE_EQ(config.stall_prob, 0.25);
   EXPECT_EQ(config.stall_us, 1234);
   EXPECT_DOUBLE_EQ(config.slow_prob, 0.125);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rl/config.h"
 #include "rl/q_network.h"
 #include "rl/state.h"
@@ -16,13 +18,16 @@ nn::Matrix RandomMatrix(int rows, int cols, Rng* rng, double scale = 1.0) {
   return m;
 }
 
-nn::Matrix RingAdjacency(int n) {
-  nn::Matrix adj(n, n);
+/// Ring graph: row i attends to itself and its successor (mod n).
+nn::Neighbors RingNeighbors(int n) {
+  nn::Neighbors g;
   for (int i = 0; i < n; ++i) {
-    adj(i, i) = 1.0;
-    adj(i, (i + 1) % n) = 1.0;
+    const int next = (i + 1) % n;
+    g.cols.push_back(std::min(i, next));
+    if (next != i) g.cols.push_back(std::max(i, next));
+    g.offsets.push_back(g.edges());
   }
-  return adj;
+  return g;
 }
 
 AgentConfig SmallConfig(bool graph) {
@@ -38,9 +43,9 @@ AgentConfig SmallConfig(bool graph) {
 /// Scores one item through a fresh one-item DecisionBatch and copies the Q
 /// column out (the reference stays valid only until the next evaluation).
 std::vector<double> EvalOne(FleetQNetwork* net, const nn::Matrix& features,
-                            const nn::Matrix& adjacency = nn::Matrix()) {
+                            const nn::Neighbors& neighbors = {}) {
   DecisionBatch batch;
-  batch.Add(features, adjacency);
+  batch.Add(features, neighbors);
   const nn::Matrix& q = net->EvaluateBatch(batch);
   std::vector<double> out(static_cast<size_t>(q.rows()));
   for (int i = 0; i < q.rows(); ++i) out[i] = q(i, 0);
@@ -84,11 +89,11 @@ TEST(GraphQNetwork, OutputDependsOnNeighbors) {
   Rng rng(3);
   GraphQNetwork net(SmallConfig(true), &rng);
   nn::Matrix x = RandomMatrix(4, kStateFeatures, &rng);
-  const nn::Matrix adj = RingAdjacency(4);
-  const auto q1 = EvalOne(&net, x, adj);
+  const nn::Neighbors ring = RingNeighbors(4);
+  const auto q1 = EvalOne(&net, x, ring);
   // Perturb vehicle 1 (a neighbor of vehicle 0 in the ring).
   for (int c = 0; c < kStateFeatures; ++c) x(1, c) += 1.0;
-  const auto q2 = EvalOne(&net, x, adj);
+  const auto q2 = EvalOne(&net, x, ring);
   EXPECT_NE(q1[0], q2[0]);  // Relational: neighbor's state matters.
 }
 
@@ -96,12 +101,12 @@ TEST(GraphQNetwork, NonNeighborsDoNotInfluence) {
   Rng rng(4);
   GraphQNetwork net(SmallConfig(true), &rng);
   nn::Matrix x = RandomMatrix(4, kStateFeatures, &rng);
-  // Ring adjacency: i attends {i, i+1}, so with 2 stacked levels vehicle
-  // 0's receptive field is {0, 1, 2}. Vehicle 3 is outside it.
-  const nn::Matrix adj = RingAdjacency(4);
-  const auto q1 = EvalOne(&net, x, adj);
+  // Ring graph: i attends {i, i+1}, so with 2 stacked levels vehicle 0's
+  // receptive field is {0, 1, 2}. Vehicle 3 is outside it.
+  const nn::Neighbors ring = RingNeighbors(4);
+  const auto q1 = EvalOne(&net, x, ring);
   for (int c = 0; c < kStateFeatures; ++c) x(3, c) += 5.0;
-  const auto q2 = EvalOne(&net, x, adj);
+  const auto q2 = EvalOne(&net, x, ring);
   EXPECT_NEAR(q1[0], q2[0], 1e-12);
   EXPECT_NE(q1[2], q2[2]);  // 2 attends 3 directly.
 }
@@ -111,17 +116,17 @@ TEST(GraphQNetwork, GradientsMatchFiniteDifferences) {
   AgentConfig config = SmallConfig(true);
   GraphQNetwork net(config, &rng);
   const nn::Matrix x = RandomMatrix(4, kStateFeatures, &rng, 0.5);
-  const nn::Matrix adj = RingAdjacency(4);
+  const nn::Neighbors ring = RingNeighbors(4);
 
   // Loss = q[1] (single-action gradient as used in DQN training).
   const int target_row = 1;
-  auto loss = [&] { return EvalOne(&net, x, adj)[target_row]; };
+  auto loss = [&] { return EvalOne(&net, x, ring)[target_row]; };
 
   // The batch fed to the forward pass that precedes BackwardBatch must
-  // outlive the backward: the attention levels reference its adjacency
-  // mask and row spans instead of copying them.
+  // outlive the backward: the encoder borrows its features and the
+  // attention levels its neighbor graph instead of copying them.
   DecisionBatch batch;
-  batch.Add(x, adj);
+  batch.Add(x, ring);
   (void)net.EvaluateBatch(batch);
   net.BackwardBatch(DqColumn({0.0, 1.0, 0.0, 0.0}));
 
@@ -151,7 +156,11 @@ TEST(MlpQNetwork, GradientsMatchFiniteDifferences) {
   MlpQNetwork net(SmallConfig(false), &rng);
   const nn::Matrix x = RandomMatrix(3, kStateFeatures, &rng, 0.5);
   auto loss = [&] { return EvalOne(&net, x)[2]; };
-  (void)loss();
+  // As for the graph net, the batch must outlive the backward: the first
+  // layer borrows its features.
+  DecisionBatch batch;
+  batch.Add(x);
+  (void)net.EvaluateBatch(batch);
   net.BackwardBatch(DqColumn({0.0, 0.0, 1.0}));
   const double eps = 1e-6;
   for (nn::Parameter* p : net.Params()) {
@@ -197,23 +206,23 @@ TEST(MlpQNetwork, EvaluateBatchBitEqualToOneItemBatches) {
 }
 
 TEST(GraphQNetwork, EvaluateBatchBitEqualToOneItemBatches) {
-  // Relational variant: the block-diagonal mask plus per-row attention
-  // spans must keep each item's softmax walk identical to the single-item
-  // walk, so batching changes no bits.
+  // Relational variant: each item's neighbor lists name only its own
+  // rows, so every softmax walk is the single-item walk and batching
+  // changes no bits.
   Rng rng(21);
   GraphQNetwork net(SmallConfig(true), &rng);
   std::vector<nn::Matrix> items;
-  std::vector<nn::Matrix> adjs;
+  std::vector<nn::Neighbors> graphs;
   DecisionBatch batch;
   for (int m : {4, 1, 6, 3}) {
     items.push_back(RandomMatrix(m, kStateFeatures, &rng));
-    adjs.push_back(RingAdjacency(m));
-    batch.Add(items.back(), adjs.back());
+    graphs.push_back(RingNeighbors(m));
+    batch.Add(items.back(), graphs.back());
   }
   const nn::Matrix q = net.EvaluateBatch(batch);  // Copy: net reuses buffers.
   ASSERT_EQ(q.rows(), batch.total_rows());
   for (size_t i = 0; i < items.size(); ++i) {
-    const std::vector<double> qi = EvalOne(&net, items[i], adjs[i]);
+    const std::vector<double> qi = EvalOne(&net, items[i], graphs[i]);
     const int off = batch.offset(static_cast<int>(i));
     for (size_t r = 0; r < qi.size(); ++r) {
       EXPECT_EQ(q(off + static_cast<int>(r), 0), qi[r])
@@ -225,22 +234,21 @@ TEST(GraphQNetwork, EvaluateBatchBitEqualToOneItemBatches) {
 TEST(DecisionBatch, ClearRetainsCapacityAndResetsShape) {
   Rng rng(22);
   DecisionBatch batch;
-  batch.Add(RandomMatrix(3, kStateFeatures, &rng), RingAdjacency(3));
-  batch.Add(RandomMatrix(2, kStateFeatures, &rng), RingAdjacency(2));
+  batch.Add(RandomMatrix(3, kStateFeatures, &rng), RingNeighbors(3));
+  batch.Add(RandomMatrix(2, kStateFeatures, &rng), RingNeighbors(2));
   EXPECT_EQ(batch.num_items(), 2);
   EXPECT_EQ(batch.total_rows(), 5);
   EXPECT_EQ(batch.offset(1), 3);
   EXPECT_EQ(batch.rows(1), 2);
-  EXPECT_EQ(batch.row_spans().size(), 5u);
-  EXPECT_EQ(batch.row_spans()[3], (std::pair<int, int>{3, 5}));
-  const nn::Matrix& adj = batch.adjacency();
-  EXPECT_EQ(adj.rows(), 5);
-  EXPECT_DOUBLE_EQ(adj(0, 3), 0.0);  // Cross-block entries stay zero.
-  EXPECT_DOUBLE_EQ(adj(3, 3), 1.0);
+  // Item-local columns are shifted to global rows; no list crosses items.
+  const nn::Neighbors& g = batch.neighbors();
+  EXPECT_EQ(g.offsets, (std::vector<int>{0, 2, 4, 6, 8, 10}));
+  EXPECT_EQ(g.cols, (std::vector<int>{0, 1, 1, 2, 0, 2, 3, 4, 3, 4}));
   batch.Clear();
   EXPECT_EQ(batch.num_items(), 0);
   EXPECT_EQ(batch.total_rows(), 0);
-  EXPECT_TRUE(batch.row_spans().empty());
+  EXPECT_EQ(batch.neighbors().rows(), 0);
+  EXPECT_EQ(batch.neighbors().edges(), 0);
 }
 
 TEST(MakeQNetwork, SelectsVariantByConfig) {
@@ -264,7 +272,7 @@ TEST(GraphQNetwork, SingleVehicleFleetWorks) {
   Rng rng(9);
   GraphQNetwork net(SmallConfig(true), &rng);
   const auto q = EvalOne(&net, RandomMatrix(1, kStateFeatures, &rng),
-                         nn::Matrix(1, 1, 1.0));
+                         RingNeighbors(1));
   EXPECT_EQ(q.size(), 1u);
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rl/config.h"
 #include "rl/replay.h"
 #include "rl/state.h"
@@ -76,59 +78,91 @@ TEST(FleetState, StScoreZeroedWhenDisabled) {
   EXPECT_DOUBLE_EQ(s.features(0, 2), 0.0);
 }
 
-// ------------------------------------------------------------- Adjacency --
+// ------------------------------------------------------------- Neighbors --
 
-TEST(Adjacency, SelfLoopsAlwaysPresent) {
-  nn::Matrix pos(3, 2);
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 0);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(adj(i, i), 1.0);
-    for (int j = 0; j < 3; ++j) {
-      if (i != j) {
-        EXPECT_DOUBLE_EQ(adj(i, j), 0.0);
-      }
-    }
-  }
+/// Row r of `g` as a list of column indices.
+std::vector<int> Row(const nn::Neighbors& g, int r) {
+  return std::vector<int>(g.cols.begin() + g.offsets[r],
+                          g.cols.begin() + g.offsets[r + 1]);
 }
 
-TEST(Adjacency, PicksNearestNeighborsByEuclideanDistance) {
+nn::Neighbors NeighborsOf(const nn::Matrix& pos, int k) {
+  nn::Neighbors g;
+  AppendNeighbors(pos, k, 0, &g);
+  return g;
+}
+
+TEST(Neighbors, SelfLoopsAlwaysPresent) {
+  nn::Matrix pos(3, 2);
+  const nn::Neighbors g = NeighborsOf(pos, 0);
+  ASSERT_EQ(g.rows(), 3);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(Row(g, i), std::vector<int>{i});
+}
+
+TEST(Neighbors, PicksNearestNeighborsByEuclideanDistance) {
   // Vehicles on a line at x = 0, 1, 5, 6.
   nn::Matrix pos(4, 2);
   pos(1, 0) = 1.0;
   pos(2, 0) = 5.0;
   pos(3, 0) = 6.0;
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 1);
-  EXPECT_DOUBLE_EQ(adj(0, 1), 1.0);  // 0's nearest is 1.
-  EXPECT_DOUBLE_EQ(adj(0, 2), 0.0);
-  EXPECT_DOUBLE_EQ(adj(2, 3), 1.0);  // 2's nearest is 3.
-  EXPECT_DOUBLE_EQ(adj(3, 2), 1.0);
+  const nn::Neighbors g = NeighborsOf(pos, 1);
+  EXPECT_EQ(Row(g, 0), (std::vector<int>{0, 1}));  // 0's nearest is 1.
+  EXPECT_EQ(Row(g, 1), (std::vector<int>{0, 1}));
+  EXPECT_EQ(Row(g, 2), (std::vector<int>{2, 3}));  // 2's nearest is 3.
+  EXPECT_EQ(Row(g, 3), (std::vector<int>{2, 3}));
 }
 
-TEST(Adjacency, NeighborCountCapped) {
+TEST(Neighbors, NeighborCountCapped) {
   Rng rng(5);
   nn::Matrix pos(10, 2);
   for (int i = 0; i < 10; ++i) {
     pos(i, 0) = rng.Uniform();
     pos(i, 1) = rng.Uniform();
   }
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 3);
+  const nn::Neighbors g = NeighborsOf(pos, 3);
+  ASSERT_EQ(g.rows(), 10);
+  EXPECT_EQ(g.edges(), 40);
   for (int i = 0; i < 10; ++i) {
-    double row = 0.0;
-    for (int j = 0; j < 10; ++j) row += adj(i, j);
-    EXPECT_DOUBLE_EQ(row, 4.0);  // Self + 3 neighbors.
+    const std::vector<int> row = Row(g, i);
+    EXPECT_EQ(row.size(), 4u);  // Self + 3 neighbors.
+    EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
+    EXPECT_NE(std::find(row.begin(), row.end(), i), row.end());
   }
 }
 
-TEST(Adjacency, MoreNeighborsThanVehiclesIsFullyConnected) {
+TEST(Neighbors, MoreNeighborsThanVehiclesIsFullyConnected) {
   nn::Matrix pos(3, 2);
   pos(1, 0) = 1.0;
   pos(2, 0) = 2.0;
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 10);
-  EXPECT_DOUBLE_EQ(adj.SumAll(), 9.0);
+  const nn::Neighbors g = NeighborsOf(pos, 10);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(Row(g, i), (std::vector<int>{0, 1, 2}));
 }
 
-TEST(SubFleetInputs, GathersRowsAndBuildsAdjacency) {
-  Rng rng(3);
+TEST(Neighbors, EqualDistancesGoToTheLowestIndices) {
+  // Idle vehicles share the depot's position: every distance ties, so
+  // each row takes itself plus the two lowest other indices, ascending.
+  nn::Matrix pos(5, 2, 3.5);
+  const nn::Neighbors g = NeighborsOf(pos, 2);
+  EXPECT_EQ(Row(g, 0), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(Row(g, 1), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(Row(g, 2), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(Row(g, 3), (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(Row(g, 4), (std::vector<int>{0, 1, 4}));
+}
+
+TEST(Neighbors, AppendShiftsColumnsByTheItemOffset) {
+  nn::Matrix pos(2, 2);
+  pos(1, 0) = 1.0;
+  nn::Neighbors g;
+  AppendNeighbors(pos, 1, 0, &g);
+  AppendNeighbors(pos, 0, 2, &g);
+  ASSERT_EQ(g.rows(), 4);
+  EXPECT_EQ(Row(g, 1), (std::vector<int>{0, 1}));
+  EXPECT_EQ(Row(g, 2), std::vector<int>{2});
+  EXPECT_EQ(Row(g, 3), std::vector<int>{3});
+}
+
+TEST(AppendSubFleetInputs, GathersRowsAndAppendsNeighbors) {
   FleetState state;
   state.features = nn::Matrix(4, kStateFeatures);
   state.positions = nn::Matrix(4, 2);
@@ -142,18 +176,23 @@ TEST(SubFleetInputs, GathersRowsAndBuildsAdjacency) {
   const std::vector<int> idx = state.FeasibleIndices();
   ASSERT_EQ(idx, (std::vector<int>{0, 2, 3}));
 
-  const SubFleetInputs no_graph =
-      BuildSubFleetInputs(state, idx, /*use_graph=*/false, 2);
-  EXPECT_EQ(no_graph.features.rows(), 3);
-  EXPECT_TRUE(no_graph.adjacency.empty());
-  EXPECT_DOUBLE_EQ(no_graph.features(1, 0), 20.0);  // Row of vehicle 2.
+  DecisionBatch no_graph;
+  EXPECT_EQ(AppendSubFleetInputs(state, idx, /*use_graph=*/false, 2,
+                                 &no_graph),
+            0);
+  EXPECT_EQ(no_graph.total_rows(), 3);
+  EXPECT_EQ(no_graph.neighbors().rows(), 0);
+  EXPECT_DOUBLE_EQ(no_graph.features()(1, 0), 20.0);  // Row of vehicle 2.
 
-  const SubFleetInputs graph =
-      BuildSubFleetInputs(state, idx, /*use_graph=*/true, 1);
-  EXPECT_EQ(graph.adjacency.rows(), 3);
-  // Vehicle 2 (sub-row 1) is nearest to vehicle 3 (sub-row 2).
-  EXPECT_DOUBLE_EQ(graph.adjacency(1, 2), 1.0);
-  EXPECT_DOUBLE_EQ(graph.adjacency(1, 1), 1.0);  // Self loop.
+  DecisionBatch graph;
+  AppendSubFleetInputs(state, {0}, /*use_graph=*/true, 1, &graph);
+  EXPECT_EQ(AppendSubFleetInputs(state, idx, /*use_graph=*/true, 1, &graph),
+            1);
+  ASSERT_EQ(graph.neighbors().rows(), 4);
+  EXPECT_EQ(Row(graph.neighbors(), 0), std::vector<int>{0});
+  // Vehicle 2 (global row 2) is nearest to vehicle 3 (global row 3).
+  EXPECT_EQ(Row(graph.neighbors(), 2), (std::vector<int>{2, 3}));
+  EXPECT_DOUBLE_EQ(graph.features()(3, 0), 30.0);
 }
 
 // ---------------------------------------------------------------- Replay --

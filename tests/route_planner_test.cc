@@ -77,6 +77,33 @@ TEST_F(RoutePlannerTest, LateDeliveryIsInfeasible) {
   EXPECT_EQ(r.status().code(), StatusCode::kInfeasible);
 }
 
+TEST_F(RoutePlannerTest, DeadlineToleranceIsOneNanominute) {
+  // The delivery lands at exactly 20.0 min. A deadline that undercuts it
+  // by less than the 1e-9 tolerance is met; one that undercuts it by more
+  // is late. Both entry points share the same walk.
+  for (const auto& [deadline, feasible] :
+       {std::pair<double, bool>{20.0 - 5e-10, true},
+        std::pair<double, bool>{20.0 - 2e-9, false}}) {
+    SCOPED_TRACE(deadline);
+    const Instance inst =
+        MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, deadline)});
+    RoutePlanner planner(&inst);
+    const auto checked = planner.CheckSuffix(DepotAnchor(),
+                                             {P(0, inst), D(0, inst)}, 0);
+    const auto inserted =
+        planner.BestInsertion(DepotAnchor(), {}, 0, inst.order(0));
+    EXPECT_EQ(checked.ok(), feasible);
+    EXPECT_EQ(inserted.ok(), feasible);
+    if (feasible) {
+      EXPECT_EQ(checked.value().stops[1].arrival, 20.0);
+      EXPECT_EQ(inserted.value().schedule.stops[1].arrival, 20.0);
+    } else {
+      EXPECT_EQ(checked.status().code(), StatusCode::kInfeasible);
+      EXPECT_EQ(inserted.status().code(), StatusCode::kInfeasible);
+    }
+  }
+}
+
 TEST_F(RoutePlannerTest, LifoRejectsFifoInterleaving) {
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 500.0),

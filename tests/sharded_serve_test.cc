@@ -259,7 +259,7 @@ TEST(ShardGoldenTest, SameSeedsThroughOneTwoEightShardsBitwiseIdentical) {
 }
 
 TEST(ShardGoldenTest, GraphNetFamilyMatchesAcrossShards) {
-  // The relational (ST-DDGN) family exercises the block-diagonal adjacency
+  // The relational (ST-DDGN) family exercises the neighbor-list attention
   // path; two shards suffice to prove the fabric preserves it.
   const std::vector<Instance> campuses = MakeCampuses(4, 8, 3, /*seed=*/77);
   const std::vector<const Instance*> ptrs = Pointers(campuses);
