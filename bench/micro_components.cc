@@ -164,6 +164,37 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(256)->Arg(1024);
 
+// The weight gradient dW += X^T * dY of Linear::Backward at the training
+// shape: k = 1472 rows (a 32-item minibatch of 46-vehicle sub-fleets),
+// m = the layer's input width, n = 32 outputs. Every dW product walks A
+// down its columns. items_per_second reports FLOP/s (2*m*n*k);
+// allocs_per_op must read 0.
+void BM_GemmTransposedA(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = 1472;
+  const int n = 32;
+  dpdp::Rng rng(4);
+  dpdp::nn::Matrix x(k, m);
+  dpdp::nn::Matrix dy(k, n);
+  for (int r = 0; r < k; ++r) {
+    for (int c = 0; c < m; ++c) x(r, c) = rng.Normal();
+    for (int c = 0; c < n; ++c) dy(r, c) = rng.Normal();
+  }
+  dpdp::nn::Matrix dw(m, n);
+  dpdp::nn::Workspace ws;
+  // Warm the pack buffer.
+  dpdp::nn::GemmTransposedA(x, dy, &dw, &ws, /*accumulate=*/true);
+  const long long before = AllocCount();
+  for (auto _ : state) {
+    dpdp::nn::GemmTransposedA(x, dy, &dw, &ws, /*accumulate=*/true);
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  ReportAllocs(state, before);
+  state.SetItemsProcessed(state.iterations() * 2LL * m * n * k);
+}
+BENCHMARK(BM_GemmTransposedA)->Arg(32)->Arg(96);
+
 // The seed repo's zero-skip saxpy MatMul, preserved verbatim as the
 // speedup reference for BM_Gemm (acceptance bar: >= 3x at n = 256).
 dpdp::nn::Matrix NaiveMatMul(const dpdp::nn::Matrix& a,

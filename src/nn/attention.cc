@@ -134,9 +134,17 @@ const Matrix& MultiHeadSelfAttention::Backward(const Matrix& dy,
     }
   }
 
-  dx_ = wq_.Backward(dq_, ws);
-  dx_.AddInPlace(wk_.Backward(dk_, ws));
-  dx_.AddInPlace(wv_.Backward(dv_, ws));
+  // Each projection owns its dX buffer, so the three stay valid together
+  // and one pass sums them in place.
+  const Matrix& dxq = wq_.Backward(dq_, ws);
+  const Matrix& dxk = wk_.Backward(dk_, ws);
+  const Matrix& dxv = wv_.Backward(dv_, ws);
+  dx_.Resize(n, d_model_);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < d_model_; ++c) {
+      dx_(r, c) = (dxq(r, c) + dxk(r, c)) + dxv(r, c);
+    }
+  }
   return dx_;
 }
 

@@ -105,26 +105,39 @@ inline V4d MulAddV(V4d acc, V4d a, V4d b) {
 #endif
 }
 
-/// Hand-tiled 4x8 micro-kernel over a full row tile with unit a-stride:
-/// eight V4d accumulators + four broadcasts + two panel loads stay inside
-/// the 16-register SIMD file, which GCC's autovectorizer fails to achieve
-/// from the scalar loops (it spills the accumulator tile to the stack and
-/// drops to ~half the throughput of even the naive kernel). Each
-/// accumulator lane still sums its k terms in ascending order with the
-/// shared MulAdd rounding.
-inline void MicroKernel4x8(const double* a0, const double* a1,
-                           const double* a2, const double* a3,
-                           const double* panel, int k,
-                           double acc[kTileI][kTileJ]) {
+/// Hand-tiled 4x8 micro-kernel over a full row tile: eight V4d
+/// accumulators + four broadcasts + two panel loads stay inside the
+/// 16-register SIMD file, which GCC's autovectorizer fails to achieve from
+/// the scalar loops (it spills the accumulator tile to the stack and drops
+/// to ~half the throughput of even the naive kernel). Each accumulator lane
+/// still sums its k terms in ascending order with the shared MulAdd
+/// rounding.
+///
+/// `a` points at the tile's first A value. Row-major A (kColumnA false:
+/// the forward product and dX) has unit k-stride and `stride` between
+/// rows. Column-walked A (kColumnA true: the weight gradient dW = X^T dY
+/// of GemmTransposedA, which reads X down its columns) has unit i-stride
+/// and `stride` between k steps, so the tile's four A values at step kk
+/// are adjacent. Both read A in place and run the same chains.
+template <bool kColumnA>
+inline void MicroKernel4x8(const double* a, long stride, const double* panel,
+                           int k, double acc[kTileI][kTileJ]) {
+  const long i_step = kColumnA ? 1 : stride;
+  const long k_step = kColumnA ? stride : 1;
+  const double* a0 = a;
+  const double* a1 = a + i_step;
+  const double* a2 = a + 2 * i_step;
+  const double* a3 = a + 3 * i_step;
   V4d c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
   for (int kk = 0; kk < k; ++kk) {
+    const long ka = kk * k_step;
     const double* bk = panel + static_cast<size_t>(kk) * kTileJ;
     const V4d b0 = LoadU(bk);
     const V4d b1 = LoadU(bk + 4);
-    const V4d v0 = {a0[kk], a0[kk], a0[kk], a0[kk]};
-    const V4d v1 = {a1[kk], a1[kk], a1[kk], a1[kk]};
-    const V4d v2 = {a2[kk], a2[kk], a2[kk], a2[kk]};
-    const V4d v3 = {a3[kk], a3[kk], a3[kk], a3[kk]};
+    const V4d v0 = {a0[ka], a0[ka], a0[ka], a0[ka]};
+    const V4d v1 = {a1[ka], a1[ka], a1[ka], a1[ka]};
+    const V4d v2 = {a2[ka], a2[ka], a2[ka], a2[ka]};
+    const V4d v3 = {a3[ka], a3[ka], a3[ka], a3[ka]};
     c00 = MulAddV(c00, v0, b0);
     c01 = MulAddV(c01, v0, b1);
     c10 = MulAddV(c10, v1, b0);
@@ -165,15 +178,17 @@ void GemmCore(const double* a, long a_i_stride, long a_k_stride, int k,
       bool done = false;
 #ifdef DPDP_GEMM_VECTOR_EXT
       if (ti_n == kTileI && a_k_stride == 1) {
-        const double* a0 = a + static_cast<size_t>(i0) * a_i_stride;
-        MicroKernel4x8(a0, a0 + a_i_stride, a0 + 2 * a_i_stride,
-                       a0 + 3 * a_i_stride, panel, k, acc);
+        MicroKernel4x8<false>(a + static_cast<size_t>(i0) * a_i_stride,
+                              a_i_stride, panel, k, acc);
+        done = true;
+      } else if (ti_n == kTileI && a_i_stride == 1) {
+        MicroKernel4x8<true>(a + i0, a_k_stride, panel, k, acc);
         done = true;
       }
 #endif
       if (!done) {
-        // Remainder path (partial tiles; strided A). Same per-element
-        // ascending-k chains as the micro-kernel.
+        // Remainder path (partial tiles). Same per-element ascending-k
+        // chains as the micro-kernel.
         for (int kk = 0; kk < k; ++kk) {
           const double* bk = panel + static_cast<size_t>(kk) * kTileJ;
           for (int ti = 0; ti < ti_n; ++ti) {

@@ -163,52 +163,13 @@ Matrix ReLU::Backward(const Matrix& dy) {
   return Backward(dy, ThreadLocalWorkspace());
 }
 
-const Matrix& Tanh::Forward(const Matrix& x, Workspace& ws) {
-  (void)ws;
-  cached_y_.Resize(x.rows(), x.cols());
-  for (int r = 0; r < x.rows(); ++r) {
-    for (int c = 0; c < x.cols(); ++c) cached_y_(r, c) = std::tanh(x(r, c));
-  }
-  return cached_y_;
-}
-
-Matrix Tanh::Forward(const Matrix& x) {
-  return Forward(x, ThreadLocalWorkspace());
-}
-
-const Matrix& Tanh::Backward(const Matrix& dy, Workspace& ws) {
-  (void)ws;
-  DPDP_CHECK(dy.rows() == cached_y_.rows());
-  DPDP_CHECK(dy.cols() == cached_y_.cols());
-  dx_.Resize(dy.rows(), dy.cols());
-  for (int r = 0; r < dy.rows(); ++r) {
-    for (int c = 0; c < dy.cols(); ++c) {
-      dx_(r, c) = dy(r, c) * (1.0 - cached_y_(r, c) * cached_y_(r, c));
-    }
-  }
-  return dx_;
-}
-
-Matrix Tanh::Backward(const Matrix& dy) const {
-  Matrix dx(dy.rows(), dy.cols());
-  for (int r = 0; r < dy.rows(); ++r) {
-    for (int c = 0; c < dy.cols(); ++c) {
-      dx(r, c) = dy(r, c) * (1.0 - cached_y_(r, c) * cached_y_(r, c));
-    }
-  }
-  return dx;
-}
-
-Mlp::Mlp(const std::vector<int>& dims, Activation hidden_activation, Rng* rng)
-    : activation_(hidden_activation) {
+Mlp::Mlp(const std::vector<int>& dims, Rng* rng) {
   DPDP_CHECK(dims.size() >= 2);
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     linears_.emplace_back(dims[i], dims[i + 1], rng);
   }
-  // One activation per hidden layer (the output layer stays linear).
-  const size_t hidden = linears_.size() - 1;
-  relus_.resize(hidden);
-  tanhs_.resize(hidden);
+  // One ReLU per hidden layer (the output layer stays linear).
+  relus_.resize(linears_.size() - 1);
 }
 
 const Matrix& Mlp::Forward(const Matrix& x, Workspace& ws) {
@@ -217,18 +178,7 @@ const Matrix& Mlp::Forward(const Matrix& x, Workspace& ws) {
   const Matrix* h = &x;
   for (size_t i = 0; i < linears_.size(); ++i) {
     h = &linears_[i].Forward(*h, ws);
-    if (i + 1 < linears_.size()) {
-      switch (activation_) {
-        case Activation::kReLU:
-          h = &relus_[i].Forward(*h, ws);
-          break;
-        case Activation::kTanh:
-          h = &tanhs_[i].Forward(*h, ws);
-          break;
-        case Activation::kIdentity:
-          break;
-      }
-    }
+    if (i + 1 < linears_.size()) h = &relus_[i].Forward(*h, ws);
   }
   return *h;
 }
@@ -240,18 +190,7 @@ Matrix Mlp::Forward(const Matrix& x) {
 const Matrix& Mlp::Backward(const Matrix& dy, Workspace& ws) {
   const Matrix* d = &dy;
   for (size_t i = linears_.size(); i-- > 0;) {
-    if (i + 1 < linears_.size()) {
-      switch (activation_) {
-        case Activation::kReLU:
-          d = &relus_[i].Backward(*d, ws);
-          break;
-        case Activation::kTanh:
-          d = &tanhs_[i].Backward(*d, ws);
-          break;
-        case Activation::kIdentity:
-          break;
-      }
-    }
+    if (i + 1 < linears_.size()) d = &relus_[i].Backward(*d, ws);
     d = &linears_[i].Backward(*d, ws);
   }
   return *d;

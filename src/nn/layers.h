@@ -84,9 +84,6 @@ class Linear {
   Matrix dx_;  ///< Layer-owned Backward output.
 };
 
-/// Supported nonlinearities for MLP hidden layers.
-enum class Activation { kReLU, kTanh, kIdentity };
-
 /// ReLU. Backward reads the mask off the cached output: y > 0 exactly
 /// where x > 0.
 class ReLU {
@@ -101,27 +98,14 @@ class ReLU {
   Matrix dx_;
 };
 
-/// Tanh with cached output.
-class Tanh {
- public:
-  const Matrix& Forward(const Matrix& x, Workspace& ws);
-  Matrix Forward(const Matrix& x);
-  const Matrix& Backward(const Matrix& dy, Workspace& ws);
-  Matrix Backward(const Matrix& dy) const;
-
- private:
-  Matrix cached_y_;
-  Matrix dx_;
-};
-
-/// Multi-layer perceptron: Linear layers with a shared hidden activation
-/// and an identity output layer. `dims` = {in, h1, ..., out}.
+/// Multi-layer perceptron: Linear layers with a ReLU after each hidden
+/// layer and a linear output layer. `dims` = {in, h1, ..., out}.
 ///
 /// The Workspace overloads return a reference to the last layer's buffer;
 /// it stays valid until this Mlp's next Forward/Backward call.
 class Mlp {
  public:
-  Mlp(const std::vector<int>& dims, Activation hidden_activation, Rng* rng);
+  Mlp(const std::vector<int>& dims, Rng* rng);
 
   const Matrix& Forward(const Matrix& x, Workspace& ws);
   Matrix Forward(const Matrix& x);
@@ -134,10 +118,8 @@ class Mlp {
   int out_dim() const;
 
  private:
-  Activation activation_;
   std::vector<Linear> linears_;
   std::vector<ReLU> relus_;
-  std::vector<Tanh> tanhs_;
 };
 
 }  // namespace dpdp::nn

@@ -14,6 +14,24 @@ Matrix::Matrix(int rows, int cols, double fill)
   DPDP_CHECK(rows >= 0 && cols >= 0);
 }
 
+Matrix::Matrix(const Matrix& other)
+    : rows_(other.rows_),
+      cols_(other.cols_),
+      data_(other.data_.begin(), other.data_.begin() + other.size()) {}
+
+Matrix& Matrix::operator=(const Matrix& other) {
+  if (this == &other) return *this;
+  const size_t n = static_cast<size_t>(other.size());
+  if (n > data_.size()) {
+    data_.assign(other.data_.begin(), other.data_.begin() + n);
+  } else {
+    std::copy_n(other.data_.begin(), n, data_.begin());
+  }
+  rows_ = other.rows_;
+  cols_ = other.cols_;
+  return *this;
+}
+
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   if (rows.empty()) return Matrix();
   Matrix m(static_cast<int>(rows.size()), static_cast<int>(rows[0].size()));

@@ -20,6 +20,14 @@ class Matrix {
   Matrix() : rows_(0), cols_(0) {}
   Matrix(int rows, int cols, double fill = 0.0);
 
+  /// Copies carry the rows x cols elements only, not the spare backing
+  /// store a shrinking Resize leaves behind. Copy-assignment reuses the
+  /// destination's store when it is large enough.
+  Matrix(const Matrix& other);
+  Matrix& operator=(const Matrix& other);
+  Matrix(Matrix&&) noexcept = default;
+  Matrix& operator=(Matrix&&) noexcept = default;
+
   /// Builds a matrix from nested initializer data; all rows must have the
   /// same length.
   static Matrix FromRows(const std::vector<std::vector<double>>& rows);

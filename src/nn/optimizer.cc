@@ -10,16 +10,24 @@
 
 namespace dpdp::nn {
 
-Optimizer::Optimizer(std::vector<Parameter*> params)
-    : params_(std::move(params)) {
+Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
+           double beta2, double eps, double clip_norm)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps),
+      clip_norm_(clip_norm) {
   DPDP_CHECK(!params_.empty());
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
+  for (const Parameter* p : params_) {
+    m_.emplace_back(p->value.rows(), p->value.cols());
+    v_.emplace_back(p->value.rows(), p->value.cols());
+  }
 }
 
-void Optimizer::ZeroGrad() {
-  for (Parameter* p : params_) p->ZeroGrad();
-}
-
-void Optimizer::ClipGradNorm(double max_norm) {
+void Adam::ClipGradNorm(double max_norm) {
   if (max_norm <= 0.0) return;
   double sq = 0.0;
   for (const Parameter* p : params_) {
@@ -30,33 +38,6 @@ void Optimizer::ClipGradNorm(double max_norm) {
   if (norm <= max_norm || norm == 0.0) return;
   const double factor = max_norm / norm;
   for (Parameter* p : params_) p->grad = p->grad.Scale(factor);
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, double lr, double clip_norm)
-    : Optimizer(std::move(params)), lr_(lr), clip_norm_(clip_norm) {}
-
-void Sgd::Step() {
-  ClipGradNorm(clip_norm_);
-  for (Parameter* p : params_) {
-    p->value.AddScaled(p->grad, -lr_);
-    p->ZeroGrad();
-  }
-}
-
-Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
-           double beta2, double eps, double clip_norm)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      clip_norm_(clip_norm) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const Parameter* p : params_) {
-    m_.emplace_back(p->value.rows(), p->value.cols());
-    v_.emplace_back(p->value.rows(), p->value.cols());
-  }
 }
 
 void Adam::Step() {

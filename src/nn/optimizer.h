@@ -8,44 +8,16 @@
 
 namespace dpdp::nn {
 
-/// Interface for first-order optimizers over a fixed parameter list.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently accumulated in the
-  /// parameters, then zeroes all gradients.
-  virtual void Step() = 0;
-
-  /// Zeroes accumulated gradients without stepping.
-  void ZeroGrad();
-
- protected:
-  explicit Optimizer(std::vector<Parameter*> params);
-
-  /// Rescales gradients so their global L2 norm is at most `max_norm`.
-  void ClipGradNorm(double max_norm);
-
-  std::vector<Parameter*> params_;
-};
-
-/// Plain SGD with optional gradient clipping.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, double lr, double clip_norm = 0.0);
-  void Step() override;
-
- private:
-  double lr_;
-  double clip_norm_;
-};
-
-/// Adam (Kingma & Ba) with bias correction and optional gradient clipping.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction and optional gradient clipping,
+/// over a fixed parameter list.
+class Adam {
  public:
   Adam(std::vector<Parameter*> params, double lr, double beta1 = 0.9,
        double beta2 = 0.999, double eps = 1e-8, double clip_norm = 0.0);
-  void Step() override;
+
+  /// Applies one update using the gradients currently accumulated in the
+  /// parameters, then zeroes all gradients.
+  void Step();
 
   /// Serializes the optimizer's mutable state (step count + first/second
   /// moments). Hyperparameters are not written — they are reconstructed
@@ -57,6 +29,10 @@ class Adam : public Optimizer {
   bool LoadState(std::istream* is);
 
  private:
+  /// Rescales gradients so their global L2 norm is at most `max_norm`.
+  void ClipGradNorm(double max_norm);
+
+  std::vector<Parameter*> params_;
   double lr_;
   double beta1_;
   double beta2_;

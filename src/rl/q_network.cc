@@ -45,8 +45,7 @@ int DecisionBatch::Add(const nn::Matrix& features,
 }
 
 MlpQNetwork::MlpQNetwork(const AgentConfig& config, Rng* rng)
-    : mlp_({kStateFeatures, config.hidden_dim, config.hidden_dim, 1},
-           nn::Activation::kReLU, rng) {}
+    : mlp_({kStateFeatures, config.hidden_dim, config.hidden_dim, 1}, rng) {}
 
 const nn::Matrix& MlpQNetwork::EvaluateBatch(const DecisionBatch& batch) {
   DPDP_TRACE_SPAN("nn.forward");
@@ -62,17 +61,15 @@ std::vector<nn::Parameter*> MlpQNetwork::Params() { return mlp_.Params(); }
 
 GraphQNetwork::GraphQNetwork(const AgentConfig& config, Rng* rng)
     : levels_(config.attention_levels),
-      encoder_({kStateFeatures, config.hidden_dim, config.hidden_dim},
-               nn::Activation::kReLU, rng),
+      encoder_({kStateFeatures, config.hidden_dim, config.hidden_dim}, rng),
       head_({config.hidden_dim * (config.attention_levels + 1),
              config.hidden_dim, 1},
-            nn::Activation::kReLU, rng) {
+            rng) {
   DPDP_CHECK(levels_ >= 1);
   for (int l = 0; l < levels_; ++l) {
     attention_.emplace_back(config.hidden_dim, config.num_heads, rng);
   }
   relus_.resize(levels_);
-  dlevel_.resize(levels_ + 1);
   level_.resize(levels_ + 1);
 }
 
@@ -113,20 +110,24 @@ void GraphQNetwork::BackwardBatch(const nn::Matrix& dq) {
   const nn::Matrix& dconcat = head_.Backward(dq, ws_);
   DPDP_CHECK(dconcat.rows() == m && dconcat.cols() == d * (levels_ + 1));
 
-  // Split the concat gradient back into per-level slices.
-  for (int l = 0; l <= levels_; ++l) {
-    dlevel_[l].Resize(m, d);
-    for (int r = 0; r < m; ++r) {
-      for (int c = 0; c < d; ++c) dlevel_[l](r, c) = dconcat(r, l * d + c);
-    }
+  // The top level's concat slice feeds its ReLU, which takes a Matrix.
+  dtop_.Resize(m, d);
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < d; ++c) dtop_(r, c) = dconcat(r, levels_ * d + c);
   }
-  // Walk the attention stack backwards, folding in each level's direct
-  // contribution from the concatenation.
-  const nn::Matrix* dh = &dlevel_[levels_];
+  // Walk the attention stack backwards, folding each lower level's direct
+  // contribution from the concatenation into the attention dX as it is
+  // read out.
+  const nn::Matrix* dh = &dtop_;
   for (int l = levels_ - 1; l >= 0; --l) {
     const nn::Matrix& da = relus_[l].Backward(*dh, ws_);
-    dh_ = attention_[l].Backward(da, ws_);
-    dh_.AddInPlace(dlevel_[l]);
+    const nn::Matrix& dx = attention_[l].Backward(da, ws_);
+    dh_.Resize(m, d);
+    for (int r = 0; r < m; ++r) {
+      for (int c = 0; c < d; ++c) {
+        dh_(r, c) = dx(r, c) + dconcat(r, l * d + c);
+      }
+    }
     dh = &dh_;
   }
   encoder_.Backward(*dh, ws_);

@@ -127,12 +127,12 @@ class GraphQNetwork : public FleetQNetwork {
   nn::Workspace ws_;
 
   // Reused pass buffers. The level outputs themselves live in the layers'
-  // own buffers; only the concatenation and gradient slices need homes.
+  // own buffers; only the concatenation and two gradients need homes.
   bool forward_valid_ = false;
   std::vector<const nn::Matrix*> level_;  ///< Borrowed level outputs.
   nn::Matrix concat_;
-  std::vector<nn::Matrix> dlevel_;
-  nn::Matrix dh_;
+  nn::Matrix dtop_;  ///< Top level's slice of the concat gradient.
+  nn::Matrix dh_;    ///< Gradient w.r.t. the current level's input.
 };
 
 /// Builds the network variant selected by `config.use_graph`.

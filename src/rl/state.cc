@@ -20,17 +20,6 @@ std::vector<int> FleetState::FeasibleIndices() const {
   return out;
 }
 
-nn::Matrix FleetState::FeasibleFeatures() const {
-  const std::vector<int> idx = FeasibleIndices();
-  nn::Matrix out(static_cast<int>(idx.size()), features.cols());
-  for (size_t r = 0; r < idx.size(); ++r) {
-    for (int c = 0; c < features.cols(); ++c) {
-      out(static_cast<int>(r), c) = features(idx[r], c);
-    }
-  }
-  return out;
-}
-
 double InstantReward(const DispatchContext& context, int chosen,
                      const AgentConfig& config) {
   const VehicleOption& opt = context.options[chosen];

@@ -33,9 +33,6 @@ struct FleetState {
 
   /// Row indices of feasible vehicles in ascending order.
   std::vector<int> FeasibleIndices() const;
-
-  /// Sub-matrix of `features` restricted to feasible rows.
-  nn::Matrix FeasibleFeatures() const;
 };
 
 /// Builds the joint state from a dispatch context. Features of feasible

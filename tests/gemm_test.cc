@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -39,6 +40,23 @@ const Shape kShapes[] = {
     {1, 1, 1},  {1, 5, 9},  {3, 7, 5},   {4, 8, 8},    {5, 9, 17},
     {8, 16, 8}, {13, 3, 29}, {16, 32, 24}, {31, 17, 33}, {64, 64, 64},
 };
+
+/// The weight-gradient shapes of a training minibatch, dW = X^T dY:
+/// k = 1472 rows (32 items x 46 vehicles), m = a layer's input width, n
+/// its output width. Full 4-row tiles walk X down its columns in the
+/// vector micro-kernel; the odd m end in a remainder tile.
+const Shape kTrainingShapes[] = {
+    {6, 1472, 32}, {32, 1472, 32}, {96, 1472, 32}, {32, 1472, 1},
+    {5, 1472, 32}, {33, 1472, 32}, {97, 1472, 32},
+};
+
+/// kShapes followed by kTrainingShapes, for the transposed-A tests.
+std::vector<Shape> TransposedAShapes() {
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), std::begin(kTrainingShapes),
+                std::end(kTrainingShapes));
+  return shapes;
+}
 
 TEST(Gemm, BitEqualToOrderedReference) {
   Rng rng(101);
@@ -87,7 +105,8 @@ TEST(GemmTransposedB, BitEqualToExplicitTranspose) {
 TEST(GemmTransposedA, BitEqualToExplicitTranspose) {
   Rng rng(104);
   Workspace ws;
-  for (const Shape& s : kShapes) {
+  for (const Shape& s : TransposedAShapes()) {
+    SCOPED_TRACE(::testing::Message() << "m=" << s.m << " k=" << s.k);
     const Matrix a = RandomMatrix(s.k, s.m, &rng);  // Given transposed.
     const Matrix b = RandomMatrix(s.k, s.n, &rng);
     Matrix got, want;
@@ -103,7 +122,8 @@ TEST(GemmTransposedA, AccumulateAddsFinishedDotOnce) {
   // elementwise (init + reference).
   Rng rng(105);
   Workspace ws;
-  for (const Shape& s : kShapes) {
+  for (const Shape& s : TransposedAShapes()) {
+    SCOPED_TRACE(::testing::Message() << "m=" << s.m << " k=" << s.k);
     const Matrix a = RandomMatrix(s.k, s.m, &rng);
     const Matrix b = RandomMatrix(s.k, s.n, &rng);
     const Matrix init = RandomMatrix(s.m, s.n, &rng);
@@ -121,23 +141,32 @@ TEST(GemmTransposedA, AccumulateAddsFinishedDotOnce) {
 TEST(Gemm, ThreadCountDoesNotChangeBits) {
   // The parallel fan-out splits on row-block boundaries; every output
   // element runs the same code on the same inputs regardless of the
-  // worker count. Shape chosen to exceed kGemmParallelMinFlops so the
+  // worker count. Both micro-kernels are split: the row-A one through
+  // Gemm and the column-A one through GemmTransposedA at the largest
+  // training shape. Shapes chosen to exceed kGemmParallelMinFlops so the
   // threaded path actually engages.
   const int n = 160;
+  const int m = 96, k = 1472, n_grad = 32;
   ASSERT_GT(2LL * n * n * n, kGemmParallelMinFlops);
+  ASSERT_GT(2LL * m * n_grad * k, kGemmParallelMinFlops);
   Rng rng(106);
   const Matrix a = RandomMatrix(n, n, &rng);
   const Matrix b = RandomMatrix(n, n, &rng);
+  const Matrix x = RandomMatrix(k, m, &rng);
+  const Matrix dy = RandomMatrix(k, n_grad, &rng);
   const int saved = GemmThreads();
   Workspace ws;
   SetGemmThreads(1);
-  Matrix serial;
+  Matrix serial, serial_grad;
   Gemm(a, b, &serial, &ws);
+  GemmTransposedA(x, dy, &serial_grad, &ws);
   SetGemmThreads(4);
-  Matrix threaded;
+  Matrix threaded, threaded_grad;
   Gemm(a, b, &threaded, &ws);
+  GemmTransposedA(x, dy, &threaded_grad, &ws);
   SetGemmThreads(saved);
   ExpectBitEqual(threaded, serial);
+  ExpectBitEqual(threaded_grad, serial_grad);
 }
 
 TEST(Gemm, WorkspaceReuseAcrossShapesIsHarmless) {

@@ -146,6 +146,41 @@ TEST(Matrix, ShrinkingResizeBoundsWholeMatrixOps) {
   EXPECT_EQ(m.size(), 6);
 }
 
+TEST(Matrix, CopyCarriesOnlyTheLogicalElements) {
+  Matrix shrunk(64, 8, 3.0);
+  shrunk.Resize(2, 8);
+  shrunk(1, 7) = 4.0;
+  const Matrix copy = shrunk;
+  ASSERT_EQ(copy.rows(), 2);
+  ASSERT_EQ(copy.cols(), 8);
+  EXPECT_DOUBLE_EQ(copy(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(copy(1, 7), 4.0);
+  // The copy's store holds 2 x 8 elements, not the source's 64 x 8, so
+  // growing it back must allocate.
+  Matrix grown = copy;
+  const double* copied_store = grown.data();
+  grown.Resize(64, 8);
+  EXPECT_NE(grown.data(), copied_store);
+
+  // Copy-assignment reuses a large enough destination store...
+  Matrix dst(64, 8, 0.0);
+  const double* store = dst.data();
+  dst = shrunk;
+  EXPECT_EQ(dst.data(), store);
+  ASSERT_EQ(dst.rows(), 2);
+  EXPECT_DOUBLE_EQ(dst(1, 7), 4.0);
+  const Matrix& alias = dst;
+  dst = alias;
+  EXPECT_EQ(dst.data(), store);
+  EXPECT_DOUBLE_EQ(dst(1, 7), 4.0);
+  // ...and grows a smaller one.
+  Matrix small(1, 1, 9.0);
+  small = shrunk;
+  ASSERT_EQ(small.size(), 16);
+  EXPECT_DOUBLE_EQ(small(0, 3), 3.0);
+  EXPECT_DOUBLE_EQ(small(1, 7), 4.0);
+}
+
 TEST(Matrix, AllCloseShapeMismatchIsFalse) {
   EXPECT_FALSE(Matrix(1, 2).AllClose(Matrix(2, 1)));
 }

@@ -66,7 +66,6 @@ TEST(FleetState, InfeasibleRowsCarrySentinels) {
   }
   EXPECT_EQ(s.NumFeasible(), 1);
   EXPECT_EQ(s.FeasibleIndices(), std::vector<int>{0});
-  EXPECT_EQ(s.FeasibleFeatures().rows(), 1);
 }
 
 TEST(FleetState, StScoreZeroedWhenDisabled) {
