@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -73,23 +74,64 @@ void BM_BestInsertion(benchmark::State& state) {
 
   // Build an existing route with `route_orders` orders.
   std::vector<dpdp::Stop> route;
+  dpdp::Insertion insertion;
   for (int i = 0; i < route_orders; ++i) {
-    auto r = planner.BestInsertion(anchor, route, inst.vehicle_depots[0],
-                                   inst.order(i));
-    if (r.ok()) route = std::move(r).value().suffix;
+    if (planner.BestInsertion(anchor, route, inst.vehicle_depots[0],
+                              inst.order(i), &insertion)) {
+      route = insertion.suffix;
+    }
   }
   const dpdp::Order& next = inst.order(route_orders);
   // allocs_per_op is the same at every route size when no candidate
-  // allocates: only the winner's suffix and schedule are materialized.
+  // allocates: only the winner is materialized, into the reused insertion.
+  planner.BestInsertion(anchor, route, inst.vehicle_depots[0], next,
+                        &insertion);  // Grow the insertion's buffers.
   const long long before = AllocCount();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        planner.BestInsertion(anchor, route, inst.vehicle_depots[0], next));
+    benchmark::DoNotOptimize(planner.BestInsertion(
+        anchor, route, inst.vehicle_depots[0], next, &insertion));
   }
   ReportAllocs(state, before);
   state.SetLabel(std::to_string(route.size()) + " stops");
 }
 BENCHMARK(BM_BestInsertion)->Arg(2)->Arg(6)->Arg(12)->Arg(20);
+
+// ---------------------------------------------------- neighbor lists ----
+
+// The DGN's k = 8 nearest-neighbor lists over a 150-vehicle sub-fleet.
+// `sites` distinct positions: 17 is the Fig. 7 mix (idle vehicles share a
+// depot, so the largest site holds ~40% of the rows), 150 makes every
+// position distinct, AppendNeighbors' worst case.
+void BM_AppendNeighbors(benchmark::State& state, int sites) {
+  const int m = 150;
+  dpdp::Rng rng(6);
+  dpdp::nn::Matrix site(sites, 2);
+  for (int s = 0; s < sites; ++s) {
+    site(s, 0) = rng.Uniform(0, 8);
+    site(s, 1) = rng.Uniform(0, 8);
+  }
+  dpdp::nn::Matrix pos(m, 2);
+  for (int r = 0; r < m; ++r) {
+    const int s = sites == m            ? r
+                  : rng.Bernoulli(0.4) ? 0
+                                       : rng.UniformInt(sites);
+    pos(r, 0) = site(s, 0);
+    pos(r, 1) = site(s, 1);
+  }
+  dpdp::nn::Neighbors neighbors;
+  dpdp::AppendNeighbors(pos, 8, 0, &neighbors);  // Grow the lists.
+  const long long before = AllocCount();
+  for (auto _ : state) {
+    neighbors.Clear();
+    dpdp::AppendNeighbors(pos, 8, 0, &neighbors);
+    benchmark::DoNotOptimize(neighbors.cols.data());
+    benchmark::ClobberMemory();
+  }
+  ReportAllocs(state, before);
+  state.SetLabel(std::to_string(sites) + " sites");
+}
+BENCHMARK_CAPTURE(BM_AppendNeighbors, colocated, 17);
+BENCHMARK_CAPTURE(BM_AppendNeighbors, distinct, 150);
 
 // --------------------------------------------------------- attention ----
 
@@ -346,22 +388,75 @@ void BM_StScore(benchmark::State& state) {
   dpdp::RoutePlanner planner(&inst);
   const dpdp::PlanAnchor anchor{inst.vehicle_depots[0], 0.0, {}};
   std::vector<dpdp::Stop> route;
+  dpdp::Insertion insertion;
   for (int i = 0; i < 8; ++i) {
-    auto r = planner.BestInsertion(anchor, route, inst.vehicle_depots[0],
-                                   inst.order(i));
-    if (r.ok()) route = std::move(r).value().suffix;
+    if (planner.BestInsertion(anchor, route, inst.vehicle_depots[0],
+                              inst.order(i), &insertion)) {
+      route = insertion.suffix;
+    }
   }
   const auto sched =
       planner.CheckSuffix(anchor, route, inst.vehicle_depots[0]);
   const dpdp::nn::Matrix std_matrix(inst.network->num_factories(),
                                     inst.num_time_intervals, 1.0);
+  // allocs_per_op must read 0: the vectors and distributions live in the
+  // caller's scratch.
+  dpdp::StScoreScratch scratch;
+  auto score = [&] {
+    return dpdp::ComputeStScore(*inst.network, route, sched.value(),
+                                std_matrix, inst.num_time_intervals,
+                                inst.horizon_minutes,
+                                dpdp::DivergenceKind::kJensenShannon,
+                                &scratch);
+  };
+  score();  // Grow the scratch.
+  const long long before = AllocCount();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dpdp::ComputeStScore(
-        *inst.network, route, sched.value(), std_matrix,
-        inst.num_time_intervals, inst.horizon_minutes));
+    benchmark::DoNotOptimize(score());
   }
+  ReportAllocs(state, before);
 }
 BENCHMARK(BM_StScore);
+
+// ------------------------------------------------- decision context ----
+
+// One iteration is one Baseline-1 decision of a 620-order day with the ST
+// score on: AdvanceToDecision builds the context (Algorithm 2 and the ST
+// score for every vehicle of the fleet), Baseline 1 acts and the
+// environment applies. allocs_per_op counts the allocations of the context
+// build per decision once a warm-up day has grown every reused buffer; it
+// must not grow with the fleet (range(0) vehicles).
+void BM_BuildContext(benchmark::State& state) {
+  const int vehicles = static_cast<int>(state.range(0));
+  const dpdp::Instance inst = MakeBenchInstance(620, vehicles);
+  dpdp::SimulatorConfig config;
+  config.record_visits = false;
+  config.predicted_std = dpdp::nn::Matrix(inst.network->num_factories(),
+                                          inst.num_time_intervals, 1.0);
+  dpdp::Environment env(&inst, config);
+  dpdp::MinIncrementalLengthDispatcher baseline;
+  dpdp::RunEpisode(&env, &baseline);  // Warm-up day.
+  env.Reset();
+  long long build_allocs = 0;
+  auto advance = [&] {
+    const long long before = AllocCount();
+    const bool pending = env.AdvanceToDecision();
+    build_allocs += AllocCount() - before;
+    return pending;
+  };
+  for (auto _ : state) {
+    if (!advance()) {
+      env.Reset();
+      advance();
+    }
+    benchmark::DoNotOptimize(env.Apply(baseline.Act(env.ObserveDecision())));
+  }
+  state.counters["allocs_per_op"] =
+      static_cast<double>(build_allocs) /
+      static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+  state.SetLabel(std::to_string(vehicles) + " vehicles");
+}
+BENCHMARK(BM_BuildContext)->Arg(50)->Arg(150);
 
 // ------------------------------------------------------ episode loop ----
 

@@ -32,11 +32,12 @@ int main() {
                                 inst.order(0).create_time_min, {}};
 
   std::vector<dpdp::Stop> route;
+  dpdp::Insertion ins;
   for (int i = 0; i < 3; ++i) {
-    auto ins = planner.BestInsertion(anchor, route, inst.vehicle_depots[0],
-                                     inst.order(i));
-    if (!ins.ok()) continue;
-    route = std::move(ins).value().suffix;
+    if (planner.BestInsertion(anchor, route, inst.vehicle_depots[0],
+                              inst.order(i), &ins)) {
+      route = ins.suffix;
+    }
   }
   const auto schedule =
       planner.CheckSuffix(anchor, route, inst.vehicle_depots[0]);
@@ -67,12 +68,13 @@ int main() {
   std::printf("\n\n");
 
   // --- 4. ST Score ---------------------------------------------------------
+  dpdp::StScoreScratch scratch;
   const double js = dpdp::ComputeStScore(
       net, route, schedule.value(), predicted, inst.num_time_intervals,
-      inst.horizon_minutes, dpdp::DivergenceKind::kJensenShannon);
+      inst.horizon_minutes, dpdp::DivergenceKind::kJensenShannon, &scratch);
   const double kl = dpdp::ComputeStScore(
       net, route, schedule.value(), predicted, inst.num_time_intervals,
-      inst.horizon_minutes, dpdp::DivergenceKind::kSymmetricKl);
+      inst.horizon_minutes, dpdp::DivergenceKind::kSymmetricKl, &scratch);
   std::printf("ST Score (JS divergence):            %.4f\n", js);
   std::printf("ST Score (symmetric KL alternative): %.4f\n", kl);
 

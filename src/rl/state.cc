@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 namespace dpdp {
 
@@ -119,31 +121,138 @@ GreedyQChoice ArgmaxFeasibleQ(const FleetState& state,
   return best;
 }
 
+namespace {
+
+using Candidate = std::pair<double, int>;  ///< (squared distance, row).
+
+/// The neighbor order: nearer first, equal squared distances to the lower
+/// row.
+bool Precedes(double d1, int j1, double d2, int j2) {
+  return d1 < d2 || (d1 == d2 && j1 < j2);
+}
+
+/// Precedes over candidates, for the heap algorithms.
+struct ByNeighborOrder {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    return Precedes(a.first, a.second, b.first, b.second);
+  }
+};
+
+/// Offers (d, j) to `heap`, a max-heap in neighbor order holding the best
+/// `cap` candidates seen so far. Returns false when (d, j) misses it.
+bool OfferNearest(double d, int j, size_t cap, std::vector<Candidate>* heap) {
+  if (heap->size() == cap) {
+    if (!Precedes(d, j, heap->front().first, heap->front().second)) {
+      return false;
+    }
+    std::pop_heap(heap->begin(), heap->end(), ByNeighborOrder());
+    heap->back() = {d, j};
+  } else {
+    heap->emplace_back(d, j);
+  }
+  std::push_heap(heap->begin(), heap->end(), ByNeighborOrder());
+  return true;
+}
+
+}  // namespace
+
 void AppendNeighbors(const nn::Matrix& positions, int k, int offset,
                      nn::Neighbors* out) {
   DPDP_CHECK(positions.cols() == 2);
   const int m = positions.rows();
-  std::vector<std::pair<double, int>> dist;
-  dist.reserve(m);
+  // Every row lists itself and min(k, m - 1) others.
+  const int take = std::max(0, std::min(k, m - 1));
+  const int row_len = take + 1;
+  const size_t base = out->cols.size();
+  out->cols.resize(base + static_cast<size_t>(m) * row_len);
   for (int i = 0; i < m; ++i) {
-    const size_t row_begin = out->cols.size();
-    out->cols.push_back(offset + i);
-    if (k > 0) {
-      dist.clear();
-      for (int j = 0; j < m; ++j) {
-        if (j == i) continue;
-        const double dx = positions(i, 0) - positions(j, 0);
-        const double dy = positions(i, 1) - positions(j, 1);
-        dist.emplace_back(dx * dx + dy * dy, j);
-      }
-      const int take = std::min<int>(k, static_cast<int>(dist.size()));
-      std::partial_sort(dist.begin(), dist.begin() + take, dist.end());
-      for (int t = 0; t < take; ++t) {
-        out->cols.push_back(offset + dist[t].second);
-      }
-      std::sort(out->cols.begin() + row_begin, out->cols.end());
+    out->offsets.push_back(static_cast<int>(base) + (i + 1) * row_len);
+  }
+  if (take == 0) {
+    for (int i = 0; i < m; ++i) out->cols[base + i] = offset + i;
+    return;
+  }
+
+  // Rows sorted by (x, y, index), so the rows at one position (a site,
+  // e.g. the idle vehicles at a depot) are contiguous and ascending.
+  auto x = [&positions](int i) { return positions(i, 0); };
+  auto y = [&positions](int i) { return positions(i, 1); };
+  for (int i = 0; i < m; ++i) {
+    DPDP_CHECK(std::isfinite(x(i)) && std::isfinite(y(i)));
+  }
+  std::vector<int> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (x(a) != x(b)) return x(a) < x(b);
+    if (y(a) != y(b)) return y(a) < y(b);
+    return a < b;
+  });
+  std::vector<int> site_begin;  // Site s is order[site_begin[s], [s + 1]).
+  site_begin.reserve(m + 1);
+  for (int r = 0; r < m; ++r) {
+    if (r == 0 || x(order[r]) != x(order[r - 1]) ||
+        y(order[r]) != y(order[r - 1])) {
+      site_begin.push_back(r);
     }
-    out->offsets.push_back(static_cast<int>(out->cols.size()));
+  }
+  site_begin.push_back(m);
+  const int num_sites = static_cast<int>(site_begin.size()) - 1;
+
+  std::vector<Candidate> nearest;
+  nearest.reserve(take);
+  for (int s = 0; s < num_sites; ++s) {
+    const int begin = site_begin[s];
+    const int end = site_begin[s + 1];
+    // The site's `take` nearest rows outside it, in neighbor order. All
+    // rows of another site lie at one squared distance from this site,
+    // computed from a member of each exactly as the per-row ranking
+    // would, and they enter in ascending index until one misses. Sites
+    // are visited outward in x order; a side stops once the list is full
+    // and the squared x gap alone exceeds its worst distance, since that
+    // gap only grows along a side and no squared distance is below it.
+    nearest.clear();
+    const double sx = x(order[begin]);
+    const double sy = y(order[begin]);
+    auto offer_site = [&](int t) {
+      const double dx = sx - x(order[site_begin[t]]);
+      if (nearest.size() == static_cast<size_t>(take) &&
+          dx * dx > nearest.front().first) {
+        return false;
+      }
+      const double dy = sy - y(order[site_begin[t]]);
+      const double d = dx * dx + dy * dy;
+      for (int r = site_begin[t]; r < site_begin[t + 1]; ++r) {
+        if (!OfferNearest(d, order[r], take, &nearest)) break;
+      }
+      return true;
+    };
+    int left = s - 1;
+    int right = s + 1;
+    while (left >= 0 || right < num_sites) {
+      if (left >= 0 && !offer_site(left--)) left = -1;
+      if (right < num_sites && !offer_site(right++)) right = num_sites;
+    }
+    std::sort_heap(nearest.begin(), nearest.end(), ByNeighborOrder());
+    // Each member takes the first `take` of its site mates (distance 0,
+    // ascending, itself excluded) merged with `nearest`.
+    for (int r = begin; r < end; ++r) {
+      const int i = order[r];
+      int* row = out->cols.data() + base + static_cast<size_t>(i) * row_len;
+      row[0] = i;
+      int mate = begin;
+      size_t near = 0;
+      for (int n = 1; n < row_len; ++n) {
+        if (mate < end && order[mate] == i) ++mate;
+        const bool from_site =
+            mate < end &&
+            (near == nearest.size() ||
+             Precedes(0.0, order[mate], nearest[near].first,
+                      nearest[near].second));
+        row[n] = from_site ? order[mate++] : nearest[near++].second;
+      }
+      std::sort(row, row + row_len);
+      for (int n = 0; n < row_len; ++n) row[n] += offset;
+    }
   }
 }
 

@@ -89,7 +89,14 @@ GreedyQChoice ArgmaxFeasibleQ(const FleetState& state,
 /// vehicles by Euclidean distance (equal distances go to the lower index),
 /// in ascending order, with every column shifted by `offset` (the item's
 /// first row within a stacked batch). k <= 0 leaves only the self loops;
-/// k >= M - 1 connects every pair.
+/// k >= M - 1 connects every pair. Positions must be finite.
+///
+/// Vehicles that share a position (a site, e.g. the idle ones at a depot)
+/// are searched once per site: one squared distance per pair of sites
+/// visited, then each row merges its site mates (distance 0) with its
+/// site's nearest outside rows. The lists are bit-identical to ranking
+/// every other row by (squared distance, index); with all positions
+/// distinct the work is at most that of the all-pairs ranking.
 void AppendNeighbors(const nn::Matrix& positions, int k, int offset,
                      nn::Neighbors* out);
 

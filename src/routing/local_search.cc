@@ -28,6 +28,7 @@ LocalSearchResult ImproveSuffixByReinsertion(const RoutePlanner& planner,
   }
 
   double current_length = out.initial_length;
+  Insertion best;
   for (int pass = 0; pass < max_passes; ++pass) {
     bool improved = false;
     for (const int order_id : movable) {
@@ -40,13 +41,14 @@ LocalSearchResult ImproveSuffixByReinsertion(const RoutePlanner& planner,
       if (without.size() != suffix.size() - 2) continue;  // Not in suffix.
 
       // ...and re-insert it at its best feasible position.
-      Result<Insertion> best = planner.BestInsertion(
-          anchor, without, depot_node, planner.order(order_id), vehicle);
-      if (!best.ok()) continue;  // Removal broke feasibility elsewhere.
-      if (best.value().schedule.length < current_length - 1e-9) {
-        current_length = best.value().schedule.length;
-        out.schedule = best.value().schedule;
-        suffix = std::move(best).value().suffix;
+      if (!planner.BestInsertion(anchor, without, depot_node,
+                                 planner.order(order_id), &best, vehicle)) {
+        continue;  // Removal broke feasibility elsewhere.
+      }
+      if (best.schedule.length < current_length - 1e-9) {
+        current_length = best.schedule.length;
+        out.schedule = best.schedule;
+        suffix.swap(best.suffix);
         ++out.moves_applied;
         improved = true;
       }

@@ -28,9 +28,9 @@ struct WalkResult {
 /// in order of detection: anchor load, then per stop the capacity at a
 /// pickup, or LIFO and the deadline at a delivery, then leftover cargo.
 /// Every accepted stop is passed to `record(arrival, service_start,
-/// departure, residual_capacity)`. `stack` is caller-owned scratch for the
-/// onboard LIFO stack; reserving anchor.onboard.size() + num_stops keeps
-/// the walk allocation-free.
+/// departure, residual_capacity)`. `stack` is the planner's scratch for
+/// the onboard LIFO stack; reserving anchor.onboard.size() + num_stops
+/// keeps the walk allocation-free.
 ///
 /// CheckSuffix and BestInsertion both run this walk, so a candidate's
 /// length is computed by the same floating-point operations in the same
@@ -113,7 +113,7 @@ WalkResult WalkRoute(const Instance& instance, const VehicleConfig& cfg,
 /// Stop k of the candidate that inserts `pickup` at position i and
 /// `delivery` at position j (i < j, both in the new sequence) into `old`:
 /// old[0, i) -> pickup -> old[i, j-1) -> delivery -> old[j-1, n).
-const Stop& CandidateStop(const std::vector<Stop>& old, const Stop& pickup,
+const Stop& CandidateStop(std::span<const Stop> old, const Stop& pickup,
                           const Stop& delivery, int i, int j, int k) {
   if (k < i) return old[k];
   if (k == i) return pickup;
@@ -124,20 +124,31 @@ const Stop& CandidateStop(const std::vector<Stop>& old, const Stop& pickup,
 
 }  // namespace
 
+void Insertion::Clear() {
+  pickup_pos = -1;
+  delivery_pos = -1;
+  suffix.clear();
+  schedule.stops.clear();
+  schedule.residual_capacity.clear();
+  schedule.length = 0.0;
+  schedule.completion_time = 0.0;
+  old_length = 0.0;
+  incremental_length = 0.0;
+}
+
 RoutePlanner::RoutePlanner(const Instance* instance) : instance_(instance) {
   DPDP_CHECK(instance_ != nullptr && instance_->network != nullptr);
 }
 
 Result<SuffixSchedule> RoutePlanner::CheckSuffix(
-    const PlanAnchor& anchor, const std::vector<Stop>& suffix,
-    int depot_node, const VehicleConfig* vehicle) const {
+    const PlanAnchor& anchor, std::span<const Stop> suffix, int depot_node,
+    const VehicleConfig* vehicle) const {
   const VehicleConfig& cfg =
       vehicle != nullptr ? *vehicle : instance_->vehicle_config;
   SuffixSchedule out;
   out.stops.reserve(suffix.size());
   out.residual_capacity.reserve(suffix.size());
-  std::vector<int> stack;
-  stack.reserve(anchor.onboard.size() + suffix.size());
+  stack_.reserve(anchor.onboard.size() + suffix.size());
 
   const WalkResult walk = WalkRoute(
       *instance_, cfg, anchor, static_cast<int>(suffix.size()), depot_node,
@@ -147,7 +158,7 @@ Result<SuffixSchedule> RoutePlanner::CheckSuffix(
         out.stops.push_back({arrival, service_start, departure});
         out.residual_capacity.push_back(residual);
       },
-      &stack);
+      &stack_);
 
   switch (walk.reject) {
     case Reject::kNone:
@@ -172,7 +183,7 @@ Result<SuffixSchedule> RoutePlanner::CheckSuffix(
 }
 
 double RoutePlanner::SuffixLength(const PlanAnchor& anchor,
-                                  const std::vector<Stop>& suffix,
+                                  std::span<const Stop> suffix,
                                   int depot_node) const {
   const RoadNetwork& network = *instance_->network;
   int node = anchor.node;
@@ -184,17 +195,18 @@ double RoutePlanner::SuffixLength(const PlanAnchor& anchor,
   return length + network.Distance(node, depot_node);
 }
 
-Result<Insertion> RoutePlanner::BestInsertion(
-    const PlanAnchor& anchor, const std::vector<Stop>& old_suffix,
-    int depot_node, const Order& order, const VehicleConfig* vehicle) const {
+bool RoutePlanner::BestInsertion(const PlanAnchor& anchor,
+                                 std::span<const Stop> old_suffix,
+                                 int depot_node, const Order& order,
+                                 Insertion* out,
+                                 const VehicleConfig* vehicle) const {
   const VehicleConfig& cfg =
       vehicle != nullptr ? *vehicle : instance_->vehicle_config;
   const int n = static_cast<int>(old_suffix.size());
   const Stop pickup{order.pickup_node, order.id, StopType::kPickup};
   const Stop delivery{order.delivery_node, order.id, StopType::kDelivery};
 
-  std::vector<int> stack;
-  stack.reserve(anchor.onboard.size() + old_suffix.size() + 2);
+  stack_.reserve(anchor.onboard.size() + old_suffix.size() + 2);
   double best_length = std::numeric_limits<double>::infinity();
   int best_i = -1;
   int best_j = -1;
@@ -212,7 +224,7 @@ Result<Insertion> RoutePlanner::BestInsertion(
           [&](int k) -> const Stop& {
             return CandidateStop(old_suffix, pickup, delivery, i, j, k);
           },
-          [](double, double, double, double) {}, &stack);
+          [](double, double, double, double) {}, &stack_);
       if (walk.reject == Reject::kNone && walk.length < best_length) {
         best_length = walk.length;
         best_i = i;
@@ -221,24 +233,38 @@ Result<Insertion> RoutePlanner::BestInsertion(
     }
   }
 
-  if (best_i < 0) return Status::Infeasible("no feasible insertion");
+  if (best_i < 0) {
+    out->Clear();
+    return false;
+  }
 
-  Insertion best;
-  best.pickup_pos = best_i;
-  best.delivery_pos = best_j;
-  best.suffix.reserve(n + 2);
+  out->pickup_pos = best_i;
+  out->delivery_pos = best_j;
+  out->suffix.clear();
   for (int k = 0; k < n + 2; ++k) {
-    best.suffix.push_back(
+    out->suffix.push_back(
         CandidateStop(old_suffix, pickup, delivery, best_i, best_j, k));
   }
-  Result<SuffixSchedule> checked =
-      CheckSuffix(anchor, best.suffix, depot_node, vehicle);
-  DPDP_CHECK_OK(checked.status());
-  best.schedule = std::move(checked).value();
-  DPDP_CHECK(best.schedule.length == best_length);
-  best.incremental_length =
-      best.schedule.length - SuffixLength(anchor, old_suffix, depot_node);
-  return best;
+  // The winner's schedule, from the same walk that ranked it.
+  SuffixSchedule& schedule = out->schedule;
+  schedule.stops.clear();
+  schedule.residual_capacity.clear();
+  const WalkResult walk = WalkRoute(
+      *instance_, cfg, anchor, n + 2, depot_node,
+      [out](int k) -> const Stop& { return out->suffix[k]; },
+      [&schedule](double arrival, double service_start, double departure,
+                  double residual) {
+        schedule.stops.push_back({arrival, service_start, departure});
+        schedule.residual_capacity.push_back(residual);
+      },
+      &stack_);
+  DPDP_CHECK(walk.reject == Reject::kNone);
+  DPDP_CHECK(walk.length == best_length);
+  schedule.length = walk.length;
+  schedule.completion_time = walk.completion_time;
+  out->old_length = SuffixLength(anchor, old_suffix, depot_node);
+  out->incremental_length = schedule.length - out->old_length;
+  return true;
 }
 
 }  // namespace dpdp

@@ -1,6 +1,7 @@
 #ifndef DPDP_ROUTING_ROUTE_PLANNER_H_
 #define DPDP_ROUTING_ROUTE_PLANNER_H_
 
+#include <span>
 #include <vector>
 
 #include "model/instance.h"
@@ -38,18 +39,25 @@ struct Insertion {
   int delivery_pos = -1;  ///< Index of the delivery stop in `suffix`.
   std::vector<Stop> suffix;
   SuffixSchedule schedule;
+  /// km of the pre-insertion suffix (anchor -> ... -> depot).
+  double old_length = 0.0;
   /// Length delta vs. the pre-insertion suffix (both measured anchor ->
   /// ... -> depot), i.e. the marginal kilometres caused by the order.
   double incremental_length = 0.0;
+
+  /// Resets to the empty insertion; the buffers keep their capacity.
+  void Clear();
 };
 
 /// The paper's route planner (Algorithm 2): exhaustive enumeration of
 /// pickup/delivery insertion positions with time-window, LIFO and capacity
 /// validation, returning the shortest feasible temporary route.
 ///
-/// The planner is stateless and cheap to construct; it borrows the
-/// instance (network, vehicle config, order pool and docking surcharge),
-/// which must outlive it.
+/// The planner is cheap to construct and borrows the instance (network,
+/// vehicle config, order pool and docking surcharge), which must outlive
+/// it. It owns scratch (the walk's LIFO stack), so one planner serves one
+/// thread at a time; once that scratch has grown, BestInsertion into a
+/// reused Insertion allocates nothing.
 class RoutePlanner {
  public:
   explicit RoutePlanner(const Instance* instance);
@@ -68,28 +76,29 @@ class RoutePlanner {
   /// each vehicle's own profile. nullptr (the default) keeps the shared
   /// config, which is the pre-scenario behaviour exactly.
   Result<SuffixSchedule> CheckSuffix(const PlanAnchor& anchor,
-                                     const std::vector<Stop>& suffix,
+                                     std::span<const Stop> suffix,
                                      int depot_node,
                                      const VehicleConfig* vehicle =
                                          nullptr) const;
 
   /// Pure travel length of a suffix (anchor -> stops... -> depot), ignoring
   /// feasibility. Used for the "current route length" state feature.
-  double SuffixLength(const PlanAnchor& anchor,
-                      const std::vector<Stop>& suffix, int depot_node) const;
+  double SuffixLength(const PlanAnchor& anchor, std::span<const Stop> suffix,
+                      int depot_node) const;
 
   /// Algorithm 2: tries every (pickup, delivery) insertion position pair in
-  /// `old_suffix`, keeps feasible candidates, and returns the one with the
+  /// `old_suffix`, keeps feasible candidates, and writes the one with the
   /// shortest resulting suffix (the first in (pickup, delivery) order on a
-  /// tie). Candidates are checked in place by CheckSuffix's own walk, with
-  /// no allocation per candidate; only the winner is materialized and
-  /// scheduled, so its result is bit-identical to running CheckSuffix on
-  /// every candidate. Status::Infeasible when no placement works.
-  Result<Insertion> BestInsertion(const PlanAnchor& anchor,
-                                  const std::vector<Stop>& old_suffix,
-                                  int depot_node, const Order& order,
-                                  const VehicleConfig* vehicle =
-                                      nullptr) const;
+  /// tie) into `*out`, reusing its buffers. Candidates are checked in place
+  /// by CheckSuffix's own walk, with no allocation per candidate; only the
+  /// winner is materialized and scheduled, so its result is bit-identical
+  /// to running CheckSuffix on every candidate. Returns false, with `*out`
+  /// cleared, when no placement works. `old_suffix` must not view
+  /// `out->suffix`.
+  bool BestInsertion(const PlanAnchor& anchor,
+                     std::span<const Stop> old_suffix, int depot_node,
+                     const Order& order, Insertion* out,
+                     const VehicleConfig* vehicle = nullptr) const;
 
   /// Number of (pickup, delivery) candidates the last BestInsertion call
   /// enumerated, (n+1)(n+2)/2 for an n-stop suffix (route_planner_test
@@ -103,6 +112,8 @@ class RoutePlanner {
  private:
   const Instance* instance_;
   mutable int last_candidates_ = 0;
+  /// The walk's LIFO stack of onboard order ids.
+  mutable std::vector<int> stack_;
 };
 
 }  // namespace dpdp

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -54,6 +56,11 @@ Environment::Environment(const Instance* instance, SimulatorConfig config)
       planner_(instance) {
   DPDP_CHECK(instance_ != nullptr);
   DPDP_CHECK_OK(ValidateInstance(*instance_));
+  vehicles_.reserve(instance_->vehicle_depots.size());
+  for (int v = 0; v < instance_->num_vehicles(); ++v) {
+    vehicles_.emplace_back(v, instance_->vehicle_depots[v], instance_,
+                           config_.record_visits);
+  }
   if (!config_.predicted_std.empty()) {
     DPDP_CHECK(config_.predicted_std.rows() ==
                instance_->network->num_factories());
@@ -63,14 +70,11 @@ Environment::Environment(const Instance* instance, SimulatorConfig config)
 }
 
 void Environment::Reset() {
-  // Fresh fleet each episode.
-  vehicles_.clear();
-  vehicles_.reserve(instance_->vehicle_depots.size());
-  for (int v = 0; v < instance_->num_vehicles(); ++v) {
-    vehicles_.emplace_back(v, instance_->vehicle_depots[v], instance_,
-                           config_.record_visits);
-    if (config_.travel.active()) {
-      vehicles_.back().SetTravelWave(&config_.travel);
+  // Fresh fleet each episode; each vehicle keeps the buffers it grew.
+  for (VehicleState& vehicle : vehicles_) vehicle.Restart();
+  if (config_.travel.active()) {
+    for (VehicleState& vehicle : vehicles_) {
+      vehicle.SetTravelWave(&config_.travel);
     }
   }
 
@@ -96,62 +100,70 @@ void Environment::Reset() {
   in_episode_ = true;
 }
 
-DispatchContext Environment::BuildContext(const Order& order,
-                                          double decision_time) {
+namespace {
+
+/// Resets `opt` to the default option (infeasible, the paper's -1
+/// sentinels, an empty insertion) while its insertion keeps the buffers it
+/// grew in earlier decisions.
+void ResetOption(VehicleOption* opt) {
+  Insertion insertion = std::move(opt->insertion);
+  insertion.Clear();
+  *opt = VehicleOption{};
+  opt->insertion = std::move(insertion);
+}
+
+}  // namespace
+
+void Environment::BuildContext(const Order& order, double decision_time) {
   DPDP_TRACE_SPAN("sim.build_context");
-  DispatchContext ctx;
-  ctx.instance = instance_;
-  ctx.order = &order;
-  ctx.now = decision_time;
-  ctx.time_interval =
+  ctx_.instance = instance_;
+  ctx_.order = &order;
+  ctx_.now = decision_time;
+  ctx_.time_interval =
       TimeIntervalIndex(order.create_time_min, instance_->num_time_intervals,
                         instance_->horizon_minutes);
-  ctx.options.resize(vehicles_.size());
+  ctx_.num_feasible = 0;
+  ctx_.options.resize(vehicles_.size());
 
   for (size_t v = 0; v < vehicles_.size(); ++v) {
     VehicleState& vehicle = vehicles_[v];
-    vehicle.AdvanceTo(ctx.now);
+    vehicle.AdvanceTo(ctx_.now);
 
-    VehicleOption& opt = ctx.options[v];
+    VehicleOption& opt = ctx_.options[v];
+    ResetOption(&opt);
     opt.vehicle = static_cast<int>(v);
     opt.used = vehicle.used();
     opt.num_assigned_orders = vehicle.num_assigned_orders();
     opt.position = vehicle.Position();
 
-    if (vehicle.hold_until() > ctx.now + 1e-9) {
+    if (vehicle.hold_until() > ctx_.now + 1e-9) {
       // Broken down: excluded from dispatch until repaired (constraint
       // embedding, same sentinel treatment as planner-infeasible).
-      opt.feasible = false;
       continue;
     }
-    const PlanAnchor anchor = vehicle.MakeAnchor();
-    const std::vector<Stop> suffix = vehicle.FreeSuffix();
-    Result<Insertion> insertion = planner_.BestInsertion(
-        anchor, suffix, vehicle.depot(), order, &vehicle.config());
-    if (!insertion.ok()) {
+    vehicle.MakeAnchor(&anchor_);
+    if (!planner_.BestInsertion(anchor_, vehicle.FreeSuffix(),
+                                vehicle.depot(), order, &opt.insertion,
+                                &vehicle.config())) {
       // Constraint embedding: the vehicle is excluded from inference and
       // its state entries take the paper's sentinel value -1.
-      opt.feasible = false;
       continue;
     }
     opt.feasible = true;
-    ++ctx.num_feasible;
-    opt.insertion = std::move(insertion).value();
+    ++ctx_.num_feasible;
     const double committed = vehicle.committed_length();
-    opt.current_length =
-        committed + planner_.SuffixLength(anchor, suffix, vehicle.depot());
+    opt.current_length = committed + opt.insertion.old_length;
     opt.new_length = committed + opt.insertion.schedule.length;
     opt.incremental_length = opt.insertion.incremental_length;
     if (!config_.predicted_std.empty()) {
       opt.st_score = ComputeStScore(
           *instance_->network, opt.insertion.suffix, opt.insertion.schedule,
           config_.predicted_std, instance_->num_time_intervals,
-          instance_->horizon_minutes, config_.divergence);
+          instance_->horizon_minutes, config_.divergence, &st_scratch_);
     } else {
       opt.st_score = 0.0;
     }
   }
-  return ctx;
 }
 
 bool Environment::AdvanceToDecision() {
@@ -179,7 +191,7 @@ bool Environment::AdvanceToDecision() {
       ++next_order_;
       continue;
     }
-    ctx_ = BuildContext(order, decision_time);
+    BuildContext(order, decision_time);
     dispatched_[order.id] = 1;
     if (ctx_.num_feasible == 0) {
       ++result_.num_unserved;
@@ -225,8 +237,9 @@ int Environment::Apply(int vehicle, double decision_seconds) {
 
   std::vector<Stop> new_suffix = ctx_.options[chosen].insertion.suffix;
   if (config_.local_search_passes > 0) {
+    vehicles_[chosen].MakeAnchor(&anchor_);
     LocalSearchResult improved = ImproveSuffixByReinsertion(
-        planner_, vehicles_[chosen].MakeAnchor(), std::move(new_suffix),
+        planner_, anchor_, std::move(new_suffix),
         vehicles_[chosen].depot(), config_.local_search_passes,
         &vehicles_[chosen].config());
     result_.local_search_km_saved += improved.improvement();
@@ -317,8 +330,9 @@ void Environment::ApplyBreakdown(const DisruptionEvent& event,
 
   // No interference: the committed prefix (including the stop currently
   // being driven to / served) executes as planned; only orders whose
-  // pickup is still in the free suffix can be pulled off the vehicle.
-  const std::vector<Stop> suffix = vehicle.FreeSuffix();
+  // pickup is still in the free suffix can be pulled off the vehicle. The
+  // kept stops are copied out of the suffix view before the route changes.
+  const std::span<const Stop> suffix = vehicle.FreeSuffix();
   std::unordered_set<int> extract_ids;
   for (const Stop& stop : suffix) {
     if (stop.type == StopType::kPickup) extract_ids.insert(stop.order_id);
@@ -342,20 +356,23 @@ void Environment::ApplyBreakdown(const DisruptionEvent& event,
     const Order& order = instance_->order(order_id);
     int best = -1;
     double best_incremental = std::numeric_limits<double>::infinity();
+    Insertion insertion;
     Insertion best_insertion;
     for (size_t v = 0; v < vehicles_.size(); ++v) {
       if (static_cast<int>(v) == event.vehicle) continue;
       VehicleState& candidate = vehicles_[v];
       candidate.AdvanceTo(event.time);
       if (candidate.hold_until() > event.time + 1e-9) continue;
-      Result<Insertion> insertion = planner_.BestInsertion(
-          candidate.MakeAnchor(), candidate.FreeSuffix(), candidate.depot(),
-          order, &candidate.config());
-      if (!insertion.ok()) continue;
-      if (insertion.value().incremental_length < best_incremental) {
-        best_incremental = insertion.value().incremental_length;
+      candidate.MakeAnchor(&anchor_);
+      if (!planner_.BestInsertion(anchor_, candidate.FreeSuffix(),
+                                  candidate.depot(), order, &insertion,
+                                  &candidate.config())) {
+        continue;
+      }
+      if (insertion.incremental_length < best_incremental) {
+        best_incremental = insertion.incremental_length;
         best = static_cast<int>(v);
-        best_insertion = std::move(insertion).value();
+        std::swap(best_insertion, insertion);
       }
     }
     if (best >= 0) {
@@ -399,7 +416,8 @@ void Environment::ApplyCancellation(const DisruptionEvent& event,
   }
   VehicleState& vehicle = vehicles_[v];
   vehicle.AdvanceTo(event.time);
-  const std::vector<Stop> suffix = vehicle.FreeSuffix();
+  // A view: the kept stops are copied out before the route changes.
+  const std::span<const Stop> suffix = vehicle.FreeSuffix();
   bool pickup_free = false;
   for (const Stop& stop : suffix) {
     if (stop.order_id == order_id && stop.type == StopType::kPickup) {

@@ -11,6 +11,7 @@
 #include "sim/dispatcher.h"
 #include "sim/vehicle_state.h"
 #include "stpred/divergence.h"
+#include "stpred/st_score.h"
 
 namespace dpdp {
 
@@ -121,7 +122,9 @@ class Environment {
   void set_episodes_run(int episodes) { episodes_run_ = episodes; }
 
  private:
-  DispatchContext BuildContext(const Order& order, double decision_time);
+  /// Fills ctx_ for `order` in place: every vehicle's option, reusing the
+  /// option and insertion buffers of the previous decision.
+  void BuildContext(const Order& order, double decision_time);
 
   /// Applies every pending disruption event with time <= now.
   void ProcessDisruptionsUntil(double now, EpisodeResult* result);
@@ -135,6 +138,9 @@ class Environment {
   SimulatorConfig config_;
   RoutePlanner planner_;
   std::vector<VehicleState> vehicles_;
+  // Scratch of the context build, reused across vehicles and decisions.
+  PlanAnchor anchor_;
+  StScoreScratch st_scratch_;
 
   int episodes_run_ = 0;
   // Per-episode fault-injection state.

@@ -17,6 +17,19 @@ VehicleState::VehicleState(int id, int depot_node, const Instance* instance,
   DPDP_CHECK(depot_node >= 0 && depot_node < net_->num_nodes());
 }
 
+void VehicleState::Restart() {
+  std::vector<Stop> stops = std::move(stops_);
+  std::vector<int> onboard = std::move(onboard_);
+  std::vector<VisitRecord> visits = std::move(visits_);
+  *this = VehicleState(id_, depot_, instance_, record_visits_);
+  stops.clear();
+  onboard.clear();
+  visits.clear();
+  stops_ = std::move(stops);
+  onboard_ = std::move(onboard);
+  visits_ = std::move(visits);
+}
+
 const Order& VehicleState::LookupOrder(int id) const {
   return instance_->order(id);
 }
@@ -121,29 +134,26 @@ std::pair<double, double> VehicleState::Position() const {
   return {net_->node(node).x, net_->node(node).y};
 }
 
-PlanAnchor VehicleState::MakeAnchor() const {
-  PlanAnchor anchor;
+void VehicleState::MakeAnchor(PlanAnchor* anchor) const {
+  anchor->onboard.assign(onboard_.begin(), onboard_.end());
   if (phase_ == Phase::kIdle) {
-    anchor.node = idle_node_;
+    anchor->node = idle_node_;
     // An active hold delays the earliest possible departure, so planning
     // must anchor at the repair time, not the current clock.
-    anchor.time = std::max(clock_, hold_until_);
-    anchor.onboard = onboard_;
-    return anchor;
+    anchor->time = std::max(clock_, hold_until_);
+    return;
   }
   // The committed stop completes first; the suffix departs from it.
   const Stop& stop = stops_[next_idx_];
-  anchor.node = stop.node;
-  anchor.time = std::max(PredictedServiceEnd(), hold_until_);
-  anchor.onboard = onboard_;
+  anchor->node = stop.node;
+  anchor->time = std::max(PredictedServiceEnd(), hold_until_);
   if (stop.type == StopType::kPickup) {
-    anchor.onboard.push_back(stop.order_id);
+    anchor->onboard.push_back(stop.order_id);
   } else {
-    DPDP_CHECK(!anchor.onboard.empty() &&
-               anchor.onboard.back() == stop.order_id);
-    anchor.onboard.pop_back();
+    DPDP_CHECK(!anchor->onboard.empty() &&
+               anchor->onboard.back() == stop.order_id);
+    anchor->onboard.pop_back();
   }
-  return anchor;
 }
 
 int VehicleState::FirstFreeIndex() const {
@@ -151,9 +161,8 @@ int VehicleState::FirstFreeIndex() const {
   return static_cast<int>(next_idx_) + 1;
 }
 
-std::vector<Stop> VehicleState::FreeSuffix() const {
-  const int first = FirstFreeIndex();
-  return std::vector<Stop>(stops_.begin() + first, stops_.end());
+std::span<const Stop> VehicleState::FreeSuffix() const {
+  return std::span<const Stop>(stops_).subspan(FirstFreeIndex());
 }
 
 void VehicleState::ApplyNewSuffix(std::vector<Stop> new_suffix,

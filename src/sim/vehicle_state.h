@@ -2,6 +2,7 @@
 #define DPDP_SIM_VEHICLE_STATE_H_
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -42,6 +43,11 @@ class VehicleState {
   const std::vector<Stop>& stops() const { return stops_; }
   const std::vector<VisitRecord>& visits() const { return visits_; }
 
+  /// Returns to the freshly constructed state (idle at the depot at time
+  /// 0, no route, no hold, no travel wave) for a new episode; the route,
+  /// onboard and visit buffers keep their capacity.
+  void Restart();
+
   /// Processes all arrival/service-completion events up to `now` (>= the
   /// previous advance).
   void AdvanceTo(double now);
@@ -49,14 +55,17 @@ class VehicleState {
   /// Interpolated planar position at the last advanced time.
   std::pair<double, double> Position() const;
 
-  /// Planning anchor at the last advanced time: the (node, time, onboard
-  /// stack) from which the re-plannable suffix departs. For an idle vehicle
-  /// this is its current node at the current time; for a moving/serving
-  /// vehicle it is the committed stop at its predicted service completion.
-  PlanAnchor MakeAnchor() const;
+  /// Writes the planning anchor at the last advanced time into `*anchor`
+  /// (reusing its onboard buffer): the (node, time, onboard stack) from
+  /// which the re-plannable suffix departs. For an idle vehicle this is its
+  /// current node at the current time; for a moving/serving vehicle it is
+  /// the committed stop at its predicted service completion.
+  void MakeAnchor(PlanAnchor* anchor) const;
 
-  /// The re-plannable stops (everything after the committed prefix).
-  std::vector<Stop> FreeSuffix() const;
+  /// The re-plannable stops (everything after the committed prefix), as a
+  /// view into stops(): valid until the route next changes
+  /// (ApplyNewSuffix), so a caller that changes it must copy first.
+  std::span<const Stop> FreeSuffix() const;
 
   /// Index of the first re-plannable stop in stops().
   int FirstFreeIndex() const;

@@ -2,8 +2,7 @@
 
 namespace dpdp {
 
-void BuildStVectors(const RoadNetwork& network,
-                    const std::vector<Stop>& suffix,
+void BuildStVectors(const RoadNetwork& network, std::span<const Stop> suffix,
                     const SuffixSchedule& schedule,
                     const nn::Matrix& predicted_std, int num_intervals,
                     double horizon_min, std::vector<double>* capacity,
@@ -26,15 +25,15 @@ void BuildStVectors(const RoadNetwork& network,
 }
 
 double ComputeStScore(const RoadNetwork& network,
-                      const std::vector<Stop>& suffix,
+                      std::span<const Stop> suffix,
                       const SuffixSchedule& schedule,
                       const nn::Matrix& predicted_std, int num_intervals,
-                      double horizon_min, DivergenceKind divergence) {
-  std::vector<double> capacity;
-  std::vector<double> demand;
+                      double horizon_min, DivergenceKind divergence,
+                      StScoreScratch* scratch) {
   BuildStVectors(network, suffix, schedule, predicted_std, num_intervals,
-                 horizon_min, &capacity, &demand);
-  return Divergence(divergence, capacity, demand);
+                 horizon_min, &scratch->capacity, &scratch->demand);
+  return Divergence(divergence, scratch->capacity, scratch->demand,
+                    &scratch->divergence);
 }
 
 }  // namespace dpdp

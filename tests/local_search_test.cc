@@ -92,9 +92,11 @@ TEST(LocalSearch, NeverIncreasesLength) {
     const PlanAnchor anchor{0, 0.0, {}};
     // Greedy-construct a route, then improve it.
     std::vector<Stop> route;
+    Insertion ins;
     for (int i = 0; i < n; ++i) {
-      auto ins = planner.BestInsertion(anchor, route, 0, inst.order(i));
-      if (ins.ok()) route = std::move(ins).value().suffix;
+      if (planner.BestInsertion(anchor, route, 0, inst.order(i), &ins)) {
+        route = ins.suffix;
+      }
     }
     if (route.empty()) continue;
     const LocalSearchResult r =

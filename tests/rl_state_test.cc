@@ -161,6 +161,130 @@ TEST(Neighbors, AppendShiftsColumnsByTheItemOffset) {
   EXPECT_EQ(Row(g, 3), std::vector<int>{3});
 }
 
+// The all-pairs ranking AppendNeighbors replaced, kept as the slow,
+// obviously correct reference: every other row ranked by (squared
+// distance, index), the first k kept, each row sorted ascending.
+void ReferenceNeighbors(const nn::Matrix& positions, int k, int offset,
+                        nn::Neighbors* out) {
+  const int m = positions.rows();
+  std::vector<std::pair<double, int>> dist;
+  for (int i = 0; i < m; ++i) {
+    const size_t row_begin = out->cols.size();
+    out->cols.push_back(offset + i);
+    if (k > 0) {
+      dist.clear();
+      for (int j = 0; j < m; ++j) {
+        if (j == i) continue;
+        const double dx = positions(i, 0) - positions(j, 0);
+        const double dy = positions(i, 1) - positions(j, 1);
+        dist.emplace_back(dx * dx + dy * dy, j);
+      }
+      const int take = std::min<int>(k, static_cast<int>(dist.size()));
+      std::partial_sort(dist.begin(), dist.begin() + take, dist.end());
+      for (int t = 0; t < take; ++t) {
+        out->cols.push_back(offset + dist[t].second);
+      }
+      std::sort(out->cols.begin() + row_begin, out->cols.end());
+    }
+    out->offsets.push_back(static_cast<int>(out->cols.size()));
+  }
+}
+
+enum class Layout {
+  kSites,     ///< Co-located rows: a depot site plus a few smaller sites.
+  kDistinct,  ///< Every position distinct.
+  kLattice,   ///< Integer lattice: equal distances across different sites.
+  kTiny,      ///< Distinct positions whose squared differences underflow
+              ///< to 0, so rows of other sites tie with the site mates.
+};
+
+nn::Matrix LayoutPositions(Layout layout, int m, Rng* rng) {
+  nn::Matrix pos(m, 2);
+  const int sites = rng->UniformInt(1, std::max(1, m / 6));
+  nn::Matrix site(sites, 2);
+  for (int s = 0; s < sites; ++s) {
+    site(s, 0) = rng->Uniform(0.0, 8.0);
+    site(s, 1) = rng->Uniform(0.0, 8.0);
+  }
+  for (int i = 0; i < m; ++i) {
+    switch (layout) {
+      case Layout::kSites: {
+        const int s = rng->Bernoulli(0.4) ? 0 : rng->UniformInt(0, sites - 1);
+        pos(i, 0) = site(s, 0);
+        pos(i, 1) = site(s, 1);
+        break;
+      }
+      case Layout::kDistinct:
+        pos(i, 0) = rng->Uniform(0.0, 8.0);
+        pos(i, 1) = rng->Uniform(0.0, 8.0);
+        break;
+      case Layout::kLattice:
+        pos(i, 0) = rng->UniformInt(0, 4);
+        pos(i, 1) = rng->UniformInt(0, 4);
+        break;
+      case Layout::kTiny:
+        pos(i, 0) = 1e-170 * rng->UniformInt(0, 3);
+        pos(i, 1) = 1e-170 * rng->UniformInt(0, 3);
+        break;
+    }
+  }
+  return pos;
+}
+
+TEST(NeighborsDifferential, MatchesAllPairsReference) {
+  Rng rng(17);
+  int cases = 0;
+  std::vector<int> sizes;
+  for (int m = 1; m <= 24; ++m) sizes.push_back(m);
+  for (const int m : {31, 49, 64, 97, 133, 150, 160}) sizes.push_back(m);
+  for (const int m : sizes) {
+    for (const int k : {-1, 0, 1, 8, m - 2, m - 1, m + 3}) {
+      for (const Layout layout : {Layout::kSites, Layout::kDistinct,
+                                  Layout::kLattice, Layout::kTiny}) {
+        const nn::Matrix pos = LayoutPositions(layout, m, &rng);
+        // A previous item already in the graph, so columns are shifted.
+        const int offset = rng.UniformInt(0, 5);
+        nn::Neighbors expected;
+        nn::Neighbors actual;
+        for (int r = 0; r < offset; ++r) {
+          expected.cols.push_back(r);
+          expected.offsets.push_back(r + 1);
+        }
+        actual = expected;
+        ReferenceNeighbors(pos, k, offset, &expected);
+        AppendNeighbors(pos, k, offset, &actual);
+        ASSERT_EQ(actual.offsets, expected.offsets)
+            << "m=" << m << " k=" << k << " layout=" << int(layout);
+        ASSERT_EQ(actual.cols, expected.cols)
+            << "m=" << m << " k=" << k << " layout=" << int(layout);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, static_cast<int>(sizes.size()) * 7 * 4);
+}
+
+TEST(NeighborsDifferential, StackedItemsMatchReferenceAtTheirOffsets) {
+  // Items stacked through DecisionBatch::Add (item-local lists shifted to
+  // global rows) equal the reference built at each item's offset.
+  Rng rng(29);
+  DecisionBatch batch;
+  nn::Neighbors expected;
+  int rows = 0;
+  for (int item = 0; item < 12; ++item) {
+    const int m = rng.UniformInt(1, 60);
+    const Layout layout = static_cast<Layout>(item % 4);
+    const nn::Matrix pos = LayoutPositions(layout, m, &rng);
+    nn::Neighbors local;
+    AppendNeighbors(pos, 8, 0, &local);
+    batch.Add(nn::Matrix(m, kStateFeatures), local);
+    ReferenceNeighbors(pos, 8, rows, &expected);
+    rows += m;
+  }
+  EXPECT_EQ(batch.neighbors().offsets, expected.offsets);
+  EXPECT_EQ(batch.neighbors().cols, expected.cols);
+}
+
 TEST(AppendSubFleetInputs, GathersRowsAndAppendsNeighbors) {
   FleetState state;
   state.features = nn::Matrix(4, kStateFeatures);

@@ -20,6 +20,8 @@ using testing::MakeOrder;
 using testing::MakeTestInstance;
 using testing::MakeTestVehicleConfig;
 
+using Route = std::vector<Stop>;
+
 // The line network with 1 km/min speed and zero service time makes all
 // schedule arithmetic exact: depot(0,0), F1(10,0), F2(20,0), F3(10,10),
 // F4(0,10).
@@ -43,7 +45,7 @@ TEST_F(RoutePlannerTest, SimplePickupDeliverySchedule) {
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 100.0)});
   RoutePlanner planner(&inst);
   const auto r = planner.CheckSuffix(DepotAnchor(),
-                                     {P(0, inst), D(0, inst)}, 0);
+                                     Route{P(0, inst), D(0, inst)}, 0);
   ASSERT_TRUE(r.ok());
   const SuffixSchedule& s = r.value();
   ASSERT_EQ(s.stops.size(), 2u);
@@ -59,7 +61,7 @@ TEST_F(RoutePlannerTest, PickupWaitsForOrderCreation) {
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 50.0, 200.0)});
   RoutePlanner planner(&inst);
   const auto r = planner.CheckSuffix(DepotAnchor(0.0),
-                                     {P(0, inst), D(0, inst)}, 0);
+                                     Route{P(0, inst), D(0, inst)}, 0);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value().stops[0].arrival, 10.0);
   EXPECT_DOUBLE_EQ(r.value().stops[0].service_start, 50.0);  // Waited.
@@ -72,7 +74,7 @@ TEST_F(RoutePlannerTest, LateDeliveryIsInfeasible) {
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 15.0)});
   RoutePlanner planner(&inst);
   const auto r = planner.CheckSuffix(DepotAnchor(),
-                                     {P(0, inst), D(0, inst)}, 0);
+                                     Route{P(0, inst), D(0, inst)}, 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInfeasible);
 }
@@ -88,18 +90,19 @@ TEST_F(RoutePlannerTest, DeadlineToleranceIsOneNanominute) {
     const Instance inst =
         MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, deadline)});
     RoutePlanner planner(&inst);
-    const auto checked = planner.CheckSuffix(DepotAnchor(),
-                                             {P(0, inst), D(0, inst)}, 0);
-    const auto inserted =
-        planner.BestInsertion(DepotAnchor(), {}, 0, inst.order(0));
+    const auto checked = planner.CheckSuffix(
+        DepotAnchor(), Route{P(0, inst), D(0, inst)}, 0);
+    Insertion inserted;
     EXPECT_EQ(checked.ok(), feasible);
-    EXPECT_EQ(inserted.ok(), feasible);
+    EXPECT_EQ(planner.BestInsertion(DepotAnchor(), {}, 0, inst.order(0),
+                                    &inserted),
+              feasible);
     if (feasible) {
       EXPECT_EQ(checked.value().stops[1].arrival, 20.0);
-      EXPECT_EQ(inserted.value().schedule.stops[1].arrival, 20.0);
+      EXPECT_EQ(inserted.schedule.stops[1].arrival, 20.0);
     } else {
       EXPECT_EQ(checked.status().code(), StatusCode::kInfeasible);
-      EXPECT_EQ(inserted.status().code(), StatusCode::kInfeasible);
+      EXPECT_TRUE(inserted.suffix.empty());
     }
   }
 }
@@ -111,11 +114,11 @@ TEST_F(RoutePlannerTest, LifoRejectsFifoInterleaving) {
   RoutePlanner planner(&inst);
   // P0 P1 D0 D1 delivers the bottom of the stack first: LIFO violation.
   const auto fifo = planner.CheckSuffix(
-      DepotAnchor(), {P(0, inst), P(1, inst), D(0, inst), D(1, inst)}, 0);
+      DepotAnchor(), Route{P(0, inst), P(1, inst), D(0, inst), D(1, inst)}, 0);
   EXPECT_FALSE(fifo.ok());
   // P0 P1 D1 D0 nests correctly.
   const auto lifo = planner.CheckSuffix(
-      DepotAnchor(), {P(0, inst), P(1, inst), D(1, inst), D(0, inst)}, 0);
+      DepotAnchor(), Route{P(0, inst), P(1, inst), D(1, inst), D(0, inst)}, 0);
   EXPECT_TRUE(lifo.ok());
 }
 
@@ -126,11 +129,11 @@ TEST_F(RoutePlannerTest, CapacityViolationDetected) {
   RoutePlanner planner(&inst);
   // Both onboard at once: 120 > 100.
   const auto r = planner.CheckSuffix(
-      DepotAnchor(), {P(0, inst), P(1, inst), D(1, inst), D(0, inst)}, 0);
+      DepotAnchor(), Route{P(0, inst), P(1, inst), D(1, inst), D(0, inst)}, 0);
   EXPECT_FALSE(r.ok());
   // Sequential service fits.
   const auto seq = planner.CheckSuffix(
-      DepotAnchor(), {P(0, inst), D(0, inst), P(1, inst), D(1, inst)}, 0);
+      DepotAnchor(), Route{P(0, inst), D(0, inst), P(1, inst), D(1, inst)}, 0);
   EXPECT_TRUE(seq.ok());
 }
 
@@ -138,7 +141,7 @@ TEST_F(RoutePlannerTest, LeftoverCargoIsInfeasible) {
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 500.0)});
   RoutePlanner planner(&inst);
-  const auto r = planner.CheckSuffix(DepotAnchor(), {P(0, inst)}, 0);
+  const auto r = planner.CheckSuffix(DepotAnchor(), Route{P(0, inst)}, 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInfeasible);
 }
@@ -149,7 +152,7 @@ TEST_F(RoutePlannerTest, AnchorOnboardMustBeDelivered) {
   RoutePlanner planner(&inst);
   // Vehicle at F1 carrying order 0: delivering it is feasible...
   PlanAnchor anchor{1, 30.0, {0}};
-  const auto ok = planner.CheckSuffix(anchor, {D(0, inst)}, 0);
+  const auto ok = planner.CheckSuffix(anchor, Route{D(0, inst)}, 0);
   ASSERT_TRUE(ok.ok());
   EXPECT_DOUBLE_EQ(ok.value().stops[0].arrival, 40.0);
   // ...but an empty suffix leaves it onboard.
@@ -165,7 +168,7 @@ TEST_F(RoutePlannerTest, DockingSurchargeAndVehicleProfileShapeSchedule) {
   slow.speed_kmph = 30.0;  // 2 min per km.
   slow.service_time_min = 3.0;
   const auto r = planner.CheckSuffix(DepotAnchor(),
-                                     {P(0, inst), D(0, inst)}, 0, &slow);
+                                     Route{P(0, inst), D(0, inst)}, 0, &slow);
   ASSERT_TRUE(r.ok());
   const std::vector<StopSchedule>& stops = r.value().stops;
   ASSERT_EQ(stops.size(), 2u);
@@ -180,11 +183,11 @@ TEST_F(RoutePlannerTest, DockingSurchargeAndVehicleProfileShapeSchedule) {
 
   // The dock pushes the delivery past a deadline it would otherwise meet.
   inst.orders[0].latest_time_min = 45.0;
-  EXPECT_FALSE(planner.CheckSuffix(DepotAnchor(), {P(0, inst), D(0, inst)},
+  EXPECT_FALSE(planner.CheckSuffix(DepotAnchor(), Route{P(0, inst), D(0, inst)},
                                    0, &slow)
                    .ok());
   inst.node_service_surcharge_min[1] = 0.0;
-  EXPECT_TRUE(planner.CheckSuffix(DepotAnchor(), {P(0, inst), D(0, inst)},
+  EXPECT_TRUE(planner.CheckSuffix(DepotAnchor(), Route{P(0, inst), D(0, inst)},
                                   0, &slow)
                   .ok());
 }
@@ -196,7 +199,7 @@ TEST_F(RoutePlannerTest, ResidualCapacityProfile) {
   RoutePlanner planner(&inst);
   const auto r = planner.CheckSuffix(
       DepotAnchor(),
-      {P(0, inst), D(0, inst), P(1, inst), D(1, inst)}, 0);
+      Route{P(0, inst), D(0, inst), P(1, inst), D(1, inst)}, 0);
   ASSERT_TRUE(r.ok());
   // Residual capacity on *arrival*: before any load, after dropping 30, ...
   const std::vector<double>& rc = r.value().residual_capacity;
@@ -213,7 +216,7 @@ TEST_F(RoutePlannerTest, SuffixLengthIncludesReturnLeg) {
   RoutePlanner planner(&inst);
   EXPECT_DOUBLE_EQ(planner.SuffixLength(DepotAnchor(), {}, 0), 0.0);
   EXPECT_DOUBLE_EQ(
-      planner.SuffixLength(DepotAnchor(), {P(0, inst), D(0, inst)}, 0),
+      planner.SuffixLength(DepotAnchor(), Route{P(0, inst), D(0, inst)}, 0),
       40.0);
   // Idle at F2: return leg only.
   EXPECT_DOUBLE_EQ(planner.SuffixLength(PlanAnchor{2, 0.0, {}}, {}, 0),
@@ -224,13 +227,13 @@ TEST_F(RoutePlannerTest, BestInsertionIntoEmptyRoute) {
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 500.0)});
   RoutePlanner planner(&inst);
-  const auto r =
-      planner.BestInsertion(DepotAnchor(), {}, 0, inst.order(0));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().pickup_pos, 0);
-  EXPECT_EQ(r.value().delivery_pos, 1);
-  EXPECT_EQ(r.value().suffix.size(), 2u);
-  EXPECT_DOUBLE_EQ(r.value().incremental_length, 40.0);
+  Insertion r;
+  ASSERT_TRUE(planner.BestInsertion(DepotAnchor(), {}, 0, inst.order(0), &r));
+  EXPECT_EQ(r.pickup_pos, 0);
+  EXPECT_EQ(r.delivery_pos, 1);
+  EXPECT_EQ(r.suffix.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.old_length, 0.0);
+  EXPECT_DOUBLE_EQ(r.incremental_length, 40.0);
   EXPECT_EQ(planner.last_candidates_evaluated(), 1);
 }
 
@@ -242,11 +245,11 @@ TEST_F(RoutePlannerTest, BestInsertionPrefersHitchhiking) {
                         MakeOrder(1, 1, 2, 10.0, 0.0, 500.0)});
   RoutePlanner planner(&inst);
   const std::vector<Stop> existing{P(0, inst), D(0, inst)};
-  const auto r =
-      planner.BestInsertion(DepotAnchor(), existing, 0, inst.order(1));
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().incremental_length, 0.0, 1e-9);
-  EXPECT_EQ(r.value().suffix.size(), 4u);
+  Insertion r;
+  ASSERT_TRUE(
+      planner.BestInsertion(DepotAnchor(), existing, 0, inst.order(1), &r));
+  EXPECT_NEAR(r.incremental_length, 0.0, 1e-9);
+  EXPECT_EQ(r.suffix.size(), 4u);
 }
 
 TEST_F(RoutePlannerTest, BestInsertionRespectsDeadlinePressure) {
@@ -257,22 +260,29 @@ TEST_F(RoutePlannerTest, BestInsertionRespectsDeadlinePressure) {
                         MakeOrder(1, 1, 2, 10.0, 0.0, 25.0)});
   RoutePlanner planner(&inst);
   const std::vector<Stop> existing{P(0, inst), D(0, inst)};
-  const auto r =
-      planner.BestInsertion(DepotAnchor(), existing, 0, inst.order(1));
-  ASSERT_TRUE(r.ok());
+  Insertion r;
+  ASSERT_TRUE(
+      planner.BestInsertion(DepotAnchor(), existing, 0, inst.order(1), &r));
   // Pickup and delivery of order 1 must come before order 0's stops.
-  EXPECT_EQ(r.value().pickup_pos, 0);
-  EXPECT_EQ(r.value().delivery_pos, 1);
+  EXPECT_EQ(r.pickup_pos, 0);
+  EXPECT_EQ(r.delivery_pos, 1);
 }
 
 TEST_F(RoutePlannerTest, BestInsertionInfeasibleWhenNoPlacementWorks) {
   const Instance inst =
       MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 0.0, 5.0)});
   RoutePlanner planner(&inst);
-  const auto r =
-      planner.BestInsertion(DepotAnchor(), {}, 0, inst.order(0));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInfeasible);
+  // A stale insertion in the output is cleared, never left behind.
+  Insertion r;
+  r.suffix = {P(0, inst), D(0, inst)};
+  r.schedule.stops.resize(2);
+  r.schedule.residual_capacity = {100.0, 90.0};
+  r.pickup_pos = 0;
+  EXPECT_FALSE(planner.BestInsertion(DepotAnchor(), {}, 0, inst.order(0), &r));
+  EXPECT_TRUE(r.suffix.empty());
+  EXPECT_TRUE(r.schedule.stops.empty());
+  EXPECT_TRUE(r.schedule.residual_capacity.empty());
+  EXPECT_EQ(r.pickup_pos, -1);
 }
 
 TEST_F(RoutePlannerTest, CandidateCountIsQuadratic) {
@@ -283,7 +293,8 @@ TEST_F(RoutePlannerTest, CandidateCountIsQuadratic) {
   RoutePlanner planner(&inst);
   const std::vector<Stop> existing{P(0, inst), D(0, inst), P(1, inst),
                                    D(1, inst)};
-  (void)planner.BestInsertion(DepotAnchor(), existing, 0, inst.order(2));
+  Insertion r;
+  (void)planner.BestInsertion(DepotAnchor(), existing, 0, inst.order(2), &r);
   // n = 4 old stops: (n+1)(n+2)/2 = 15 candidate placements.
   EXPECT_EQ(planner.last_candidates_evaluated(), 15);
 }
@@ -318,17 +329,18 @@ TEST_P(InsertionPropertyTest, BestInsertionInvariants) {
   RoutePlanner planner(&inst);
   const PlanAnchor anchor{0, 0.0, {}};
   std::vector<Stop> route;
+  Insertion ins;
   for (int i = 0; i < param.num_existing_orders; ++i) {
-    auto r = planner.BestInsertion(anchor, route, 0, inst.order(i));
-    if (!r.ok()) continue;  // Skip orders that cannot fit.
-    route = std::move(r).value().suffix;
+    // Skip orders that cannot fit.
+    if (planner.BestInsertion(anchor, route, 0, inst.order(i), &ins)) {
+      route = ins.suffix;
+    }
   }
 
   const Order& new_order = inst.order(total - 1);
   const double old_length = planner.SuffixLength(anchor, route, 0);
-  auto r = planner.BestInsertion(anchor, route, 0, new_order);
-  if (!r.ok()) return;  // Infeasibility is a legal outcome.
-  const Insertion& ins = r.value();
+  // Infeasibility is a legal outcome.
+  if (!planner.BestInsertion(anchor, route, 0, new_order, &ins)) return;
 
   // Invariant 1: the returned suffix re-validates.
   const auto recheck = planner.CheckSuffix(anchor, ins.suffix, 0);
@@ -344,6 +356,7 @@ TEST_P(InsertionPropertyTest, BestInsertionInvariants) {
   // Invariant 3: with metric (Euclidean) distances a detour cannot shorten
   // the route.
   EXPECT_GE(ins.incremental_length, -1e-9);
+  EXPECT_EQ(ins.old_length, old_length);
   EXPECT_NEAR(ins.incremental_length, ins.schedule.length - old_length,
               1e-9);
 
@@ -428,9 +441,8 @@ ReferenceResult ReferenceBestInsertion(const RoutePlanner& planner,
     }
   }
   if (out.tied > 0) {
-    best.incremental_length =
-        best.schedule.length -
-        planner.SuffixLength(anchor, old_suffix, depot_node);
+    best.old_length = planner.SuffixLength(anchor, old_suffix, depot_node);
+    best.incremental_length = best.schedule.length - best.old_length;
     out.insertion = std::move(best);
   }
   return out;
@@ -456,10 +468,11 @@ struct DifferentialCoverage {
 // some deliveries are due exactly when the route serves them and the
 // capacity barely exceeds the route's peak load, a docking surcharge on
 // some factories and a vehicle profile with its own speed, capacity and
-// service time. BestInsertion must reproduce the reference bit for bit.
+// service time. BestInsertion must reproduce the reference bit for bit,
+// writing into `reused`, which still holds the previous case's insertion.
 void RunDifferentialCase(const std::shared_ptr<const RoadNetwork>& network,
                          const VehicleConfig& shared, uint64_t seed,
-                         DifferentialCoverage* coverage) {
+                         Insertion* reused, DifferentialCoverage* coverage) {
   SCOPED_TRACE(::testing::Message() << "seed " << seed);
   Rng rng(seed);
   const std::vector<int>& factories = network->factory_ids();
@@ -521,10 +534,13 @@ void RunDifferentialCase(const std::shared_ptr<const RoadNetwork>& network,
     route.push_back({inst.order(*it).delivery_node, *it,
                      StopType::kDelivery});
   }
+  Insertion built;
   for (int e = 0; e < num_existing; ++e) {
-    auto r = planner.BestInsertion(anchor, route, depot,
-                                   inst.order(ids[num_onboard + e]), vehicle);
-    if (r.ok()) route = std::move(r).value().suffix;
+    if (planner.BestInsertion(anchor, route, depot,
+                              inst.order(ids[num_onboard + e]), &built,
+                              vehicle)) {
+      route = built.suffix;
+    }
   }
 
   const auto schedule = planner.CheckSuffix(anchor, route, depot, vehicle);
@@ -559,8 +575,8 @@ void RunDifferentialCase(const std::shared_ptr<const RoadNetwork>& network,
 
   const ReferenceResult expected =
       ReferenceBestInsertion(planner, anchor, route, depot, order, vehicle);
-  const Result<Insertion> actual =
-      planner.BestInsertion(anchor, route, depot, order, vehicle);
+  const bool feasible =
+      planner.BestInsertion(anchor, route, depot, order, reused, vehicle);
 
   ++coverage->cases;
   coverage->onboard += num_onboard > 0 ? 1 : 0;
@@ -572,14 +588,17 @@ void RunDifferentialCase(const std::shared_ptr<const RoadNetwork>& network,
   coverage->capacity += expected.capacity;
 
   EXPECT_EQ(planner.last_candidates_evaluated(), expected.candidates);
-  ASSERT_EQ(actual.ok(), expected.insertion.ok());
-  if (!actual.ok()) {
-    EXPECT_EQ(actual.status().code(), StatusCode::kInfeasible);
+  ASSERT_EQ(feasible, expected.insertion.ok());
+  const Insertion& got = *reused;
+  if (!feasible) {
+    EXPECT_EQ(got.pickup_pos, -1);
+    EXPECT_TRUE(got.suffix.empty());
+    EXPECT_TRUE(got.schedule.stops.empty());
+    EXPECT_TRUE(got.schedule.residual_capacity.empty());
     return;
   }
   ++coverage->feasible;
   coverage->tied += expected.tied > 1 ? 1 : 0;
-  const Insertion& got = actual.value();
   const Insertion& want = expected.insertion.value();
   EXPECT_EQ(got.pickup_pos, want.pickup_pos);
   EXPECT_EQ(got.delivery_pos, want.delivery_pos);
@@ -595,6 +614,7 @@ void RunDifferentialCase(const std::shared_ptr<const RoadNetwork>& network,
   EXPECT_EQ(got.schedule.residual_capacity, want.schedule.residual_capacity);
   EXPECT_EQ(got.schedule.length, want.schedule.length);
   EXPECT_EQ(got.schedule.completion_time, want.schedule.completion_time);
+  EXPECT_EQ(got.old_length, want.old_length);
   EXPECT_EQ(got.incremental_length, want.incremental_length);
 }
 
@@ -615,8 +635,10 @@ void ExpectBroadCoverage(const DifferentialCoverage& c) {
 TEST(BestInsertionDifferential, MatchesReferenceOnLineNetwork) {
   const std::shared_ptr<const RoadNetwork> network = MakeLineNetwork();
   DifferentialCoverage coverage;
+  Insertion reused;
   for (uint64_t seed = 1; seed <= 150; ++seed) {
-    RunDifferentialCase(network, MakeTestVehicleConfig(), seed, &coverage);
+    RunDifferentialCase(network, MakeTestVehicleConfig(), seed, &reused,
+                        &coverage);
   }
   ExpectBroadCoverage(coverage);
   EXPECT_GT(coverage.tied, 0);
@@ -627,9 +649,10 @@ TEST(BestInsertionDifferential, MatchesReferenceOnLineNetwork) {
 TEST(BestInsertionDifferential, MatchesReferenceOnDatasetCampus) {
   const DpdpDataset dataset(StandardDatasetConfig(7, 620.0));
   DifferentialCoverage coverage;
+  Insertion reused;
   for (uint64_t seed = 1; seed <= 150; ++seed) {
     RunDifferentialCase(dataset.network(), dataset.config().vehicle, seed,
-                        &coverage);
+                        &reused, &coverage);
   }
   ExpectBroadCoverage(coverage);
 }

@@ -231,6 +231,136 @@ TEST(RunEpisodeTest, PlanNotRecordedByDefault) {
   EXPECT_TRUE(r.routes.empty());
 }
 
+// -------------------------- context buffers reused across decisions -------
+
+void ExpectSameContext(const DispatchContext& got,
+                       const DispatchContext& want) {
+  EXPECT_EQ(got.order->id, want.order->id);
+  EXPECT_EQ(got.now, want.now);
+  EXPECT_EQ(got.time_interval, want.time_interval);
+  EXPECT_EQ(got.num_feasible, want.num_feasible);
+  ASSERT_EQ(got.options.size(), want.options.size());
+  for (size_t v = 0; v < want.options.size(); ++v) {
+    SCOPED_TRACE(::testing::Message() << "vehicle " << v);
+    const VehicleOption& a = got.options[v];
+    const VehicleOption& b = want.options[v];
+    EXPECT_EQ(a.vehicle, b.vehicle);
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.used, b.used);
+    EXPECT_EQ(a.num_assigned_orders, b.num_assigned_orders);
+    EXPECT_EQ(a.current_length, b.current_length);
+    EXPECT_EQ(a.new_length, b.new_length);
+    EXPECT_EQ(a.incremental_length, b.incremental_length);
+    EXPECT_EQ(a.st_score, b.st_score);
+    EXPECT_EQ(a.position, b.position);
+    const Insertion& x = a.insertion;
+    const Insertion& y = b.insertion;
+    EXPECT_EQ(x.pickup_pos, y.pickup_pos);
+    EXPECT_EQ(x.delivery_pos, y.delivery_pos);
+    EXPECT_EQ(x.suffix, y.suffix);
+    ASSERT_EQ(x.schedule.stops.size(), y.schedule.stops.size());
+    for (size_t s = 0; s < y.schedule.stops.size(); ++s) {
+      EXPECT_EQ(x.schedule.stops[s].arrival, y.schedule.stops[s].arrival);
+      EXPECT_EQ(x.schedule.stops[s].service_start,
+                y.schedule.stops[s].service_start);
+      EXPECT_EQ(x.schedule.stops[s].departure, y.schedule.stops[s].departure);
+    }
+    EXPECT_EQ(x.schedule.residual_capacity, y.schedule.residual_capacity);
+    EXPECT_EQ(x.schedule.length, y.schedule.length);
+    EXPECT_EQ(x.schedule.completion_time, y.schedule.completion_time);
+    EXPECT_EQ(x.old_length, y.old_length);
+    EXPECT_EQ(x.incremental_length, y.incremental_length);
+    if (!a.feasible) {
+      // An infeasible option carries an empty insertion, never a stale one.
+      EXPECT_EQ(x.pickup_pos, -1);
+      EXPECT_TRUE(x.suffix.empty());
+      EXPECT_TRUE(x.schedule.stops.empty());
+      EXPECT_TRUE(x.schedule.residual_capacity.empty());
+    }
+  }
+}
+
+// The environment builds each decision's context in place, reusing the
+// option and insertion buffers of earlier decisions and episodes. Under
+// breakdowns (held vehicles turn infeasible, their orders are re-planned)
+// and cancellations, every context of a second episode must equal, field
+// by field, the context of a fresh environment replayed through the same
+// executed choices.
+TEST(RunEpisodeTest, ReusedContextMatchesFreshEnvironment) {
+  int breakdowns = 0;
+  int replanned = 0;
+  int cancelled = 0;
+  int turned_infeasible = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    std::vector<Order> orders;
+    for (int i = 0; i < 48; ++i) {
+      const int pickup = rng.UniformInt(1, 4);
+      int delivery = rng.UniformInt(1, 4);
+      while (delivery == pickup) delivery = rng.UniformInt(1, 4);
+      const double t = rng.Uniform(0.0, 1200.0);
+      orders.push_back(MakeOrder(i, pickup, delivery, rng.Uniform(5.0, 45.0),
+                                 t, t + rng.Uniform(200.0, 600.0)));
+    }
+    // Slow vehicles keep several stops planned, so a breakdown or a
+    // cancellation finds pickups still in the free suffix.
+    Instance inst = MakeTestInstance(orders, 4);
+    inst.vehicle_config.speed_kmph = 15.0;
+    inst.vehicle_config.service_time_min = 10.0;
+    SimulatorConfig config;
+    config.predicted_std = nn::Matrix(4, 144, 1.0);
+    for (int f = 0; f < 4; ++f) config.predicted_std(f, 3 * f + 5) = 40.0;
+    config.disruption.seed = seed;
+    config.disruption.breakdown_prob = 1.0;
+    config.disruption.cancel_prob = 0.3;
+
+    // Spreads orders over the fleet: the (t mod feasible)-th feasible
+    // vehicle at decision t.
+    auto choose = [](const DispatchContext& ctx, int t) {
+      int skip = t % ctx.num_feasible;
+      for (const VehicleOption& opt : ctx.options) {
+        if (opt.feasible && skip-- == 0) return opt.vehicle;
+      }
+      return -1;
+    };
+
+    Environment env(&inst, config);
+    MinIncrementalLengthDispatcher baseline;
+    (void)RunEpisode(&env, &baseline);  // Grows every buffer once.
+    env.Reset();
+    std::vector<int> executed;
+    std::vector<uint8_t> was_feasible(inst.num_vehicles(), 0);
+    while (env.AdvanceToDecision()) {
+      const DispatchContext& ctx = env.ObserveDecision();
+      Environment fresh(&inst, config);
+      fresh.set_episodes_run(1);
+      fresh.Reset();
+      for (const int vehicle : executed) {
+        ASSERT_TRUE(fresh.AdvanceToDecision());
+        fresh.Apply(vehicle);
+      }
+      ASSERT_TRUE(fresh.AdvanceToDecision());
+      SCOPED_TRACE(::testing::Message() << "decision " << executed.size());
+      ExpectSameContext(ctx, fresh.ObserveDecision());
+      for (const VehicleOption& opt : ctx.options) {
+        if (was_feasible[opt.vehicle] && !opt.feasible) ++turned_infeasible;
+        was_feasible[opt.vehicle] = opt.feasible;
+      }
+      executed.push_back(
+          env.Apply(choose(ctx, static_cast<int>(executed.size()))));
+    }
+    breakdowns += env.result().num_breakdowns;
+    replanned += env.result().num_replanned;
+    cancelled += env.result().num_cancelled;
+  }
+  // The sweep exercised what it is about.
+  EXPECT_GT(breakdowns, 0);
+  EXPECT_GT(replanned, 0);
+  EXPECT_GT(cancelled, 0);
+  EXPECT_GT(turned_infeasible, 0);
+}
+
 // ------------------------- randomized consistency sweep -------------------
 
 class SimulatorPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -103,53 +103,83 @@ TEST(Predictor, EwmaRejectsBadAlpha) {
 
 // ------------------------------------------------------------ Divergence --
 
+using Vec = std::vector<double>;
+
 TEST(Divergence, NormalizeHandlesZeroAndNegative) {
-  const std::vector<double> p = NormalizeDistribution({0.0, 0.0});
+  Vec p;
+  NormalizeDistribution(Vec{0.0, 0.0}, &p);
   EXPECT_NEAR(p[0], 0.5, 1e-9);
-  const std::vector<double> q = NormalizeDistribution({-5.0, 1.0});
+  Vec q;
+  NormalizeDistribution(Vec{-5.0, 1.0}, &q);
   EXPECT_LT(q[0], q[1]);
   EXPECT_NEAR(q[0] + q[1], 1.0, 1e-12);
 }
 
 TEST(Divergence, JsZeroForIdenticalVectors) {
-  EXPECT_NEAR(JsDivergence({1, 2, 3}, {1, 2, 3}), 0.0, 1e-9);
+  DivergenceScratch scratch;
+  EXPECT_NEAR(JsDivergence(Vec{1, 2, 3}, Vec{1, 2, 3}, &scratch), 0.0, 1e-9);
   // Scale invariance (both are normalized).
-  EXPECT_NEAR(JsDivergence({1, 2, 3}, {2, 4, 6}), 0.0, 1e-9);
+  EXPECT_NEAR(JsDivergence(Vec{1, 2, 3}, Vec{2, 4, 6}, &scratch), 0.0, 1e-9);
 }
 
 TEST(Divergence, JsIsSymmetricAndBounded) {
-  const std::vector<double> a{10, 0, 0};
-  const std::vector<double> b{0, 0, 10};
-  EXPECT_NEAR(JsDivergence(a, b), JsDivergence(b, a), 1e-12);
-  EXPECT_LE(JsDivergence(a, b), std::log(2.0) + 1e-9);
-  EXPECT_GT(JsDivergence(a, b), 0.5);  // Nearly disjoint supports.
+  const Vec a{10, 0, 0};
+  const Vec b{0, 0, 10};
+  DivergenceScratch scratch;
+  const double ab = JsDivergence(a, b, &scratch);
+  EXPECT_NEAR(ab, JsDivergence(b, a, &scratch), 1e-12);
+  EXPECT_LE(ab, std::log(2.0) + 1e-9);
+  EXPECT_GT(ab, 0.5);  // Nearly disjoint supports.
 }
 
 TEST(Divergence, SymmetricKlIsSymmetric) {
-  const std::vector<double> a{5, 3, 1};
-  const std::vector<double> b{1, 3, 5};
-  EXPECT_NEAR(SymmetricKlDivergence(a, b), SymmetricKlDivergence(b, a),
-              1e-12);
-  EXPECT_GT(SymmetricKlDivergence(a, b), 0.0);
+  const Vec a{5, 3, 1};
+  const Vec b{1, 3, 5};
+  DivergenceScratch scratch;
+  const double ab = SymmetricKlDivergence(a, b, &scratch);
+  EXPECT_NEAR(ab, SymmetricKlDivergence(b, a, &scratch), 1e-12);
+  EXPECT_GT(ab, 0.0);
 }
 
 TEST(Divergence, KlOfIdenticalIsZero) {
-  const std::vector<double> p = NormalizeDistribution({1, 2, 3});
+  Vec p;
+  NormalizeDistribution(Vec{1, 2, 3}, &p);
   EXPECT_NEAR(KlDivergence(p, p), 0.0, 1e-12);
 }
 
 TEST(Divergence, EmptyVectorsGiveZero) {
-  EXPECT_DOUBLE_EQ(JsDivergence({}, {}), 0.0);
-  EXPECT_DOUBLE_EQ(SymmetricKlDivergence({}, {}), 0.0);
+  DivergenceScratch scratch;
+  EXPECT_DOUBLE_EQ(JsDivergence({}, {}, &scratch), 0.0);
+  EXPECT_DOUBLE_EQ(SymmetricKlDivergence({}, {}, &scratch), 0.0);
 }
 
 TEST(Divergence, DispatchMatchesDirectCalls) {
-  const std::vector<double> a{3, 1};
-  const std::vector<double> b{1, 3};
-  EXPECT_DOUBLE_EQ(Divergence(DivergenceKind::kJensenShannon, a, b),
-                   JsDivergence(a, b));
-  EXPECT_DOUBLE_EQ(Divergence(DivergenceKind::kSymmetricKl, a, b),
-                   SymmetricKlDivergence(a, b));
+  const Vec a{3, 1};
+  const Vec b{1, 3};
+  DivergenceScratch scratch;
+  EXPECT_DOUBLE_EQ(Divergence(DivergenceKind::kJensenShannon, a, b, &scratch),
+                   JsDivergence(a, b, &scratch));
+  EXPECT_DOUBLE_EQ(Divergence(DivergenceKind::kSymmetricKl, a, b, &scratch),
+                   SymmetricKlDivergence(a, b, &scratch));
+}
+
+// A scratch reused across inputs of different lengths leaks nothing: each
+// call equals one on a fresh scratch, bit for bit.
+TEST(Divergence, ReusedScratchMatchesFreshScratch) {
+  const std::vector<std::pair<Vec, Vec>> cases = {
+      {Vec{5, 3, 1, 0, 2}, Vec{1, 3, 5, 2, 0}},
+      {Vec{3, 1}, Vec{1, 3}},
+      {Vec{0, 0, 0}, Vec{-1, 4, 2}},
+      {Vec{7}, Vec{2}}};
+  DivergenceScratch reused;
+  for (const auto& [a, b] : cases) {
+    for (const DivergenceKind kind :
+         {DivergenceKind::kJensenShannon, DivergenceKind::kSymmetricKl}) {
+      DivergenceScratch fresh;
+      EXPECT_EQ(Divergence(kind, a, b, &reused),
+                Divergence(kind, a, b, &fresh));
+    }
+  }
 }
 
 // -------------------------------------------------------------- ST Score --
@@ -211,8 +241,10 @@ TEST_F(StScoreTest, ScoreZeroWhenCapacityTracksDemand) {
                                            144, kMinutesPerDay);
     demand(ordinal, interval) = sched.value().residual_capacity[s];
   }
+  StScoreScratch scratch;
   EXPECT_NEAR(ComputeStScore(*inst.network, suffix, sched.value(), demand,
-                             144, kMinutesPerDay),
+                             144, kMinutesPerDay,
+                             DivergenceKind::kJensenShannon, &scratch),
               0.0, 1e-6);
 }
 
@@ -225,17 +257,22 @@ TEST_F(StScoreTest, MismatchedDemandScoresHigher) {
   const int interval =
       TimeIntervalIndex(schedule_.stops[1].arrival, 144, kMinutesPerDay);
   skewed(ordinal, interval) = 100.0;
-  const double s_uniform = ComputeStScore(
-      *inst_.network, suffix_, schedule_, aligned, 144, kMinutesPerDay);
-  const double s_skewed = ComputeStScore(
-      *inst_.network, suffix_, schedule_, skewed, 144, kMinutesPerDay);
+  StScoreScratch scratch;
+  const double s_uniform =
+      ComputeStScore(*inst_.network, suffix_, schedule_, aligned, 144,
+                     kMinutesPerDay, DivergenceKind::kJensenShannon, &scratch);
+  const double s_skewed =
+      ComputeStScore(*inst_.network, suffix_, schedule_, skewed, 144,
+                     kMinutesPerDay, DivergenceKind::kJensenShannon, &scratch);
   EXPECT_GT(s_skewed, s_uniform);
 }
 
 TEST_F(StScoreTest, EmptyRouteScoresZero) {
   nn::Matrix demand(4, 144, 1.0);
+  StScoreScratch scratch;
   EXPECT_DOUBLE_EQ(ComputeStScore(*inst_.network, {}, SuffixSchedule{},
-                                  demand, 144, kMinutesPerDay),
+                                  demand, 144, kMinutesPerDay,
+                                  DivergenceKind::kJensenShannon, &scratch),
                    0.0);
 }
 
@@ -243,12 +280,13 @@ TEST_F(StScoreTest, KlVariantDiffersFromJs) {
   nn::Matrix demand(4, 144, 0.0);
   demand(0, 1) = 50.0;
   demand(1, 2) = 1.0;
+  StScoreScratch scratch;
   const double js =
       ComputeStScore(*inst_.network, suffix_, schedule_, demand, 144,
-                     kMinutesPerDay, DivergenceKind::kJensenShannon);
+                     kMinutesPerDay, DivergenceKind::kJensenShannon, &scratch);
   const double kl =
       ComputeStScore(*inst_.network, suffix_, schedule_, demand, 144,
-                     kMinutesPerDay, DivergenceKind::kSymmetricKl);
+                     kMinutesPerDay, DivergenceKind::kSymmetricKl, &scratch);
   EXPECT_GT(js, 0.0);
   EXPECT_GT(kl, js);  // Symmetric KL upper-bounds JS.
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "sim/vehicle_state.h"
 #include "tests/test_util.h"
@@ -12,6 +14,12 @@ using testing::MakeOrder;
 using testing::MakeTestInstance;
 
 // Line network, 1 km/min, zero service time unless stated otherwise.
+
+PlanAnchor AnchorOf(const VehicleState& v) {
+  PlanAnchor anchor;
+  v.MakeAnchor(&anchor);
+  return anchor;
+}
 
 class VehicleStateTest : public ::testing::Test {
  protected:
@@ -36,7 +44,7 @@ TEST_F(VehicleStateTest, FreshVehicleIdleAtDepot) {
   EXPECT_FALSE(v.used());
   EXPECT_EQ(v.FirstFreeIndex(), 0);
   EXPECT_TRUE(v.FreeSuffix().empty());
-  const PlanAnchor anchor = v.MakeAnchor();
+  const PlanAnchor anchor = AnchorOf(v);
   EXPECT_EQ(anchor.node, 0);
   EXPECT_DOUBLE_EQ(anchor.time, 100.0);
   EXPECT_TRUE(anchor.onboard.empty());
@@ -71,11 +79,40 @@ TEST_F(VehicleStateTest, AnchorWhileDrivingIsPostStop) {
   v.AdvanceTo(0.0);
   v.ApplyNewSuffix({P(0), D(0)}, true);
   v.AdvanceTo(5.0);  // Driving to the pickup.
-  const PlanAnchor anchor = v.MakeAnchor();
+  const PlanAnchor anchor = AnchorOf(v);
   EXPECT_EQ(anchor.node, 1);            // The locked stop's node.
   EXPECT_DOUBLE_EQ(anchor.time, 10.0);  // Arrival + zero service.
   ASSERT_EQ(anchor.onboard.size(), 1u);  // Pickup applied in the anchor.
   EXPECT_EQ(anchor.onboard[0], 0);
+}
+
+TEST_F(VehicleStateTest, ReusedAnchorAndSuffixViewTrackTheRoute) {
+  VehicleState v(0, 0, &inst_);
+  v.AdvanceTo(0.0);
+  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.AdvanceTo(5.0);  // Driving to P0; D0 is the free suffix.
+  // A reused anchor holding a stale stack gets exactly this one's.
+  PlanAnchor anchor{4, 99.0, {7, 8, 9}};
+  v.MakeAnchor(&anchor);
+  EXPECT_EQ(anchor.node, 1);
+  EXPECT_DOUBLE_EQ(anchor.time, 10.0);
+  EXPECT_EQ(anchor.onboard, std::vector<int>{0});
+  ASSERT_EQ(v.FreeSuffix().size(), 1u);
+  EXPECT_TRUE(v.FreeSuffix()[0] == D(0));
+
+  // The view is taken afresh after the route changes (the stops may have
+  // moved when the route grew).
+  v.ApplyNewSuffix({P(1), D(1), D(0)}, true);
+  const std::span<const Stop> suffix = v.FreeSuffix();
+  ASSERT_EQ(suffix.size(), 3u);
+  EXPECT_TRUE(suffix[0] == P(1));
+  EXPECT_TRUE(suffix[2] == D(0));
+  EXPECT_EQ(suffix.data(), v.stops().data() + v.FirstFreeIndex());
+
+  v.AdvanceTo(300.0);  // Route done: idle, nothing onboard, empty suffix.
+  v.MakeAnchor(&anchor);
+  EXPECT_TRUE(anchor.onboard.empty());
+  EXPECT_TRUE(v.FreeSuffix().empty());
 }
 
 TEST_F(VehicleStateTest, EventsApplyLoadAndVisits) {
@@ -97,7 +134,7 @@ TEST_F(VehicleStateTest, IdleVehicleAnchorsAtLastStop) {
   v.AdvanceTo(0.0);
   v.ApplyNewSuffix({P(0), D(0)}, true);
   v.AdvanceTo(300.0);
-  const PlanAnchor anchor = v.MakeAnchor();
+  const PlanAnchor anchor = AnchorOf(v);
   EXPECT_EQ(anchor.node, 2);              // Waits at F2.
   EXPECT_DOUBLE_EQ(anchor.time, 300.0);   // Ready now, not at 20.
   EXPECT_TRUE(anchor.onboard.empty());
@@ -165,7 +202,7 @@ TEST_F(VehicleStateTest, ServiceTimeDelaysDeparture) {
   v.AdvanceTo(12.0);  // Arrived at 10, serving until 15.
   // Anchor is post-pickup: service end 15 at F1... but the pickup is the
   // stop being served, so the anchor reflects its completion.
-  const PlanAnchor anchor = v.MakeAnchor();
+  const PlanAnchor anchor = AnchorOf(v);
   EXPECT_EQ(anchor.node, 1);
   EXPECT_DOUBLE_EQ(anchor.time, 15.0);
   v.AdvanceTo(16.0);  // Departed toward F2 at 15.
