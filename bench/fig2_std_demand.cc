@@ -43,7 +43,8 @@ int main() {
               "Frobenius; smaller = more similar) ---\n");
   dpdp::TextTable table({"day", "d10", "d11", "d14", "d24"});
   for (int i = 0; i < 4; ++i) {
-    std::vector<std::string> row{"d" + std::to_string(days[i])};
+    std::vector<std::string> row(1, "d");
+    row[0] += std::to_string(days[i]);
     for (int j = 0; j < 4; ++j) {
       const double denom =
           0.5 * (pooled[i].FrobeniusNorm() + pooled[j].FrobeniusNorm());

@@ -16,10 +16,11 @@
 
 int main() {
   const int num_instances =
-      dpdp::EnvInt("DPDP_INSTANCES", 1);
+      dpdp::EnvIntStrict("DPDP_INSTANCES", 1, 1, 10000);
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 10 : 150);
-  const int seeds = dpdp::EnvInt("DPDP_SEEDS", 2);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 10 : 150,
+                         1, 1000000);
+  const int seeds = dpdp::EnvIntStrict("DPDP_SEEDS", 2, 1, 10000);
 
   dpdp::DpdpDataset dataset(
       dpdp::StandardDatasetConfig(/*seed=*/7, /*mean_orders_per_day=*/150.0));
@@ -76,8 +77,12 @@ int main() {
     std::string per_nuv;
     std::string per_tc;
     for (size_t i = 0; i < nuv[method].size(); ++i) {
-      per_nuv += (i ? " " : "") + dpdp::TextTable::Num(nuv[method][i], 1);
-      per_tc += (i ? " " : "") + dpdp::TextTable::Num(tc[method][i], 0);
+      if (i > 0) {
+        per_nuv += ' ';
+        per_tc += ' ';
+      }
+      per_nuv += dpdp::TextTable::Num(nuv[method][i], 1);
+      per_tc += dpdp::TextTable::Num(tc[method][i], 0);
     }
     nuv_table.AddRow({method, per_nuv,
                       dpdp::TextTable::Num(dpdp::Mean(nuv[method]), 1)});

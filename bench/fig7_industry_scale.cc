@@ -23,10 +23,12 @@
 #include "core/dpdp.h"
 
 int main() {
-  const int num_days = dpdp::EnvInt("DPDP_DAYS", dpdp::FastMode() ? 2 : 4);
+  const int num_days =
+      dpdp::EnvIntStrict("DPDP_DAYS", dpdp::FastMode() ? 2 : 4, 1, 10000);
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 4 : 40);
-  const int num_vehicles = dpdp::EnvInt("DPDP_VEHICLES", 150);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 4 : 40,
+                         1, 1000000);
+  const int num_vehicles = dpdp::EnvIntStrict("DPDP_VEHICLES", 150, 1, 100000);
 
   dpdp::DpdpDataset dataset(
       dpdp::StandardDatasetConfig(/*seed=*/7, /*mean_orders_per_day=*/620.0));

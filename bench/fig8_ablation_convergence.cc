@@ -38,7 +38,8 @@ int ConvergenceEpisode(const std::vector<double>& tc) {
 
 int main() {
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 12 : 150);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 12 : 150,
+                         1, 1000000);
 
   dpdp::DpdpDataset dataset(
       dpdp::StandardDatasetConfig(/*seed=*/7, /*mean_orders_per_day=*/150.0));

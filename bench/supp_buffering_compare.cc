@@ -13,8 +13,8 @@
 #include "core/dpdp.h"
 
 int main() {
-  const int num_orders = dpdp::EnvInt("DPDP_ORDERS", 150);
-  const int num_vehicles = dpdp::EnvInt("DPDP_VEHICLES", 50);
+  const int num_orders = dpdp::EnvIntStrict("DPDP_ORDERS", 150, 1, 100000);
+  const int num_vehicles = dpdp::EnvIntStrict("DPDP_VEHICLES", 50, 1, 100000);
 
   dpdp::DpdpDataset dataset(dpdp::StandardDatasetConfig(
       /*seed=*/7, static_cast<double>(num_orders)));

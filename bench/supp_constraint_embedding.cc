@@ -14,10 +14,10 @@
 #include "core/dpdp.h"
 
 int main() {
-  const int num_orders = dpdp::EnvInt("DPDP_ORDERS", 600);
-  const int num_vehicles = dpdp::EnvInt("DPDP_VEHICLES", 40);
+  const int num_orders = dpdp::EnvIntStrict("DPDP_ORDERS", 600, 1, 100000);
+  const int num_vehicles = dpdp::EnvIntStrict("DPDP_VEHICLES", 40, 1, 100000);
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 2 : 4);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 2 : 4, 1, 1000000);
 
   dpdp::DpdpDataset dataset(dpdp::StandardDatasetConfig(
       /*seed=*/7, static_cast<double>(num_orders)));

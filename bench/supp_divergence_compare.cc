@@ -10,8 +10,10 @@
 
 int main() {
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120);
-  const int seeds = dpdp::EnvInt("DPDP_SEEDS", dpdp::FastMode() ? 1 : 2);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120,
+                         1, 1000000);
+  const int seeds =
+      dpdp::EnvIntStrict("DPDP_SEEDS", dpdp::FastMode() ? 1 : 2, 1, 10000);
 
   dpdp::DpdpDataset dataset(
       dpdp::StandardDatasetConfig(/*seed=*/7, /*mean_orders_per_day=*/150.0));

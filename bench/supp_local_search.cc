@@ -11,10 +11,11 @@
 #include "core/dpdp.h"
 
 int main() {
-  const int num_orders = dpdp::EnvInt("DPDP_ORDERS", 150);
-  const int num_vehicles = dpdp::EnvInt("DPDP_VEHICLES", 50);
+  const int num_orders = dpdp::EnvIntStrict("DPDP_ORDERS", 150, 1, 100000);
+  const int num_vehicles = dpdp::EnvIntStrict("DPDP_VEHICLES", 50, 1, 100000);
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120,
+                         1, 1000000);
 
   dpdp::DpdpDataset dataset(dpdp::StandardDatasetConfig(
       /*seed=*/7, static_cast<double>(num_orders)));

@@ -15,7 +15,8 @@
 
 int main() {
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120,
+                         1, 1000000);
 
   dpdp::DpdpDataset dataset(
       dpdp::StandardDatasetConfig(/*seed=*/7, /*mean_orders_per_day=*/150.0));

@@ -19,9 +19,11 @@
 
 int main() {
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 10 : 120,
+                         1, 1000000);
   const double exact_limit =
-      dpdp::EnvDouble("DPDP_EXACT_SECONDS", dpdp::FastMode() ? 2.0 : 30.0);
+      dpdp::EnvDoubleStrict("DPDP_EXACT_SECONDS", dpdp::FastMode() ? 2.0 : 30.0,
+                            0.0, 86400.0);
 
   // Tiny instances sample concurrent orders from the 9:00-12:00 peak so a
   // single vehicle cannot trivially chain everything (the paper's sampled

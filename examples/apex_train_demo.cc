@@ -1,8 +1,8 @@
 // Ape-X training-fabric demo and benchmark: N closed-loop actors generate
 // experience through the batched serving path (DispatchService /
-// ShardRouter) while one learner consumes minibatches from the sharded
-// replay and hot-swaps new weights to the actors through the ModelServer
-// snapshot channel.
+// ShardRouter) while one learner consumes minibatches from its replay and
+// hot-swaps new weights to the actors through the ModelServer snapshot
+// channel.
 //
 // What it proves, end to end:
 //   * deterministic replay-order mode is actor-count invariant — the
@@ -149,12 +149,15 @@ void WriteBenchJson(const std::string& path,
 }  // namespace
 
 int main() {
-  const int orders = dpdp::EnvInt("DPDP_TRAIN_ORDERS", 10);
-  const int vehicles = dpdp::EnvInt("DPDP_TRAIN_VEHICLES", 4);
-  const int hidden = dpdp::EnvInt("DPDP_TRAIN_HIDDEN", 32);
-  const int episodes = dpdp::EnvInt("DPDP_TRAIN_EPISODES", 12);
-  const int sync_every = dpdp::EnvInt("DPDP_TRAIN_SYNC_EVERY", 4);
-  const long commit_us = dpdp::EnvInt("DPDP_SERVE_COMMIT_US", 4000);
+  const int orders = dpdp::EnvIntStrict("DPDP_TRAIN_ORDERS", 10, 1, 100000);
+  const int vehicles = dpdp::EnvIntStrict("DPDP_TRAIN_VEHICLES", 4, 1, 100000);
+  const int hidden = dpdp::EnvIntStrict("DPDP_TRAIN_HIDDEN", 32, 1, 4096);
+  const int episodes =
+      dpdp::EnvIntStrict("DPDP_TRAIN_EPISODES", 12, 1, 1000000);
+  const int sync_every =
+      dpdp::EnvIntStrict("DPDP_TRAIN_SYNC_EVERY", 4, 1, 1000000);
+  const long commit_us =
+      dpdp::EnvIntStrict("DPDP_SERVE_COMMIT_US", 4000, 0, 60000000);
 
   dpdp::DpdpDataset dataset(
       dpdp::StandardDatasetConfig(/*seed=*/3, /*mean_orders_per_day=*/90.0));
@@ -203,8 +206,6 @@ int main() {
     config.episodes = episodes;
     config.sync_every = sync_every;
     config.deterministic = true;
-    config.replay_shards = 4;
-    config.shard_capacity = 4096;
     config.updates_per_generation = 8;
     config.serve.max_batch = 8;
     config.serve.max_wait_us = 50;

@@ -128,10 +128,13 @@ double ShardSum(int num_shards, const std::string& field) {
 }  // namespace
 
 int main() {
-  const int num_shards = dpdp::EnvInt("DPDP_CHAOS_SHARDS", 4);
-  const int num_clients = dpdp::EnvInt("DPDP_CHAOS_CLIENTS", 8);
-  const int max_waves = dpdp::EnvInt("DPDP_CHAOS_MAX_WAVES", 200);
-  const long deadline_us = dpdp::EnvInt("DPDP_SERVE_DEADLINE_US", 20000);
+  const int num_shards = dpdp::EnvIntStrict("DPDP_CHAOS_SHARDS", 4, 1, 256);
+  const int num_clients =
+      dpdp::EnvIntStrict("DPDP_CHAOS_CLIENTS", 8, 1, 100000);
+  const int max_waves =
+      dpdp::EnvIntStrict("DPDP_CHAOS_MAX_WAVES", 200, 1, 1000000);
+  const long deadline_us =
+      dpdp::EnvIntStrict("DPDP_SERVE_DEADLINE_US", 20000, 0, 600000000);
   constexpr int kRequestsPerWave = 10;
   DPDP_CHECK(num_shards >= 2 && num_clients >= 1);
 
@@ -407,7 +410,8 @@ int main() {
 
   // Deterministic scrape window for external scrapers, then stop the
   // plane (final time-series sample + timeseries.csv/json export).
-  const long linger_ms = dpdp::EnvInt("DPDP_OBS_LINGER_MS", 0);
+  const long linger_ms =
+      dpdp::EnvIntStrict("DPDP_OBS_LINGER_MS", 0, 0, 3600000);
   if (linger_ms > 0 && telemetry.exporter().running()) {
     std::printf("  telemetry: lingering %ld ms for scrapers\n", linger_ms);
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));

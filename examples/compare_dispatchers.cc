@@ -13,11 +13,13 @@
 int main() {
   using dpdp::TextTable;
 
-  const int num_orders = dpdp::EnvInt("DPDP_ORDERS", 150);
-  const int num_vehicles = dpdp::EnvInt("DPDP_VEHICLES", 50);
+  const int num_orders = dpdp::EnvIntStrict("DPDP_ORDERS", 150, 1, 100000);
+  const int num_vehicles = dpdp::EnvIntStrict("DPDP_VEHICLES", 50, 1, 100000);
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 5 : 60);
-  const int seeds = dpdp::EnvInt("DPDP_SEEDS", dpdp::FastMode() ? 1 : 2);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 5 : 60,
+                         1, 1000000);
+  const int seeds =
+      dpdp::EnvIntStrict("DPDP_SEEDS", dpdp::FastMode() ? 1 : 2, 1, 10000);
 
   dpdp::DpdpDataset dataset(dpdp::StandardDatasetConfig(
       /*seed=*/7, /*mean_orders_per_day=*/static_cast<double>(num_orders)));

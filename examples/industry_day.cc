@@ -35,10 +35,11 @@ void PrintReport(const char* label, const dpdp::EpisodeResult& r,
 }  // namespace
 
 int main() {
-  const int day = dpdp::EnvInt("DPDP_DAY", 33);
-  const int num_vehicles = dpdp::EnvInt("DPDP_VEHICLES", 150);
+  const int day = dpdp::EnvIntStrict("DPDP_DAY", 33, 0, 100000);
+  const int num_vehicles = dpdp::EnvIntStrict("DPDP_VEHICLES", 150, 1, 100000);
   const int episodes =
-      dpdp::EnvInt("DPDP_EPISODES", dpdp::FastMode() ? 3 : 25);
+      dpdp::EnvIntStrict("DPDP_EPISODES", dpdp::FastMode() ? 3 : 25,
+                         1, 1000000);
 
   dpdp::DpdpDataset dataset(
       dpdp::StandardDatasetConfig(/*seed=*/7, /*mean_orders_per_day=*/620.0));

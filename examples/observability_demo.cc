@@ -55,7 +55,7 @@ int main() {
   // span tracer was armed by DPDP_TRACE=1 at startup and flushes
   // trace.json at process exit.
   dpdp::TrainOptions options;
-  options.episodes = dpdp::EnvInt("DPDP_EPISODES", 2);
+  options.episodes = dpdp::EnvIntStrict("DPDP_EPISODES", 2, 1, 1000000);
   const dpdp::TrainingCurve curve =
       dpdp::RunEpisodes(&env, agent.get(), options);
 

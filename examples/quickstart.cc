@@ -50,8 +50,8 @@ int main() {
   }
 
   // 5. Train ST-DDGN briefly and evaluate the greedy policy.
-  const int episodes = dpdp::EnvInt("DPDP_EPISODES",
-                                    dpdp::FastMode() ? 5 : 40);
+  const int episodes = dpdp::EnvIntStrict(
+      "DPDP_EPISODES", dpdp::FastMode() ? 5 : 40, 1, 1000000);
   const dpdp::DrlOutcome outcome = dpdp::TrainEvalOnInstance(
       instance, predicted.value(), "ST-DDGN", /*seed=*/1, episodes);
   add_row("ST-DDGN (trained)", outcome.eval);

@@ -132,11 +132,11 @@ void WriteBenchJson(const std::string& path,
 }  // namespace
 
 int main() {
-  const int clients = dpdp::EnvInt("DPDP_SERVE_CLIENTS", 8);
-  const int episodes = dpdp::EnvInt("DPDP_SERVE_EPISODES", 1);
-  const int orders = dpdp::EnvInt("DPDP_SERVE_ORDERS", 24);
-  const int vehicles = dpdp::EnvInt("DPDP_SERVE_VEHICLES", 8);
-  const int hidden = dpdp::EnvInt("DPDP_SERVE_HIDDEN", 512);
+  const int clients = dpdp::EnvIntStrict("DPDP_SERVE_CLIENTS", 8, 1, 100000);
+  const int episodes = dpdp::EnvIntStrict("DPDP_SERVE_EPISODES", 1, 1, 1000000);
+  const int orders = dpdp::EnvIntStrict("DPDP_SERVE_ORDERS", 24, 1, 100000);
+  const int vehicles = dpdp::EnvIntStrict("DPDP_SERVE_VEHICLES", 8, 1, 100000);
+  const int hidden = dpdp::EnvIntStrict("DPDP_SERVE_HIDDEN", 512, 1, 4096);
   DPDP_CHECK(clients > 0 && episodes > 0);
 
   // One sampled campus per client, each with its own seed. Client i's
@@ -204,9 +204,12 @@ int main() {
   // `clients` requests pending, so the flush trigger defaults to exactly
   // that (the env-var overrides still win).
   dpdp::serve::ServeConfig serve_config;
-  serve_config.max_batch = dpdp::EnvInt("DPDP_SERVE_MAX_BATCH", clients);
-  serve_config.max_wait_us = dpdp::EnvInt("DPDP_SERVE_MAX_WAIT_US", 300);
-  serve_config.queue_capacity = dpdp::EnvInt("DPDP_SERVE_QUEUE_CAP", 256);
+  serve_config.max_batch =
+      dpdp::EnvIntStrict("DPDP_SERVE_MAX_BATCH", clients, 1, 65536);
+  serve_config.max_wait_us =
+      dpdp::EnvIntStrict("DPDP_SERVE_MAX_WAIT_US", 300, 0, 60000000);
+  serve_config.queue_capacity =
+      dpdp::EnvIntStrict("DPDP_SERVE_QUEUE_CAP", 256, 1, 100000000);
   dpdp::serve::DispatchService service(serve_config, &models);
 
   // Phase A on the checkpoint-loaded model...

@@ -138,12 +138,15 @@ void WriteBenchJson(const std::string& path,
 }  // namespace
 
 int main() {
-  const int num_campuses = dpdp::EnvInt("DPDP_SHARD_CAMPUSES", 240);
-  const int num_clients = dpdp::EnvInt("DPDP_SHARD_CLIENTS", 960);
-  const int orders = dpdp::EnvInt("DPDP_SHARD_ORDERS", 6);
-  const int vehicles = dpdp::EnvInt("DPDP_SHARD_VEHICLES", 4);
-  const int hidden = dpdp::EnvInt("DPDP_SHARD_HIDDEN", 64);
-  const long commit_us = dpdp::EnvInt("DPDP_SERVE_COMMIT_US", 8000);
+  const int num_campuses =
+      dpdp::EnvIntStrict("DPDP_SHARD_CAMPUSES", 240, 1, 1000000);
+  const int num_clients =
+      dpdp::EnvIntStrict("DPDP_SHARD_CLIENTS", 960, 1, 100000);
+  const int orders = dpdp::EnvIntStrict("DPDP_SHARD_ORDERS", 6, 1, 100000);
+  const int vehicles = dpdp::EnvIntStrict("DPDP_SHARD_VEHICLES", 4, 1, 100000);
+  const int hidden = dpdp::EnvIntStrict("DPDP_SHARD_HIDDEN", 64, 1, 4096);
+  const long commit_us =
+      dpdp::EnvIntStrict("DPDP_SERVE_COMMIT_US", 8000, 0, 60000000);
   const std::vector<int> shard_counts =
       ParseCounts(dpdp::EnvStr("DPDP_SHARD_COUNTS", "1,2,4,8"));
   DPDP_CHECK(num_campuses > 0 && num_clients >= num_campuses);
@@ -206,9 +209,10 @@ int main() {
   for (const int num_shards : shard_counts) {
     dpdp::serve::ShardedServeConfig serve_config;
     serve_config.num_shards = num_shards;
-    serve_config.shard.max_batch = dpdp::EnvInt("DPDP_SERVE_MAX_BATCH", 16);
+    serve_config.shard.max_batch =
+        dpdp::EnvIntStrict("DPDP_SERVE_MAX_BATCH", 16, 1, 65536);
     serve_config.shard.max_wait_us =
-        dpdp::EnvInt("DPDP_SERVE_MAX_WAIT_US", 300);
+        dpdp::EnvIntStrict("DPDP_SERVE_MAX_WAIT_US", 300, 0, 60000000);
     // Admission must never trip in this demo: a shed reply is a greedy
     // decision and would (correctly) fail the bitwise check.
     serve_config.shard.queue_capacity = num_clients;
@@ -282,7 +286,8 @@ int main() {
   // window over the fully-populated registry, then stop the plane (the
   // sampler's final export writes timeseries.csv/json under
   // DPDP_METRICS_DIR).
-  const long linger_ms = dpdp::EnvInt("DPDP_OBS_LINGER_MS", 0);
+  const long linger_ms =
+      dpdp::EnvIntStrict("DPDP_OBS_LINGER_MS", 0, 0, 3600000);
   if (linger_ms > 0 && telemetry.exporter().running()) {
     std::printf("  telemetry: lingering %ld ms for scrapers\n", linger_ms);
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));

@@ -82,7 +82,6 @@
 #include "train/actor.h"
 #include "train/apex.h"
 #include "train/learner.h"
-#include "train/replay_shard.h"
 #include "util/env.h"
 #include "util/log.h"
 #include "util/result.h"

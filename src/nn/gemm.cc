@@ -274,7 +274,7 @@ Workspace& ThreadLocalWorkspace() {
 int GemmThreads() {
   int n = g_gemm_threads.load(std::memory_order_relaxed);
   if (n == 0) {
-    n = std::max(1, EnvInt("DPDP_GEMM_THREADS", 1));
+    n = EnvIntStrict("DPDP_GEMM_THREADS", 1, 1, 256);
     g_gemm_threads.store(n, std::memory_order_relaxed);
   }
   return n;

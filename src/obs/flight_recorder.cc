@@ -124,7 +124,9 @@ FlightRing& LocalRing() {
   return ring;
 }
 
-bool InitFlightEnabled() { return EnvInt("DPDP_FLIGHT_RECORDER", 0) != 0; }
+bool InitFlightEnabled() {
+  return EnvBoolStrict("DPDP_FLIGHT_RECORDER", false);
+}
 
 std::atomic<uint64_t> g_dump_count{0};
 

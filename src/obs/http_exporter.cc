@@ -142,7 +142,7 @@ std::string PrometheusFromSnapshot(
 
 HttpExporter::HttpExporter(int port) : configured_port_(port) {
   if (configured_port_ < 0) {
-    configured_port_ = EnvInt("DPDP_OBS_HTTP_PORT", -1);
+    configured_port_ = EnvIntStrict("DPDP_OBS_HTTP_PORT", -1, -1, 65535);
   }
   endpoints_["/metrics"] = [] {
     HttpResponse response;

@@ -32,13 +32,17 @@ const MetricSnapshot* Find(const std::vector<MetricSnapshot>& snapshot,
 
 SloConfig SloConfigFromEnv() {
   SloConfig config;
-  config.window_ms = EnvInt("DPDP_SLO_WINDOW_MS", config.window_ms);
-  config.p99_latency_s = EnvDouble("DPDP_SLO_P99_S", config.p99_latency_s);
-  config.max_shed_rate =
-      EnvDouble("DPDP_SLO_MAX_SHED_RATE", config.max_shed_rate);
-  config.max_deadline_rate =
-      EnvDouble("DPDP_SLO_MAX_DEADLINE_RATE", config.max_deadline_rate);
-  config.error_budget = EnvDouble("DPDP_SLO_BUDGET", config.error_budget);
+  config.window_ms =
+      EnvIntStrict("DPDP_SLO_WINDOW_MS", config.window_ms, 1, 86400000);
+  // Objectives below zero are off; -1 is the documented spelling.
+  config.p99_latency_s = EnvDoubleStrict("DPDP_SLO_P99_S",
+                                         config.p99_latency_s, -1.0, 3600.0);
+  config.max_shed_rate = EnvDoubleStrict("DPDP_SLO_MAX_SHED_RATE",
+                                         config.max_shed_rate, -1.0, 1.0);
+  config.max_deadline_rate = EnvDoubleStrict(
+      "DPDP_SLO_MAX_DEADLINE_RATE", config.max_deadline_rate, -1.0, 1.0);
+  config.error_budget =
+      EnvDoubleStrict("DPDP_SLO_BUDGET", config.error_budget, 0.0, 1.0);
   return config;
 }
 

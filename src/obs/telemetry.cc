@@ -12,7 +12,6 @@ Telemetry::Options Telemetry::FromEnv() {
   Options options;
   options.sampler = TimeSeriesSampler::FromEnv();
   options.slo = SloConfigFromEnv();
-  options.http_port = EnvInt("DPDP_OBS_HTTP_PORT", -1);
   return options;
 }
 

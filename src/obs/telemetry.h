@@ -33,7 +33,9 @@ class Telemetry {
   struct Options {
     TimeSeriesSampler::Options sampler;
     SloConfig slo;
-    int http_port = -1;  ///< < 0 = exporter disabled.
+    /// >= 0 binds that port (0 = ephemeral); < 0 defers to the exporter,
+    /// the one reader of DPDP_OBS_HTTP_PORT (unset = disabled).
+    int http_port = -1;
   };
 
   /// All knobs from the environment (see class comment).

@@ -21,9 +21,9 @@ std::string FormatDouble(double v) {
 
 TimeSeriesSampler::Options TimeSeriesSampler::FromEnv() {
   Options options;
-  options.sample_interval_ms = EnvInt("DPDP_OBS_SAMPLE_MS", 0);
-  options.capacity = EnvInt("DPDP_OBS_SAMPLE_ROWS", 512);
-  if (options.capacity < 1) options.capacity = 1;
+  options.sample_interval_ms =
+      EnvIntStrict("DPDP_OBS_SAMPLE_MS", 0, 0, 3600000);
+  options.capacity = EnvIntStrict("DPDP_OBS_SAMPLE_ROWS", 512, 1, 10000000);
   return options;
 }
 

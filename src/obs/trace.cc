@@ -101,7 +101,7 @@ void WriteTraceAtExit() {
 }
 
 bool InitTraceEnabled() {
-  const bool enabled = EnvInt("DPDP_TRACE", 0) != 0;
+  const bool enabled = EnvBoolStrict("DPDP_TRACE", false);
   // Bench/example binaries get a trace file without any explicit flush
   // call; explicit WriteTraceFile calls earlier just leave an empty tail.
   if (enabled) std::atexit(WriteTraceAtExit);

@@ -1,5 +1,7 @@
 #include "rl/config.h"
 
+#include <algorithm>
+
 #include "util/env.h"
 
 namespace dpdp {
@@ -7,11 +9,19 @@ namespace {
 
 AgentConfig MakeBaseConfig() {
   AgentConfig c;
-  c.parallel_batch = EnvInt("DPDP_PARALLEL_BATCH", 0) != 0;
+  c.parallel_batch = EnvBoolStrict("DPDP_PARALLEL_BATCH", false);
   return c;
 }
 
 }  // namespace
+
+double EpsilonAt(const AgentConfig& config, int episodes) {
+  const double frac =
+      std::min(1.0, static_cast<double>(episodes) /
+                        std::max(1, config.epsilon_decay_episodes));
+  return config.epsilon_start +
+         frac * (config.epsilon_end - config.epsilon_start);
+}
 
 AgentConfig MakeDqnConfig(uint64_t seed) {
   AgentConfig c = MakeBaseConfig();

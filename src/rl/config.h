@@ -94,6 +94,12 @@ struct AgentConfig {
   uint64_t seed = 17;
 };
 
+/// The exploration rate after `episodes` training episodes: a linear decay
+/// from epsilon_start to epsilon_end over epsilon_decay_episodes, then
+/// flat. The one schedule of both the local agent (evaluated after each
+/// Learn) and the Ape-X fabric (evaluated at each global episode index).
+double EpsilonAt(const AgentConfig& config, int episodes);
+
 /// Convenience constructors for the ablation grid of Table II.
 AgentConfig MakeDqnConfig(uint64_t seed);      ///< DQN: no graph, no ST, single.
 AgentConfig MakeDdqnConfig(uint64_t seed);     ///< DDQN: no graph, no ST.

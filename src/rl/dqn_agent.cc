@@ -11,6 +11,7 @@
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/binary_io.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -140,11 +141,7 @@ void DqnFleetAgent::Learn(const EpisodeResult& result) {
   }
 
   ++episodes_trained_;
-  const double frac = std::min(
-      1.0, static_cast<double>(episodes_trained_) /
-               std::max(1, config_.epsilon_decay_episodes));
-  epsilon_ = config_.epsilon_start +
-             frac * (config_.epsilon_end - config_.epsilon_start);
+  epsilon_ = EpsilonAt(config_, episodes_trained_);
   if (episodes_trained_ % config_.target_sync_episodes == 0) {
     SyncTarget();
   }
@@ -468,17 +465,6 @@ namespace {
 
 constexpr uint32_t kAgentStateVersion = 1;
 
-template <typename T>
-void WritePod(std::ostream* os, const T& value) {
-  os->write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-bool ReadPod(std::istream* is, T* value) {
-  is->read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(*is);
-}
-
 }  // namespace
 
 Status DqnFleetAgent::SaveState(std::ostream* os) const {
@@ -488,11 +474,7 @@ Status DqnFleetAgent::SaveState(std::ostream* os) const {
   nn::SaveParameters(online_->Params(), os);
   nn::SaveParameters(target_->Params(), os);
   optimizer_->SaveState(os);
-  const Rng::State rng_state = rng_.GetState();
-  WritePod(os, rng_state.seed);
-  for (uint64_t word : rng_state.s) WritePod(os, word);
-  WritePod(os, static_cast<uint8_t>(rng_state.have_cached_normal ? 1 : 0));
-  WritePod(os, rng_state.cached_normal);
+  WriteRngState(os, rng_.GetState());
   WritePod(os, epsilon_);
   WritePod(os, static_cast<int32_t>(episodes_trained_));
   WritePod(os, last_loss_);
@@ -519,14 +501,9 @@ Status DqnFleetAgent::LoadState(std::istream* is) {
     return Status::InvalidArgument("optimizer state malformed");
   }
   Rng::State rng_state;
-  uint8_t have_cached = 0;
-  if (!ReadPod(is, &rng_state.seed) || !ReadPod(is, &rng_state.s[0]) ||
-      !ReadPod(is, &rng_state.s[1]) || !ReadPod(is, &rng_state.s[2]) ||
-      !ReadPod(is, &rng_state.s[3]) || !ReadPod(is, &have_cached) ||
-      !ReadPod(is, &rng_state.cached_normal)) {
+  if (!ReadRngState(is, &rng_state)) {
     return Status::InvalidArgument("rng state malformed");
   }
-  rng_state.have_cached_normal = have_cached != 0;
   double epsilon = 0.0;
   int32_t episodes_trained = 0;
   double last_loss = 0.0;

@@ -4,19 +4,10 @@
 #include <ostream>
 #include <utility>
 
+#include "util/binary_io.h"
+
 namespace dpdp {
 namespace {
-
-template <typename T>
-void WritePod(std::ostream* os, const T& value) {
-  os->write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-bool ReadPod(std::istream* is, T* value) {
-  is->read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(*is);
-}
 
 template <typename T>
 void WriteVec(std::ostream* os, const std::vector<T>& v) {

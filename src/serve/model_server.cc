@@ -1,6 +1,5 @@
 #include "serve/model_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <utility>
@@ -197,8 +196,9 @@ void ModelServer::StartWatcher(const std::string& model_dir, int poll_ms) {
   std::string dir =
       model_dir.empty() ? EnvStr("DPDP_SERVE_MODEL_DIR", "") : model_dir;
   if (dir.empty()) return;
-  if (poll_ms <= 0) poll_ms = EnvInt("DPDP_SERVE_POLL_MS", 50);
-  poll_ms = std::max(1, poll_ms);
+  if (poll_ms <= 0) {
+    poll_ms = EnvIntStrict("DPDP_SERVE_POLL_MS", 50, 1, 3600000);
+  }
   std::lock_guard<std::mutex> lock(watcher_mu_);
   if (watcher_.joinable()) return;  // Already watching.
   watcher_stop_ = false;

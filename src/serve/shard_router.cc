@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/env.h"
-#include "util/log.h"
 #include "util/timer.h"
 
 namespace dpdp::serve {
@@ -52,16 +51,17 @@ const char* RouterPolicyName(RouterPolicy policy) {
 
 ShardedServeConfig ShardedServeConfigFromEnv() {
   ShardedServeConfig config;
-  config.num_shards = EnvInt("DPDP_SERVE_SHARDS", config.num_shards);
+  config.num_shards =
+      EnvIntStrict("DPDP_SERVE_SHARDS", config.num_shards, 1, 256);
   const std::string policy = EnvStr("DPDP_SERVE_ROUTER", "hash");
   if (policy == "rr" || policy == "round_robin") {
     config.policy = RouterPolicy::kRoundRobin;
-  } else {
-    if (policy != "hash") {
-      DPDP_LOG(WARN) << "unknown DPDP_SERVE_ROUTER '" << policy
-                     << "', using hash";
-    }
+  } else if (policy == "hash") {
     config.policy = RouterPolicy::kCampusHash;
+  } else {
+    internal::CheckFailed(__FILE__, __LINE__, "strict env parse",
+                          "DPDP_SERVE_ROUTER=\"" + policy +
+                              "\" rejected: expected hash, rr or round_robin");
   }
   config.shard = ServeConfigFromEnv();
   return config;

@@ -23,9 +23,10 @@ obs::Counter& ScanCounter() {
 
 SupervisorConfig SupervisorConfigFromEnv() {
   SupervisorConfig config;
-  config.watchdog_period_ms =
-      EnvInt("DPDP_SERVE_WATCHDOG_MS", config.watchdog_period_ms);
-  config.stuck_after_ms = EnvInt("DPDP_SERVE_STUCK_MS", config.stuck_after_ms);
+  config.watchdog_period_ms = EnvIntStrict(
+      "DPDP_SERVE_WATCHDOG_MS", config.watchdog_period_ms, 1, 3600000);
+  config.stuck_after_ms =
+      EnvIntStrict("DPDP_SERVE_STUCK_MS", config.stuck_after_ms, 1, 3600000);
   config.breaker = BreakerConfigFromEnv();
   return config;
 }

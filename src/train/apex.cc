@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <sstream>
@@ -53,10 +53,6 @@ ApexConfig ApexConfig::FromEnv() {
       EnvIntStrict("DPDP_TRAIN_SYNC_EVERY", config.sync_every, 1, 1000000);
   config.deterministic =
       EnvBoolStrict("DPDP_TRAIN_DETERMINISTIC", config.deterministic);
-  config.replay_shards =
-      EnvIntStrict("DPDP_TRAIN_REPLAY_SHARDS", config.replay_shards, 1, 1024);
-  config.shard_capacity = EnvIntStrict("DPDP_TRAIN_SHARD_CAP",
-                                       config.shard_capacity, 1, 100000000);
   config.min_replay =
       EnvIntStrict("DPDP_TRAIN_MIN_REPLAY", config.min_replay, 0, 100000000);
   config.updates_per_generation =
@@ -80,14 +76,6 @@ ApexConfig ApexConfig::FromEnv() {
   return config;
 }
 
-double ApexTrainer::EpsilonAt(const AgentConfig& config, int episode) {
-  const double frac =
-      std::min(1.0, static_cast<double>(episode) /
-                        std::max(1, config.epsilon_decay_episodes));
-  return config.epsilon_start +
-         frac * (config.epsilon_end - config.epsilon_start);
-}
-
 ApexTrainer::ApexTrainer(const Instance* instance, const ApexConfig& config,
                          const AgentConfig& agent_config,
                          SimulatorConfig sim_config)
@@ -95,9 +83,7 @@ ApexTrainer::ApexTrainer(const Instance* instance, const ApexConfig& config,
       config_(config),
       agent_config_(agent_config),
       models_(agent_config),
-      replay_(std::max(1, config.replay_shards),
-              std::max(1, config.shard_capacity)),
-      learner_(agent_config, &replay_, &models_,
+      learner_(agent_config, &models_,
                Rng::DeriveSeed(agent_config.seed, 0x5A3D1Eull),
                std::max(1, config.target_sync_updates)) {
   DPDP_CHECK(instance_ != nullptr);
@@ -149,7 +135,21 @@ void ApexTrainer::CommitExperience(EpisodeExperience experience,
   report->max_model_seq_seen =
       std::max(report->max_model_seq_seen, experience.max_model_seq);
   report->episodes[experience.episode] = std::move(experience.result);
-  replay_.AddEpisode(experience.episode, std::move(experience.transitions));
+  learner_.AddEpisode(std::move(experience.transitions));
+}
+
+void ApexTrainer::EndGeneration(int episodes_done) {
+  learner_.RunUpdates(config_.updates_per_generation, config_.min_replay);
+  learner_.Publish(++seq_, episodes_done, "learner");
+  ++generations_;
+  Metrics().generations->Add(1);
+  if (config_.checkpoint_every > 0 && !config_.checkpoint_dir.empty() &&
+      generations_ % static_cast<uint64_t>(config_.checkpoint_every) == 0) {
+    const Status saved = SaveFabricCheckpoint(episodes_done, seq_);
+    if (!saved.ok()) {
+      DPDP_LOG(WARN) << "fabric checkpoint failed: " << saved.message();
+    }
+  }
 }
 
 ApexReport ApexTrainer::Run() {
@@ -227,17 +227,7 @@ ApexReport ApexTrainer::RunDeterministic() {
     // Learner turn: a fixed update count per generation (pure function of
     // the generation structure, never of actor count), then the weight
     // publication the next generation's actors decide on.
-    learner_.RunUpdates(config_.updates_per_generation, config_.min_replay);
-    learner_.Publish(++seq_, episodes_done_, "learner");
-    ++generations_;
-    Metrics().generations->Add(1);
-    if (config_.checkpoint_every > 0 && !config_.checkpoint_dir.empty() &&
-        generations_ % static_cast<uint64_t>(config_.checkpoint_every) == 0) {
-      const Status saved = SaveFabricCheckpoint(episodes_done_, seq_);
-      if (!saved.ok()) {
-        DPDP_LOG(WARN) << "fabric checkpoint failed: " << saved.message();
-      }
-    }
+    EndGeneration(episodes_done_);
   }
   return report;
 }
@@ -245,63 +235,55 @@ ApexReport ApexTrainer::RunDeterministic() {
 ApexReport ApexTrainer::RunAsync() {
   ApexReport report;
   report.episodes.resize(config_.episodes);
-  const int start = episodes_done_;
-  std::atomic<int> next_episode{start};
-  std::atomic<int> completed{start};
-  std::mutex report_mu;
+  std::atomic<int> next_episode{episodes_done_};
+  // Actors only run episodes and post them here; everything the learner
+  // owns is touched on this thread alone.
+  std::mutex inbox_mu;
+  std::condition_variable inbox_cv;
+  std::vector<EpisodeExperience> inbox;
 
   std::vector<std::thread> threads;
   threads.reserve(actors_.size());
   for (size_t a = 0; a < actors_.size(); ++a) {
-    threads.emplace_back([this, a, &next_episode, &completed, &report,
-                          &report_mu] {
+    threads.emplace_back([this, a, &next_episode, &inbox_mu, &inbox_cv,
+                          &inbox] {
       for (;;) {
         const int e = next_episode.fetch_add(1);
         if (e >= config_.episodes) break;
         EpisodeExperience experience =
             actors_[a]->RunEpisode(e, EpsilonAt(agent_config_, e));
         {
-          std::lock_guard<std::mutex> lock(report_mu);
-          CommitExperience(std::move(experience), &report);
+          std::lock_guard<std::mutex> lock(inbox_mu);
+          inbox.push_back(std::move(experience));
         }
-        completed.fetch_add(1);
+        inbox_cv.notify_one();
       }
     });
   }
 
-  // Learner loop on the calling thread: train + publish every sync_every
-  // completed episodes, never blocking the actors.
-  int published_for = start;
-  while (completed.load() < config_.episodes) {
-    const int done = completed.load();
-    if (done - published_for >= config_.sync_every) {
-      learner_.RunUpdates(config_.updates_per_generation, config_.min_replay);
-      learner_.Publish(++seq_, done, "learner");
-      published_for = done;
-      ++generations_;
-      Metrics().generations->Add(1);
-      if (config_.checkpoint_every > 0 && !config_.checkpoint_dir.empty() &&
-          generations_ % static_cast<uint64_t>(config_.checkpoint_every) ==
-              0) {
-        const Status saved = SaveFabricCheckpoint(done, seq_);
-        if (!saved.ok()) {
-          DPDP_LOG(WARN) << "fabric checkpoint failed: " << saved.message();
-        }
-      }
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+  // Commit in arrival order, closing a generation after every sync_every
+  // committed episodes; the actors keep running meanwhile.
+  int published_for = episodes_done_;
+  std::vector<EpisodeExperience> arrived;
+  while (episodes_done_ < config_.episodes) {
+    {
+      std::unique_lock<std::mutex> lock(inbox_mu);
+      inbox_cv.wait(lock, [&inbox] { return !inbox.empty(); });
+      arrived.swap(inbox);
     }
+    for (EpisodeExperience& experience : arrived) {
+      CommitExperience(std::move(experience), &report);
+      ++episodes_done_;
+      if (episodes_done_ - published_for >= config_.sync_every) {
+        EndGeneration(episodes_done_);
+        published_for = episodes_done_;
+      }
+    }
+    arrived.clear();
   }
   for (std::thread& t : threads) t.join();
-  episodes_done_ = config_.episodes;
-
-  // Catch-up publication for the tail episodes since the last boundary.
-  if (published_for < config_.episodes) {
-    learner_.RunUpdates(config_.updates_per_generation, config_.min_replay);
-    learner_.Publish(++seq_, config_.episodes, "learner");
-    ++generations_;
-    Metrics().generations->Add(1);
-  }
+  // The tail episodes since the last boundary close one more generation.
+  if (published_for < episodes_done_) EndGeneration(episodes_done_);
   return report;
 }
 
@@ -314,7 +296,6 @@ Status ApexTrainer::SaveFabricCheckpoint(int episodes_done,
   std::ostringstream payload;
   Status status = learner_.SaveState(&payload);
   if (!status.ok()) return status;
-  replay_.Save(&payload);
   status = SaveCheckpointPayload(CheckpointPath(config_.checkpoint_dir, seq),
                                  episodes_done, payload.str(), seq);
   if (status.ok()) Metrics().checkpoints->Add(1);
@@ -327,9 +308,6 @@ Status ApexTrainer::ResumeFromCheckpoint(const std::string& path) {
   std::istringstream payload(loaded.value().payload);
   Status status = learner_.LoadState(&payload);
   if (!status.ok()) return status;
-  if (!replay_.Load(&payload)) {
-    return Status::InvalidArgument("fabric checkpoint replay mismatch");
-  }
   episodes_done_ = loaded.value().info.episodes_done;
   seq_ = loaded.value().info.seq;
   generations_ = seq_;

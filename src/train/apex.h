@@ -14,7 +14,6 @@
 #include "sim/environment.h"
 #include "train/actor.h"
 #include "train/learner.h"
-#include "train/replay_shard.h"
 #include "util/status.h"
 
 namespace dpdp::train {
@@ -35,8 +34,6 @@ struct ApexConfig {
   /// generation — so the final weights are bit-identical for ANY actor
   /// count. Costs a barrier per generation; off = free-running async.
   bool deterministic = true;
-  int replay_shards = 4;
-  int shard_capacity = 4096;
   /// Learner updates wait until the replay holds this many transitions
   /// (0 = the agent's batch_size).
   int min_replay = 0;
@@ -45,9 +42,9 @@ struct ApexConfig {
   /// Learner updates between target-network syncs.
   int target_sync_updates = 40;
   /// Fabric checkpoint every this many generations (0 = off). Files are
-  /// written as <checkpoint_dir>/apex-<seq>.ckpt with the payload layout
-  /// [agent blob][learner extras][replay] — a serving ModelServer watcher
-  /// restores the agent prefix of the very same files.
+  /// written as <checkpoint_dir>/apex-<seq>.ckpt with the learner's payload
+  /// layout [agent blob][learner extras][replay] — a serving ModelServer
+  /// watcher restores the agent prefix of the very same files.
   int checkpoint_every = 0;
   std::string checkpoint_dir;
   /// Resume a run from a fabric checkpoint path (empty = fresh start).
@@ -91,10 +88,11 @@ struct ApexReport {
 /// The Ape-X style actor-learner fabric, composed entirely from the
 /// serving and RL layers' existing interfaces: N Actors generate
 /// experience through a shared DecisionService (micro-batched inference,
-/// optionally sharded), commit it to a ShardedReplayBuffer, and one
-/// Learner consumes minibatches and publishes weight snapshots through
-/// the ModelServer hot-swap channel the service loops already watch —
-/// actors never pause for a weight update.
+/// optionally sharded) and hand each finished episode to the trainer's
+/// thread, which commits it to the Learner's replay; the learner consumes
+/// minibatches and publishes weight snapshots through the ModelServer
+/// hot-swap channel the service loops already watch — actors never pause
+/// for a weight update.
 class ApexTrainer {
  public:
   /// `instance` must outlive the trainer. Spawns the service loops
@@ -119,18 +117,17 @@ class ApexTrainer {
   serve::ModelServer* models() { return &models_; }
   const ApexConfig& config() const { return config_; }
   int episodes_done() const { return episodes_done_; }
-
-  /// The exploration rate of global episode `episode`: the local agent's
-  /// linear decay schedule evaluated as a pure function of the episode
-  /// index (the agent mutates epsilon per Learn; the fabric has no
-  /// per-actor episode counter to hang that on).
-  static double EpsilonAt(const AgentConfig& config, int episode);
+  int replay_size() const { return learner_.replay_size(); }
 
  private:
   ApexReport RunDeterministic();
   ApexReport RunAsync();
   /// Commits one episode's experience into the report + replay.
   void CommitExperience(EpisodeExperience experience, ApexReport* report);
+  /// Closes a generation once `episodes_done` episodes are committed: the
+  /// learner's update turn, the weight publication, and the periodic
+  /// fabric checkpoint.
+  void EndGeneration(int episodes_done);
   Status SaveFabricCheckpoint(int episodes_done, uint64_t seq) const;
   Status ResumeFromCheckpoint(const std::string& path);
 
@@ -139,7 +136,6 @@ class ApexTrainer {
   const AgentConfig agent_config_;
   serve::ModelServer models_;
   std::unique_ptr<serve::DecisionService> service_;
-  ShardedReplayBuffer replay_;
   Learner learner_;
   std::vector<std::unique_ptr<Actor>> actors_;
   int episodes_done_ = 0;

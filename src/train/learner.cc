@@ -10,17 +10,24 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/binary_io.h"
 
 namespace dpdp::train {
 namespace {
 
-constexpr char kExtrasMagic[8] = {'D', 'P', 'D', 'P', 'L', 'R', 'N', '1'};
+/// Version 2 appends the learner's own replay ring; version 1 was followed
+/// by the sharded replay layout and is refused.
+constexpr char kExtrasMagic[8] = {'D', 'P', 'D', 'P', 'L', 'R', 'N', '2'};
 
 struct LearnerMetrics {
   obs::Counter* steps =
       obs::MetricsRegistry::Global().GetCounter("train.learner_steps");
   obs::Counter* publishes =
       obs::MetricsRegistry::Global().GetCounter("train.publishes");
+  obs::Counter* transitions =
+      obs::MetricsRegistry::Global().GetCounter("train.transitions");
+  obs::Gauge* replay_size =
+      obs::MetricsRegistry::Global().GetGauge("train.replay_size");
   obs::Gauge* last_loss =
       obs::MetricsRegistry::Global().GetGauge("train.last_loss");
 };
@@ -30,30 +37,23 @@ LearnerMetrics& Metrics() {
   return *metrics;
 }
 
-template <typename T>
-void WritePod(std::ostream* os, const T& value) {
-  os->write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream* is, T* value) {
-  is->read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(*is);
-}
-
 }  // namespace
 
-Learner::Learner(const AgentConfig& config, ShardedReplayBuffer* replay,
-                 serve::ModelServer* models, uint64_t sampler_seed,
-                 int target_sync_updates)
-    : replay_(replay),
-      models_(models),
+Learner::Learner(const AgentConfig& config, serve::ModelServer* models,
+                 uint64_t sampler_seed, int target_sync_updates)
+    : models_(models),
       target_sync_updates_(target_sync_updates),
       agent_(config, "learner"),
+      replay_(config.replay_capacity),
       sampler_(sampler_seed) {
-  DPDP_CHECK(replay_ != nullptr);
   DPDP_CHECK(models_ != nullptr);
   DPDP_CHECK(target_sync_updates_ >= 1);
+}
+
+void Learner::AddEpisode(std::vector<Transition> transitions) {
+  Metrics().transitions->Add(transitions.size());
+  for (Transition& t : transitions) replay_.Add(std::move(t));
+  Metrics().replay_size->Set(static_cast<double>(replay_.size()));
 }
 
 int Learner::RunUpdates(int updates, int min_replay) {
@@ -62,13 +62,8 @@ int Learner::RunUpdates(int updates, int min_replay) {
   const int floor = std::max(min_replay, batch_size);
   int done = 0;
   for (int u = 0; u < updates; ++u) {
-    if (replay_->size() < floor) break;
-    const std::vector<Transition> sample =
-        replay_->Sample(batch_size, &sampler_);
-    std::vector<const Transition*> batch;
-    batch.reserve(sample.size());
-    for (const Transition& t : sample) batch.push_back(&t);
-    agent_.TrainOnBatch(batch);
+    if (replay_.size() < floor) break;
+    agent_.TrainOnBatch(replay_.Sample(batch_size, &sampler_));
     ++updates_;
     ++done;
     if (updates_ % static_cast<uint64_t>(target_sync_updates_) == 0) {
@@ -102,13 +97,10 @@ Status Learner::SaveState(std::ostream* os) const {
   Status status = agent_.SaveState(os);
   if (!status.ok()) return status;
   os->write(kExtrasMagic, sizeof(kExtrasMagic));
-  const Rng::State state = sampler_.GetState();
-  WritePod(os, state.seed);
-  for (uint64_t word : state.s) WritePod(os, word);
-  WritePod(os, static_cast<uint8_t>(state.have_cached_normal ? 1 : 0));
-  WritePod(os, state.cached_normal);
+  WriteRngState(os, sampler_.GetState());
   WritePod(os, updates_);
   WritePod(os, publishes_);
+  replay_.Save(os);
   if (!*os) return Status::Internal("learner state write failed");
   return Status::OK();
 }
@@ -123,20 +115,20 @@ Status Learner::LoadState(std::istream* is) {
     return Status::InvalidArgument("bad learner extras magic");
   }
   Rng::State state;
-  uint8_t have_cached = 0;
   uint64_t updates = 0;
   uint64_t publishes = 0;
-  if (!ReadPod(is, &state.seed) || !ReadPod(is, &state.s[0]) ||
-      !ReadPod(is, &state.s[1]) || !ReadPod(is, &state.s[2]) ||
-      !ReadPod(is, &state.s[3]) || !ReadPod(is, &have_cached) ||
-      !ReadPod(is, &state.cached_normal) || !ReadPod(is, &updates) ||
+  if (!ReadRngState(is, &state) || !ReadPod(is, &updates) ||
       !ReadPod(is, &publishes)) {
     return Status::InvalidArgument("truncated learner extras");
   }
-  state.have_cached_normal = have_cached != 0;
+  if (!replay_.Load(is)) {
+    return Status::InvalidArgument(
+        "learner replay malformed or capacity mismatch");
+  }
   sampler_.SetState(state);
   updates_ = updates;
   publishes_ = publishes;
+  Metrics().replay_size->Set(static_cast<double>(replay_.size()));
   return Status::OK();
 }
 

@@ -38,18 +38,6 @@ std::string RangeText(const std::string& lo, const std::string& hi) {
 
 }  // namespace
 
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atof(v);
-}
-
 std::string EnvStr(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
@@ -119,6 +107,6 @@ bool EnvBoolStrict(const char* name, bool fallback) {
   StrictEnvFailed(name, raw, "one of 0/1/true/false/yes/no/on/off");
 }
 
-bool FastMode() { return EnvInt("DPDP_FAST", 0) != 0; }
+bool FastMode() { return EnvBoolStrict("DPDP_FAST", false); }
 
 }  // namespace dpdp

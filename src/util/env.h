@@ -6,14 +6,10 @@
 
 namespace dpdp {
 
-/// Reads an integer / double from the environment (bench binaries honour
-/// DPDP_EPISODES, DPDP_SEEDS, DPDP_FAST, ... so runtimes can be scaled;
-/// the runtime itself honours DPDP_THREADS and DPDP_PARALLEL_BATCH).
-int EnvInt(const char* name, int fallback);
-double EnvDouble(const char* name, double fallback);
-
-/// Strict variants used by the FromEnv config layers (TrainOptions,
-/// ApexConfig, ServeConfig, Scenario). The whole value must parse as the
+/// The readers of every numeric and on/off DPDP_* knob: the library's
+/// FromEnv config layers, the runtime switches (DPDP_THREADS, DPDP_TRACE,
+/// DPDP_PARALLEL_BATCH, ...) and the bench and example binaries
+/// (DPDP_EPISODES, DPDP_SEEDS, ...). The whole value must parse as the
 /// requested type and fall inside [min_value, max_value]; anything else
 /// aborts with a DPDP_CHECK diagnostic naming the variable, the rejected
 /// text, and the accepted range — a typo'd knob must never silently run
@@ -32,7 +28,7 @@ bool EnvBoolStrict(const char* name, bool fallback);
 /// default checkpoint directory of the trainer). Empty values fall back.
 std::string EnvStr(const char* name, const std::string& fallback);
 
-/// True when DPDP_FAST is set to a non-zero value: bench binaries shrink
+/// True when DPDP_FAST is on (EnvBoolStrict): bench binaries shrink
 /// training budgets for smoke runs.
 bool FastMode();
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
+#include "util/env.h"
 #include "util/status.h"
 
 namespace dpdp {
@@ -92,11 +92,8 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
 }
 
 int ConfiguredThreadCount() {
-  const char* v = std::getenv("DPDP_THREADS");
-  if (v != nullptr && *v != '\0') {
-    const int n = std::atoi(v);
-    if (n > 0) return n;
-  }
+  const int n = EnvIntStrict("DPDP_THREADS", 0, 0, 1024);
+  if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

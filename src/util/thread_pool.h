@@ -86,7 +86,8 @@ class ThreadPool {
 };
 
 /// Worker count for the process-wide pool: the DPDP_THREADS environment
-/// variable when set to a positive integer, else hardware_concurrency.
+/// variable (1-1024, read strictly) when set, else hardware_concurrency,
+/// which 0 also selects.
 int ConfiguredThreadCount();
 
 /// Lazily-constructed process-wide pool sized by ConfiguredThreadCount()

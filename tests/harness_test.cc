@@ -2,25 +2,66 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
+
+#include <unistd.h>
 
 #include "baselines/greedy_baselines.h"
 #include "exp/harness.h"
 #include "exp/heatmap.h"
+#include "obs/http_exporter.h"
+#include "obs/slo.h"
+#include "obs/trace.h"
 #include "rl/actor_critic.h"
+#include "serve/shard_router.h"
 #include "stpred/predictor.h"
 #include "rl/dqn_agent.h"
 
 namespace dpdp {
 namespace {
 
-TEST(Env, IntAndDoubleFallbacks) {
-  ::unsetenv("DPDP_TEST_KNOB");
-  EXPECT_EQ(EnvInt("DPDP_TEST_KNOB", 7), 7);
-  EXPECT_DOUBLE_EQ(EnvDouble("DPDP_TEST_KNOB", 1.5), 1.5);
-  ::setenv("DPDP_TEST_KNOB", "42", 1);
-  EXPECT_EQ(EnvInt("DPDP_TEST_KNOB", 7), 42);
-  EXPECT_DOUBLE_EQ(EnvDouble("DPDP_TEST_KNOB", 1.5), 42.0);
-  ::unsetenv("DPDP_TEST_KNOB");
+// Every DPDP_* knob parses strictly. These are the values the lenient
+// atoi/atof readers used to misread. The children re-execute the binary
+// ("threadsafe" death tests), so a switch latched at static
+// initialization sees the value set here.
+
+TEST(StrictEnvKnobs, TraceAcceptsTrueAsOn) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("DPDP_TRACE", "true", 1);
+  // _exit skips the trace file the enabled tracer writes at exit.
+  EXPECT_EXIT(_exit(obs::TraceEnabled() ? 0 : 1),
+              ::testing::ExitedWithCode(0), "");
+  ::unsetenv("DPDP_TRACE");
+}
+
+TEST(StrictEnvKnobs, MalformedHttpPortAbortsInsteadOfBindingEphemeral) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("DPDP_OBS_HTTP_PORT", "abc", 1);
+  EXPECT_DEATH(obs::HttpExporter exporter, "DPDP_OBS_HTTP_PORT=\"abc\"");
+  ::unsetenv("DPDP_OBS_HTTP_PORT");
+}
+
+TEST(StrictEnvKnobs, DecimalCommaSloObjectiveAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("DPDP_SLO_P99_S", "0,5", 1);
+  EXPECT_DEATH(obs::SloConfigFromEnv(), "DPDP_SLO_P99_S=\"0,5\"");
+  ::unsetenv("DPDP_SLO_P99_S");
+}
+
+TEST(StrictEnvKnobs, TrailingGarbageShardCountAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("DPDP_SERVE_SHARDS", "4x", 1);
+  EXPECT_DEATH(serve::ShardedServeConfigFromEnv(),
+               "DPDP_SERVE_SHARDS=\"4x\"");
+  ::unsetenv("DPDP_SERVE_SHARDS");
+}
+
+TEST(StrictEnvKnobs, UnknownRouterPolicyAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("DPDP_SERVE_ROUTER", "random", 1);
+  EXPECT_DEATH(serve::ShardedServeConfigFromEnv(),
+               "DPDP_SERVE_ROUTER=\"random\"");
+  ::unsetenv("DPDP_SERVE_ROUTER");
 }
 
 TEST(Harness, StandardDatasetConfigMatchesPaperWorld) {

@@ -137,7 +137,7 @@ TEST(ThreadPoolTest, StressManySmallTasks) {
 TEST(ThreadPoolTest, ConfiguredThreadCountReadsEnv) {
   ASSERT_EQ(setenv("DPDP_THREADS", "3", /*overwrite=*/1), 0);
   EXPECT_EQ(ConfiguredThreadCount(), 3);
-  // Non-positive values fall back to hardware detection (>= 1).
+  // 0 falls back to hardware detection (>= 1).
   ASSERT_EQ(setenv("DPDP_THREADS", "0", 1), 0);
   EXPECT_GE(ConfiguredThreadCount(), 1);
   ASSERT_EQ(unsetenv("DPDP_THREADS"), 0);

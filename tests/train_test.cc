@@ -1,23 +1,23 @@
-// Correctness suite for the src/train/ Ape-X actor-learner fabric:
-// sharded-replay conservation under concurrent push/sample (exact element
-// accounting), checkpoint roundtrips, the 1-vs-2-vs-4-actor deterministic
-// training golden (bit-identical final weights for any actor count), the
-// kill-the-learner checkpoint-resume golden, greedy fabric-vs-local
-// parity, RunEpisode against a raw step loop, the episode recorder, and the
-// DPDP_TRAIN_* config layer. Runs under TSan in CI alongside the serve
-// suites — the replay stripes and the actor barrier must hold for
-// arbitrary interleavings.
+// Correctness suite for the src/train/ Ape-X actor-learner fabric: the
+// learner's checkpoint roundtrip and its refusals, the 1-vs-2-vs-4-actor
+// deterministic training golden (bit-identical final weights for any actor
+// count), the kill-the-learner checkpoint-resume golden, greedy
+// fabric-vs-local parity, async mode's commit-once accounting, the shared
+// epsilon schedule, RunEpisode against a raw step loop, the episode
+// recorder, and the DPDP_TRAIN_* config layer. Runs under TSan in CI
+// alongside the serve suites — the async inbox and the actor barrier must
+// hold for arbitrary interleavings.
 
+#include <cstdint>
 #include <cstdlib>
-#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
 #include "rl/replay.h"
@@ -27,8 +27,8 @@
 #include "train/actor.h"
 #include "train/apex.h"
 #include "train/learner.h"
-#include "train/replay_shard.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace dpdp::train {
 namespace {
@@ -77,8 +77,6 @@ ApexConfig MakeApexConfig() {
   config.episodes = 6;
   config.sync_every = 2;
   config.deterministic = true;
-  config.replay_shards = 3;
-  config.shard_capacity = 128;
   config.updates_per_generation = 2;
   config.target_sync_updates = 3;
   config.serve.max_batch = 4;
@@ -109,107 +107,114 @@ void ExpectSameWeights(const std::vector<nn::Matrix>& a,
   }
 }
 
-// --- ShardedReplayBuffer ---------------------------------------------------
+// --- Learner state ----------------------------------------------------------
 
-TEST(ShardedReplayBufferTest, ConservesEveryElementUnderConcurrency) {
-  // 4 pushers commit episodes with globally unique reward tags while 2
-  // samplers hammer Sample. Capacity is big enough that nothing is ever
-  // evicted, so afterwards the stored multiset must be EXACTLY the pushed
-  // multiset — any lost, duplicated or torn element fails.
-  constexpr int kPushers = 4;
-  constexpr int kEpisodesPerPusher = 25;
-  constexpr int kTransitionsPerEpisode = 7;
-  ShardedReplayBuffer replay(/*num_shards=*/5, /*capacity_per_shard=*/1024);
-  // Seed one element so concurrent samplers never see an empty buffer.
-  replay.AddEpisode(0, {MakeTaggedTransition(-1.0)});
+constexpr uint64_t kSamplerSeed = 3;
+constexpr int kTargetSyncUpdates = 2;
 
-  std::vector<std::thread> pushers;
-  for (int p = 0; p < kPushers; ++p) {
-    pushers.emplace_back([&replay, p] {
-      for (int e = 0; e < kEpisodesPerPusher; ++e) {
-        const int episode = 1 + p * kEpisodesPerPusher + e;
-        std::vector<Transition> transitions;
-        for (int t = 0; t < kTransitionsPerEpisode; ++t) {
-          transitions.push_back(
-              MakeTaggedTransition(episode * 100.0 + t));
-        }
-        replay.AddEpisode(episode, std::move(transitions));
-      }
-    });
+/// The bytes of a learner whose replay holds three tagged episodes.
+std::string SavedLearnerState(const AgentConfig& config) {
+  serve::ModelServer models(config);
+  Learner learner(config, &models, kSamplerSeed, kTargetSyncUpdates);
+  for (int e = 0; e < 3; ++e) {
+    learner.AddEpisode(
+        {MakeTaggedTransition(e), MakeTaggedTransition(e + 0.5)});
   }
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> samplers;
-  for (int s = 0; s < 2; ++s) {
-    samplers.emplace_back([&replay, &stop, s] {
-      Rng rng(1000 + s);
-      while (!stop.load()) {
-        const std::vector<Transition> batch = replay.Sample(8, &rng);
-        ASSERT_EQ(batch.size(), 8u);
-      }
-    });
-  }
-  for (std::thread& t : pushers) t.join();
-  stop.store(true);
-  for (std::thread& t : samplers) t.join();
-
-  std::multiset<double> expected{-1.0};
-  for (int p = 0; p < kPushers; ++p) {
-    for (int e = 0; e < kEpisodesPerPusher; ++e) {
-      const int episode = 1 + p * kEpisodesPerPusher + e;
-      for (int t = 0; t < kTransitionsPerEpisode; ++t) {
-        expected.insert(episode * 100.0 + t);
-      }
-    }
-  }
-  std::multiset<double> stored;
-  for (const Transition& t : replay.Snapshot()) {
-    stored.insert(t.reward);
-  }
-  EXPECT_EQ(replay.size(),
-            1 + kPushers * kEpisodesPerPusher * kTransitionsPerEpisode);
-  EXPECT_EQ(stored, expected);
+  std::ostringstream os;
+  EXPECT_TRUE(learner.SaveState(&os).ok());
+  return os.str();
 }
 
-TEST(ShardedReplayBufferTest, SamplingIsDeterministicGivenRngState) {
-  ShardedReplayBuffer replay(3, 64);
-  for (int e = 0; e < 9; ++e) {
-    replay.AddEpisode(e, {MakeTaggedTransition(e), MakeTaggedTransition(e + 0.5)});
-  }
-  Rng rng_a(42);
-  Rng rng_b(42);
-  const std::vector<Transition> a = replay.Sample(16, &rng_a);
-  const std::vector<Transition> b = replay.Sample(16, &rng_b);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].reward, b[i].reward);
+Status LoadLearnerState(const AgentConfig& config, const std::string& bytes) {
+  serve::ModelServer models(config);
+  Learner learner(config, &models, kSamplerSeed, kTargetSyncUpdates);
+  std::istringstream is(bytes);
+  return learner.LoadState(&is);
+}
+
+/// Offset of the replay section: the extras magic, the 49-byte sampler
+/// state and the two 8-byte counters follow the agent blob.
+size_t ReplayOffset(const std::string& bytes) {
+  const size_t magic = bytes.find("DPDPLRN2");
+  EXPECT_NE(magic, std::string::npos);
+  return magic + 8 + 49 + 8 + 8;
+}
+
+TEST(LearnerStateTest, SaveLoadRoundtripIsByteExact) {
+  const AgentConfig config = MakeTrainAgentConfig();
+  const std::string bytes = SavedLearnerState(config);
+
+  serve::ModelServer models(config);
+  Learner restored(config, &models, /*sampler_seed=*/99, kTargetSyncUpdates);
+  std::istringstream is(bytes);
+  ASSERT_TRUE(restored.LoadState(&is).ok());
+  EXPECT_EQ(restored.replay_size(), 6);
+  std::ostringstream again;
+  ASSERT_TRUE(restored.SaveState(&again).ok());
+  EXPECT_EQ(again.str(), bytes);
+}
+
+TEST(LearnerStateTest, RefusesTheShardedReplayLayout) {
+  const AgentConfig config = MakeTrainAgentConfig();
+  const std::string bytes = SavedLearnerState(config);
+  const size_t replay = ReplayOffset(bytes);
+  // The layout before the learner owned its replay: the same agent blob
+  // and extras under the DPDPLRN1 magic, then a shard count and one ring
+  // per shard.
+  std::string old_layout = bytes.substr(0, replay);
+  old_layout[bytes.find("DPDPLRN2") + 7] = '1';
+  const int32_t shards = 1;
+  old_layout.append(reinterpret_cast<const char*>(&shards), sizeof(shards));
+  old_layout += bytes.substr(replay);
+  EXPECT_FALSE(LoadLearnerState(config, old_layout).ok());
+}
+
+TEST(LearnerStateTest, RefusesAStateTruncatedInsideTheReplay) {
+  const AgentConfig config = MakeTrainAgentConfig();
+  const std::string bytes = SavedLearnerState(config);
+  const size_t replay = ReplayOffset(bytes);
+  ASSERT_LT(replay + 2, bytes.size());
+  for (const size_t cut :
+       {replay + 1, (replay + bytes.size()) / 2, bytes.size() - 1}) {
+    EXPECT_FALSE(LoadLearnerState(config, bytes.substr(0, cut)).ok())
+        << "cut at " << cut << " of " << bytes.size();
   }
 }
 
-TEST(ShardedReplayBufferTest, SaveLoadRoundtrip) {
-  ShardedReplayBuffer replay(2, 16);
-  for (int e = 0; e < 6; ++e) {
-    replay.AddEpisode(e, {MakeTaggedTransition(10.0 * e)});
+TEST(LearnerStateTest, RefusesADifferentReplayCapacity) {
+  const AgentConfig config = MakeTrainAgentConfig();
+  const std::string bytes = SavedLearnerState(config);
+  AgentConfig other = config;
+  other.replay_capacity = config.replay_capacity / 2;
+  EXPECT_FALSE(LoadLearnerState(other, bytes).ok());
+  // The learner's own ring saved at another capacity behind an agent blob
+  // that matches.
+  ReplayBuffer resized(other.replay_capacity);
+  resized.Add(MakeTaggedTransition(1.0));
+  std::ostringstream ring;
+  resized.Save(&ring);
+  EXPECT_FALSE(
+      LoadLearnerState(config, bytes.substr(0, ReplayOffset(bytes)) +
+                                   ring.str())
+          .ok());
+}
+
+// --- The epsilon schedule ---------------------------------------------------
+
+// The local agent's epsilon after k training episodes is the shared
+// schedule at k, bit for bit, inside the decay and past it.
+TEST(EpsilonScheduleTest, AgentEpsilonIsEpsilonAtEpisodesTrained) {
+  const Instance instance = MakeTrainInstance();
+  const AgentConfig config = MakeTrainAgentConfig();
+  DqnFleetAgent agent(config, "local");
+  agent.set_training(true);
+  Environment env(&instance);
+  EXPECT_EQ(agent.epsilon(), EpsilonAt(config, 0));
+  for (int k = 1; k <= config.epsilon_decay_episodes + 3; ++k) {
+    RunEpisode(&env, &agent);
+    ASSERT_EQ(agent.episodes_trained(), k);
+    EXPECT_EQ(agent.epsilon(), EpsilonAt(config, k)) << "k = " << k;
   }
-  std::stringstream buffer;
-  replay.Save(&buffer);
-
-  ShardedReplayBuffer restored(2, 16);
-  ASSERT_TRUE(restored.Load(&buffer));
-  EXPECT_EQ(restored.size(), replay.size());
-  const std::vector<Transition> a = replay.Snapshot();
-  const std::vector<Transition> b = restored.Snapshot();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].reward, b[i].reward);
-
-  // Shape mismatches refuse to load instead of silently reshuffling.
-  std::stringstream again;
-  replay.Save(&again);
-  ShardedReplayBuffer wrong_shards(3, 16);
-  EXPECT_FALSE(wrong_shards.Load(&again));
-  std::stringstream once_more;
-  replay.Save(&once_more);
-  ShardedReplayBuffer wrong_capacity(2, 32);
-  EXPECT_FALSE(wrong_capacity.Load(&once_more));
 }
 
 // --- Reward folding and the episode recorder -------------------------------
@@ -499,6 +504,44 @@ TEST(ApexTrainerTest, AsyncModeTrainsAndPublishes) {
   }
 }
 
+// Every episode is committed exactly once, whatever order the actors finish
+// in: the report, the replay and the train.transitions counter agree, and
+// each generation published exactly one snapshot.
+TEST(ApexTrainerTest, AsyncModeCommitsEveryEpisodeOnce) {
+  const Instance instance = MakeTrainInstance();
+  const AgentConfig agent_config = MakeTrainAgentConfig();
+  ApexConfig config = MakeApexConfig();
+  config.deterministic = false;
+  config.num_actors = 3;
+  config.episodes = 9;
+  config.sync_every = 3;
+  obs::Counter* transitions =
+      obs::MetricsRegistry::Global().GetCounter("train.transitions");
+  obs::Counter* generations =
+      obs::MetricsRegistry::Global().GetCounter("train.generations");
+  const uint64_t transitions_before = transitions->Value();
+  const uint64_t generations_before = generations->Value();
+
+  ApexTrainer trainer(&instance, config, agent_config);
+  const ApexReport report = trainer.Run();
+
+  EXPECT_EQ(report.episodes_done, 9);
+  ASSERT_EQ(report.episodes.size(), 9u);
+  for (size_t e = 0; e < report.episodes.size(); ++e) {
+    EXPECT_EQ(report.episodes[e].num_orders,
+              static_cast<int>(instance.orders.size()))
+        << "episode " << e;
+    EXPECT_GT(report.episodes[e].num_decisions, 0) << "episode " << e;
+  }
+  EXPECT_GT(report.transitions, 0);
+  EXPECT_EQ(report.transitions, trainer.replay_size());
+  EXPECT_EQ(static_cast<uint64_t>(report.transitions),
+            transitions->Value() - transitions_before);
+  EXPECT_GT(report.learner_updates, 0u);
+  EXPECT_EQ(report.final_seq, generations->Value() - generations_before);
+  EXPECT_EQ(report.final_seq, 3u);
+}
+
 // --- Config layer -----------------------------------------------------------
 
 TEST(ApexConfigTest, FromEnvReadsTrainKnobs) {
@@ -506,8 +549,6 @@ TEST(ApexConfigTest, FromEnvReadsTrainKnobs) {
   setenv("DPDP_TRAIN_EPISODES", "21", 1);
   setenv("DPDP_TRAIN_SYNC_EVERY", "3", 1);
   setenv("DPDP_TRAIN_DETERMINISTIC", "0", 1);
-  setenv("DPDP_TRAIN_REPLAY_SHARDS", "9", 1);
-  setenv("DPDP_TRAIN_SHARD_CAP", "512", 1);
   setenv("DPDP_TRAIN_MIN_REPLAY", "64", 1);
   setenv("DPDP_TRAIN_UPDATES_PER_SYNC", "5", 1);
   setenv("DPDP_TRAIN_TARGET_SYNC_UPDATES", "11", 1);
@@ -524,8 +565,6 @@ TEST(ApexConfigTest, FromEnvReadsTrainKnobs) {
   EXPECT_EQ(config.episodes, 21);
   EXPECT_EQ(config.sync_every, 3);
   EXPECT_FALSE(config.deterministic);
-  EXPECT_EQ(config.replay_shards, 9);
-  EXPECT_EQ(config.shard_capacity, 512);
   EXPECT_EQ(config.min_replay, 64);
   EXPECT_EQ(config.updates_per_generation, 5);
   EXPECT_EQ(config.target_sync_updates, 11);
@@ -538,8 +577,7 @@ TEST(ApexConfigTest, FromEnvReadsTrainKnobs) {
 
   for (const char* name :
        {"DPDP_TRAIN_ACTORS", "DPDP_TRAIN_EPISODES", "DPDP_TRAIN_SYNC_EVERY",
-        "DPDP_TRAIN_DETERMINISTIC", "DPDP_TRAIN_REPLAY_SHARDS",
-        "DPDP_TRAIN_SHARD_CAP", "DPDP_TRAIN_MIN_REPLAY",
+        "DPDP_TRAIN_DETERMINISTIC", "DPDP_TRAIN_MIN_REPLAY",
         "DPDP_TRAIN_UPDATES_PER_SYNC", "DPDP_TRAIN_TARGET_SYNC_UPDATES",
         "DPDP_TRAIN_CHECKPOINT_EVERY", "DPDP_TRAIN_CHECKPOINT_DIR",
         "DPDP_TRAIN_RESUME_FROM", "DPDP_TRAIN_SEED",
