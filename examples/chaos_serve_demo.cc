@@ -106,14 +106,11 @@ void TearFile(const fs::path& path) {
 
 /// Current value of a registry counter (0 when it does not exist yet).
 double Counter(const std::string& name) {
-  for (const dpdp::obs::MetricSnapshot& snap :
-       dpdp::obs::MetricsRegistry::Global().Snapshot()) {
-    if (snap.name == name &&
-        snap.kind == dpdp::obs::MetricSnapshot::Kind::kCounter) {
-      return snap.value;
-    }
-  }
-  return 0.0;
+  const auto snapshot = dpdp::obs::MetricsRegistry::Global().Snapshot();
+  const dpdp::obs::MetricSnapshot* m = dpdp::obs::FindMetric(snapshot, name);
+  return m != nullptr && m->kind == dpdp::obs::MetricSnapshot::Kind::kCounter
+             ? m->value
+             : 0.0;
 }
 
 /// Sum of serve.shard<k>.<field> over all shards in the registry.

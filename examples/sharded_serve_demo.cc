@@ -81,9 +81,9 @@ std::vector<int> ParseCounts(const std::string& spec) {
   std::stringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const int n = std::stoi(item);
-    DPDP_CHECK(n >= 1);
-    counts.push_back(n);
+    // The DPDP_SERVE_SHARDS range.
+    counts.push_back(static_cast<int>(
+        dpdp::ParseIntStrict("DPDP_SHARD_COUNTS", item.c_str(), 1, 256)));
   }
   DPDP_CHECK(!counts.empty());
   return counts;

@@ -67,9 +67,10 @@ int Run(const dpdp::Instance& instance, const std::string& method,
 
 int main(int argc, char** argv) {
   std::string method = argc > 2 ? argv[2] : "baseline1";
-  const int episodes = argc > 3 ? std::atoi(argv[3])
-                                : dpdp::EnvIntStrict("DPDP_EPISODES", 60,
-                                                     1, 1000000);
+  const int episodes =
+      argc > 3 ? static_cast<int>(dpdp::ParseIntStrict(
+                     "train_episodes", argv[3], 1, 1000000))
+               : dpdp::EnvIntStrict("DPDP_EPISODES", 60, 1, 1000000);
 
   if (argc > 1) {
     const dpdp::Result<dpdp::Instance> loaded =

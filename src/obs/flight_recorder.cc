@@ -12,6 +12,8 @@
 namespace dpdp::obs {
 namespace {
 
+using internal::JsonEscape;
+
 /// One seqlock-guarded ring slot. Every field is an atomic accessed with
 /// relaxed order; the `seq` field (release on publish, acquire on read)
 /// orders them. Writers are wait-free: bump seq to odd, store fields, bump
@@ -129,15 +131,6 @@ bool InitFlightEnabled() {
 }
 
 std::atomic<uint64_t> g_dump_count{0};
-
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
-}
 
 }  // namespace
 

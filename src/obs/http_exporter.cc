@@ -19,11 +19,7 @@
 namespace dpdp::obs {
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
+using internal::FormatDouble;
 
 bool LegalChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':';

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
 
 #include "util/env.h"
+#include "util/file.h"
 
 namespace dpdp::obs {
 namespace internal {
@@ -34,33 +34,27 @@ std::mutex& ExportMutex() {
 
 Status WriteFileStaged(const std::string& path, const std::string& contents) {
   std::lock_guard<std::mutex> lock(ExportMutex());
-  const std::filesystem::path file(path);
-  if (file.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(file.parent_path(), ec);
-    if (ec) {
-      return Status::Internal("cannot create dir for " + path + ": " +
-                              ec.message());
-    }
+  return WriteFileAtomic(path, contents);
+}
+
+std::string FormatDouble(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+std::string JsonEscape(const char* s) {
+  std::string out;
+  for (; *s != '\0'; ++s) {
+    if (*s == '"' || *s == '\\') out += '\\';
+    out += *s;
   }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return Status::Internal("cannot open " + tmp + " for writing");
-    os << contents;
-    if (!os) {
-      std::remove(tmp.c_str());
-      return Status::Internal("short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
+  return out;
 }
 
 }  // namespace internal
+
+using internal::FormatDouble;
 
 Histogram::Histogram(std::string name, std::vector<double> bounds)
     : name_(std::move(name)), bounds_(std::move(bounds)) {
@@ -215,13 +209,49 @@ const char* KindName(MetricSnapshot::Kind kind) {
   return "?";
 }
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+}  // namespace
+
+const MetricSnapshot* FindMetric(const std::vector<MetricSnapshot>& snapshot,
+                                 const std::string& name) {
+  const auto it = std::lower_bound(
+      snapshot.begin(), snapshot.end(), name,
+      [](const MetricSnapshot& m, const std::string& n) { return m.name < n; });
+  if (it == snapshot.end() || it->name != name) return nullptr;
+  return &*it;
 }
 
-}  // namespace
+int64_t RegistryWindow::due_ns() const {
+  return anchored_ ? last_close_ns_ + period_ns_
+                   : std::numeric_limits<int64_t>::min();
+}
+
+std::vector<MetricSnapshot> RegistryWindow::Close(
+    int64_t now_ns, const std::vector<MetricSnapshot>& snapshot) {
+  std::vector<MetricSnapshot> window = snapshot;
+  for (MetricSnapshot& m : window) {
+    if (m.kind == MetricSnapshot::Kind::kGauge) continue;
+    const MetricSnapshot* prev = FindMetric(previous_, m.name);
+    if (prev != nullptr && prev->kind == m.kind) {
+      m.count -= prev->count;
+      m.sum -= prev->sum;
+      // Same name and kind means the same histogram, and the registry
+      // checks that its bounds never change.
+      DPDP_CHECK(prev->buckets.size() == m.buckets.size());
+      for (size_t b = 0; b < m.buckets.size(); ++b) {
+        m.buckets[b] -= prev->buckets[b];
+      }
+    }
+    if (m.kind == MetricSnapshot::Kind::kCounter) {
+      m.value = static_cast<double>(m.count);
+    } else {
+      m.value = m.count > 0 ? m.sum / static_cast<double>(m.count) : 0.0;
+    }
+  }
+  previous_ = snapshot;
+  last_close_ns_ = now_ns;
+  anchored_ = true;
+  return window;
+}
 
 double HistogramQuantile(const MetricSnapshot& snapshot, double q) {
   if (snapshot.kind != MetricSnapshot::Kind::kHistogram ||

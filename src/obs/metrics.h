@@ -39,11 +39,16 @@ int ThreadShard();
 /// interleaving writes.
 std::mutex& ExportMutex();
 
-/// Writes `contents` to `path` via the checkpoint writer's convention:
-/// create the parent directory, write everything to `<path>.tmp`, then
-/// rename over `path` — a reader (or a crash) never observes a torn file.
-/// Takes ExportMutex() internally; callers must NOT hold it.
+/// WriteFileAtomic (util/file.h) under ExportMutex(): a reader (or a
+/// crash) never observes a torn file, and two obs exports never
+/// interleave. Callers must NOT hold ExportMutex().
 Status WriteFileStaged(const std::string& path, const std::string& contents);
+
+/// The number format of every obs export (CSV, JSON, Prometheus): %.9g.
+std::string FormatDouble(double v);
+
+/// `s` with '"' and '\' backslash-escaped, for a JSON string body.
+std::string JsonEscape(const char* s);
 
 }  // namespace internal
 
@@ -129,7 +134,7 @@ struct MetricSnapshot {
   std::string name;
   Kind kind = Kind::kCounter;
   double value = 0.0;              ///< Counter total or gauge value.
-  uint64_t count = 0;              ///< Histogram sample count.
+  uint64_t count = 0;              ///< Histogram sample count or counter total.
   double sum = 0.0;                ///< Histogram sample sum.
   std::vector<double> bounds;      ///< Histogram upper bounds.
   std::vector<uint64_t> buckets;   ///< bounds.size() + 1 entries.
@@ -161,6 +166,46 @@ class MetricsRegistry {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
+};
+
+/// The entry named `name` in a snapshot sorted by name (the Snapshot()
+/// contract), found by binary search; nullptr when absent.
+const MetricSnapshot* FindMetric(const std::vector<MetricSnapshot>& snapshot,
+                                 const std::string& name);
+
+/// The telemetry plane's one windowed-delta engine: turns the cumulative
+/// registry into what happened inside one time window. It holds a period,
+/// the last close time and the previous snapshot; like the circuit breaker
+/// it owns no clock and no thread, so its consumers (TimeSeriesSampler,
+/// SloMonitor) are driven by injected timestamps. Not thread-safe.
+class RegistryWindow {
+ public:
+  explicit RegistryWindow(int64_t period_ns) : period_ns_(period_ns) {}
+
+  /// When the open window may close: the last close plus the period. The
+  /// first Close is always due.
+  int64_t due_ns() const;
+  bool Due(int64_t now_ns) const { return now_ns >= due_ns(); }
+
+  /// Closes the window at `now_ns` on `snapshot` (sorted by name, as
+  /// Snapshot() returns it) and returns the window's snapshot: counters
+  /// (`count`, and `value` = count), and each histogram's count, sum and
+  /// every bucket, become their increase since the previous Close, and a
+  /// histogram's `value` becomes the window mean. Gauges pass through.
+  /// The first Close, and a metric first seen mid-stream, count from zero.
+  std::vector<MetricSnapshot> Close(
+      int64_t now_ns, const std::vector<MetricSnapshot>& snapshot);
+
+  /// False until the first Close anchors the window origin.
+  bool anchored() const { return anchored_; }
+  /// Time of the last Close (0 before the first).
+  int64_t last_close_ns() const { return last_close_ns_; }
+
+ private:
+  int64_t period_ns_;
+  bool anchored_ = false;
+  int64_t last_close_ns_ = 0;
+  std::vector<MetricSnapshot> previous_;
 };
 
 /// Estimates the q-quantile (q in [0, 1]) of a histogram snapshot by

@@ -1,7 +1,5 @@
 #include "obs/slo.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/flight_recorder.h"
@@ -10,23 +8,9 @@
 namespace dpdp::obs {
 namespace {
 
+using internal::FormatDouble;
+
 constexpr size_t kHistoryCapacity = 128;
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Finds `name` in a sorted-by-name snapshot (the Snapshot() contract).
-const MetricSnapshot* Find(const std::vector<MetricSnapshot>& snapshot,
-                           const std::string& name) {
-  const auto it = std::lower_bound(
-      snapshot.begin(), snapshot.end(), name,
-      [](const MetricSnapshot& m, const std::string& n) { return m.name < n; });
-  if (it == snapshot.end() || it->name != name) return nullptr;
-  return &*it;
-}
 
 }  // namespace
 
@@ -49,85 +33,48 @@ SloConfig SloConfigFromEnv() {
 SloMonitor::SloMonitor(const SloConfig& config)
     : config_(config),
       enabled_(config.p99_latency_s >= 0.0 || config.max_shed_rate >= 0.0 ||
-               config.max_deadline_rate >= 0.0) {}
-
-void SloMonitor::TickAt(int64_t now_ns) {
-  if (!enabled_) return;
-  if (!anchored_) {
-    // First tick only anchors: capture the current counter / bucket totals
-    // as the delta baselines so the first real window does not absorb
-    // everything the process did before the monitor started.
-    const std::vector<MetricSnapshot> snapshot =
-        MetricsRegistry::Global().Snapshot();
-    auto baseline = [&snapshot](const std::string& name, double* prev) {
-      const MetricSnapshot* m = Find(snapshot, name);
-      *prev = m != nullptr ? m->value : 0.0;
-    };
-    baseline(config_.requests_metric, &prev_requests_);
-    baseline(config_.shed_metric, &prev_shed_);
-    baseline(config_.deadline_metric, &prev_deadline_);
-    const MetricSnapshot* latency = Find(snapshot, config_.latency_metric);
-    if (latency != nullptr &&
-        latency->kind == MetricSnapshot::Kind::kHistogram) {
-      prev_latency_buckets_ = latency->buckets;
-      prev_latency_count_ = latency->count;
-    }
-    last_eval_ns_ = now_ns;
-    anchored_ = true;
-    return;
-  }
-  const int64_t window_ns = static_cast<int64_t>(config_.window_ms) * 1000000;
-  if (window_ns <= 0 || now_ns - last_eval_ns_ < window_ns) return;
-  (void)EvaluateWindowAt(now_ns);
+               config.max_deadline_rate >= 0.0),
+      window_(static_cast<int64_t>(config.window_ms) * 1000000) {
+  // The Telemetry thread sleeps until the window is due; a zero window
+  // would make that wake spin.
+  DPDP_CHECK(config.window_ms >= 1);
 }
 
-SloWindowReport SloMonitor::EvaluateWindowAt(int64_t now_ns) {
-  const std::vector<MetricSnapshot> snapshot =
-      MetricsRegistry::Global().Snapshot();
+void SloMonitor::TickAt(int64_t now_ns,
+                        const std::vector<MetricSnapshot>& snapshot) {
+  if (!enabled_ || !window_.Due(now_ns)) return;
+  if (window_.anchored()) {
+    (void)EvaluateWindowAt(now_ns, snapshot);
+  } else {
+    // Anchor only, so the first real window does not absorb everything
+    // the process did before the monitor started.
+    (void)window_.Close(now_ns, snapshot);
+  }
+}
 
+SloWindowReport SloMonitor::EvaluateWindowAt(
+    int64_t now_ns, const std::vector<MetricSnapshot>& snapshot) {
   SloWindowReport report;
-  report.window_start_ns = last_eval_ns_;
+  report.window_start_ns = window_.last_close_ns();
   report.window_end_ns = now_ns;
-  last_eval_ns_ = now_ns;
+  const std::vector<MetricSnapshot> window = window_.Close(now_ns, snapshot);
 
-  auto counter_delta = [&snapshot](const std::string& name, double* prev) {
-    const MetricSnapshot* m = Find(snapshot, name);
-    const double absolute = m != nullptr ? m->value : *prev;
-    const double delta = absolute - *prev;
-    *prev = absolute;
-    return delta < 0.0 ? 0.0 : delta;
+  auto increase = [&window](const std::string& name) -> uint64_t {
+    const MetricSnapshot* m = FindMetric(window, name);
+    return m != nullptr ? m->count : 0;
   };
-  report.requests = static_cast<uint64_t>(
-      counter_delta(config_.requests_metric, &prev_requests_));
-  report.shed =
-      static_cast<uint64_t>(counter_delta(config_.shed_metric, &prev_shed_));
-  report.deadline_exceeded = static_cast<uint64_t>(
-      counter_delta(config_.deadline_metric, &prev_deadline_));
+  report.requests = increase(config_.requests_metric);
+  report.shed = increase(config_.shed_metric);
+  report.deadline_exceeded = increase(config_.deadline_metric);
 
-  // Window p99: subtract the previous cumulative bucket counts from the
-  // current ones and quantile the difference — the histogram of ONLY the
-  // samples that arrived inside this window.
-  const MetricSnapshot* latency = Find(snapshot, config_.latency_metric);
+  // The window histogram holds only the samples that arrived inside this
+  // window, with their exact sum, so an overflow-bucket p99 clamps to the
+  // window's own mean.
+  const MetricSnapshot* latency = FindMetric(window, config_.latency_metric);
   if (latency != nullptr &&
       latency->kind == MetricSnapshot::Kind::kHistogram) {
-    MetricSnapshot window = *latency;
-    if (prev_latency_buckets_.size() == window.buckets.size()) {
-      for (size_t i = 0; i < window.buckets.size(); ++i) {
-        window.buckets[i] -= prev_latency_buckets_[i];
-      }
-      window.count -= prev_latency_count_;
-    }
-    // Window sum is unknowable from cumulative sums alone once deltas can
-    // be zero-count; approximate with count-weighted mean which only
-    // matters for the overflow-clamp path of HistogramQuantile.
-    window.sum = latency->count > 0
-                     ? latency->sum / static_cast<double>(latency->count) *
-                           static_cast<double>(window.count)
-                     : 0.0;
-    prev_latency_buckets_ = latency->buckets;
-    prev_latency_count_ = latency->count;
-    report.latency_count = window.count;
-    report.p99_s = HistogramQuantile(window, 0.99);
+    report.latency_count = latency->count;
+    report.p99_s = HistogramQuantile(*latency, 0.99);
   }
 
   const double requests = static_cast<double>(report.requests);
@@ -146,8 +93,6 @@ SloWindowReport SloMonitor::EvaluateWindowAt(int64_t now_ns) {
   report.deadline_breach = config_.max_deadline_rate >= 0.0 &&
                            requests > 0.0 &&
                            report.deadline_rate > config_.max_deadline_rate;
-
-  anchored_ = true;
 
   if (windows_counter_ == nullptr) {
     MetricsRegistry& registry = MetricsRegistry::Global();

@@ -15,8 +15,9 @@ namespace dpdp::obs {
 /// Metric names are configurable so tests can point the monitor at
 /// synthetic counters and golden-check the window math.
 struct SloConfig {
-  /// Evaluation window. Each window is judged good or breached as a whole
-  /// (the SRE "bad window" model), so budget math is a windows ratio.
+  /// Evaluation window, >= 1 (checked). Each window is judged good or
+  /// breached as a whole (the SRE "bad window" model), so budget math is a
+  /// windows ratio.
   int window_ms = 1000;
 
   /// p99 bound (seconds) on `latency_metric` within the window. < 0 off.
@@ -65,21 +66,22 @@ struct SloWindowReport {
 
 /// Config-driven SLO monitor. Clock-injected like the circuit breaker: it
 /// owns no clock and no thread — every evaluation is a pure function of
-/// the injected timestamps and the registry's state, so tests drive it
-/// with synthetic nanos and golden-check the window math.
+/// the injected timestamps and registry snapshots, so tests drive it with
+/// synthetic nanos and golden-check the window math.
 ///
-/// Per evaluated window it computes metric deltas (counters and latency
-/// histogram buckets vs. the previous window), judges each enabled
-/// objective, bumps the slo.* counters (slo.windows, slo.breaches,
-/// slo.latency_breaches, slo.shed_breaches, slo.deadline_breaches), and
-/// updates the slo.budget_burn gauge: breached_windows / (error_budget *
-/// total_windows), i.e. 1.0 = burning exactly at budget. On a good ->
+/// Per evaluated window it takes the window's deltas from its
+/// RegistryWindow (counters, and the latency histogram's count, sum and
+/// buckets), judges each enabled objective, bumps the slo.* counters
+/// (slo.windows, slo.breaches, slo.latency_breaches, slo.shed_breaches,
+/// slo.deadline_breaches), and updates the slo.budget_burn gauge:
+/// breached_windows / (error_budget * total_windows), i.e. 1.0 = burning
+/// exactly at budget. On a good ->
 /// breached edge it records a flight-recorder event and triggers
 /// FlightRecorderAutoDump("slo_breach") (no-op unless the recorder is
 /// armed).
 ///
 /// Not thread-safe: owned and ticked by one thread (the Telemetry
-/// sampler's thread in the demos, the test body in tests).
+/// thread in the demos, the test body in tests).
 class SloMonitor {
  public:
   explicit SloMonitor(const SloConfig& config);
@@ -88,16 +90,19 @@ class SloMonitor {
   /// TickAt is a single comparison.
   bool enabled() const { return enabled_; }
 
-  /// Advances to `now_ns`: evaluates one window per elapsed window_ms
-  /// period since the last evaluation (catching up at most a handful at
-  /// once; long gaps collapse into one window ending at `now_ns`). The
-  /// first call only anchors the window origin.
-  void TickAt(int64_t now_ns);
+  /// When the open window may close (see RegistryWindow::due_ns).
+  int64_t due_ns() const { return window_.due_ns(); }
 
-  /// Evaluates one window [last_eval_ns, now_ns) right now, regardless of
-  /// window boundaries (test hook; also TickAt's body). Returns the
-  /// report of the evaluated window.
-  SloWindowReport EvaluateWindowAt(int64_t now_ns);
+  /// Acts only when enabled and the window is due: the first call only
+  /// anchors the window origin (counter history before it is absorbed,
+  /// never judged); later calls evaluate the window [last close, now_ns).
+  /// A long gap collapses into one window ending at `now_ns`.
+  void TickAt(int64_t now_ns, const std::vector<MetricSnapshot>& snapshot);
+
+  /// Evaluates the window [last close, now_ns) against `snapshot` right
+  /// now, whether or not it is due (test hook; also TickAt's body).
+  SloWindowReport EvaluateWindowAt(
+      int64_t now_ns, const std::vector<MetricSnapshot>& snapshot);
 
   /// Most recent windows, oldest first (bounded ring of 128).
   std::vector<SloWindowReport> History() const;
@@ -117,18 +122,10 @@ class SloMonitor {
  private:
   const SloConfig config_;
   const bool enabled_;
-  bool anchored_ = false;
-  int64_t last_eval_ns_ = 0;
+  RegistryWindow window_;
   bool was_breached_ = false;  ///< Previous window state, for edge dumps.
   uint64_t windows_ = 0;
   uint64_t breached_windows_ = 0;
-
-  /// Previous absolute counter values / latency bucket totals.
-  double prev_requests_ = 0.0;
-  double prev_shed_ = 0.0;
-  double prev_deadline_ = 0.0;
-  uint64_t prev_latency_count_ = 0;
-  std::vector<uint64_t> prev_latency_buckets_;
 
   std::deque<SloWindowReport> history_;
 

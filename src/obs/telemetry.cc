@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
-#include "util/env.h"
 #include "util/timer.h"
 
 namespace dpdp::obs {
@@ -16,19 +16,20 @@ Telemetry::Options Telemetry::FromEnv() {
 }
 
 Telemetry::Telemetry(Options options)
-    : options_(options),
-      sampler_(options.sampler),
-      exporter_(options.http_port),
-      monitor_(options.slo) {
+    : sampler_(options.sampler),
+      monitor_(options.slo),
+      exporter_(options.http_port) {
   exporter_.AddEndpoint("/slo", [this] {
     HttpResponse response;
     response.content_type = "application/json";
-    response.body = SloJson();
+    std::lock_guard<std::mutex> lock(mu_);
+    response.body = monitor_.ToJson();
     return response;
   });
   exporter_.AddEndpoint("/timeseries", [this] {
     HttpResponse response;
     response.content_type = "application/json";
+    std::lock_guard<std::mutex> lock(mu_);
     response.body = sampler_.ToJson();
     return response;
   });
@@ -39,61 +40,78 @@ Telemetry::~Telemetry() { Stop(); }
 void Telemetry::Start() {
   if (started_) return;
   started_ = true;
-  sampler_.Start();          // No-op when sample_interval_ms <= 0.
-  (void)exporter_.Start();   // No-op when http_port < 0.
-  if (monitor_.enabled()) {
-    {
-      std::lock_guard<std::mutex> lock(slo_mu_);
-      slo_stopping_ = false;
-      monitor_.TickAt(MonotonicNanos());  // Anchor the first window.
-    }
-    slo_thread_ = std::thread(&Telemetry::SloLoop, this);
+  (void)exporter_.Start();  // No-op when http_port < 0.
+  if (!sampler_.enabled() && !monitor_.enabled()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = false;
+    TickLocked(MonotonicNanos());
   }
+  thread_ = std::thread(&Telemetry::Loop, this);
 }
 
 void Telemetry::Stop() {
   if (!started_) return;
   started_ = false;
-  if (slo_thread_.joinable()) {
+  if (thread_.joinable()) {
     {
-      std::lock_guard<std::mutex> lock(slo_mu_);
-      slo_stopping_ = true;
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
     }
-    slo_cv_.notify_all();
-    slo_thread_.join();
-    // One final window so the tail of the run is judged too.
-    std::lock_guard<std::mutex> lock(slo_mu_);
-    (void)monitor_.EvaluateWindowAt(MonotonicNanos());
+    cv_.notify_all();
+    thread_.join();
   }
-  sampler_.Stop();
-  (void)sampler_.WriteFiles();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (sampler_.enabled() || monitor_.enabled()) {
+      // A final row and a final window, so the tail of the run is kept
+      // and judged too.
+      const int64_t now_ns = MonotonicNanos();
+      const std::vector<MetricSnapshot> snapshot =
+          MetricsRegistry::Global().Snapshot();
+      if (sampler_.enabled()) sampler_.SampleAt(now_ns, snapshot);
+      if (monitor_.enabled()) {
+        (void)monitor_.EvaluateWindowAt(now_ns, snapshot);
+      }
+    }
+    (void)sampler_.WriteFiles();
+  }
   exporter_.Stop();
 }
 
-void Telemetry::SloLoop() {
-  // Tick at a quarter of the window so boundaries are hit promptly; the
-  // monitor itself only evaluates once per elapsed window.
-  const int tick_ms = std::max(10, options_.slo.window_ms / 4);
-  std::unique_lock<std::mutex> lock(slo_mu_);
-  while (!slo_cv_.wait_for(lock, std::chrono::milliseconds(tick_ms),
-                           [this] { return slo_stopping_; })) {
-    monitor_.TickAt(MonotonicNanos());
+void Telemetry::TickLocked(int64_t now_ns) {
+  const std::vector<MetricSnapshot> snapshot =
+      MetricsRegistry::Global().Snapshot();
+  sampler_.TickAt(now_ns, snapshot);
+  monitor_.TickAt(now_ns, snapshot);
+}
+
+void Telemetry::Loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    int64_t due_ns = std::numeric_limits<int64_t>::max();
+    if (sampler_.enabled()) due_ns = std::min(due_ns, sampler_.due_ns());
+    if (monitor_.enabled()) due_ns = std::min(due_ns, monitor_.due_ns());
+    const std::chrono::steady_clock::time_point due{
+        std::chrono::nanoseconds(due_ns)};
+    if (cv_.wait_until(lock, due, [this] { return stopping_; })) return;
+    TickLocked(MonotonicNanos());
   }
 }
 
-std::string Telemetry::SloJson() const {
-  std::lock_guard<std::mutex> lock(slo_mu_);
-  return monitor_.ToJson();
-}
-
 uint64_t Telemetry::SloWindows() const {
-  std::lock_guard<std::mutex> lock(slo_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return monitor_.windows();
 }
 
 uint64_t Telemetry::SloBreaches() const {
-  std::lock_guard<std::mutex> lock(slo_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return monitor_.breaches();
+}
+
+std::vector<TimeSeriesRow> Telemetry::SampleRows() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sampler_.Rows();
 }
 
 }  // namespace dpdp::obs

@@ -2,9 +2,10 @@
 #define DPDP_OBS_TELEMETRY_H_
 
 #include <condition_variable>
-#include <memory>
+#include <cstdint>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "obs/http_exporter.h"
 #include "obs/slo.h"
@@ -19,15 +20,18 @@ namespace dpdp::obs {
 /// — with every knob at its default the whole object is inert (no
 /// threads, no socket, no files).
 ///
-///   DPDP_OBS_SAMPLE_MS   > 0 starts the sampler (timeseries.csv/json on
+///   DPDP_OBS_SAMPLE_MS   > 0 enables the sampler (timeseries.csv/json on
 ///                        Stop when DPDP_METRICS_DIR is set)
-///   DPDP_SLO_*           any objective >= 0 starts the SLO tick thread
+///   DPDP_SLO_*           any objective >= 0 enables the SLO monitor
 ///   DPDP_OBS_HTTP_PORT   >= 0 binds the exporter (0 = ephemeral) and
 ///                        registers /slo + /timeseries next to the
 ///                        built-in /metrics + /healthz
 ///
-/// The SLO monitor is single-threaded by contract; Telemetry serializes
-/// the tick thread and the /slo endpoint behind one mutex.
+/// The sampler and the monitor are thread-free consumers of registry
+/// snapshots. Telemetry runs the plane's one thread: it sleeps until the
+/// earliest window an enabled consumer has due, takes one registry
+/// snapshot and ticks both consumers with it. One mutex serializes the
+/// ticks and the /slo and /timeseries endpoints.
 class Telemetry {
  public:
   struct Options {
@@ -47,36 +51,34 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Starts whichever components are enabled. Idempotent.
+  /// Starts the exporter and, when a consumer is enabled, takes the first
+  /// tick (the sampler's baseline row, the SLO anchor) and launches the
+  /// thread. Idempotent.
   void Start();
 
-  /// Stops the SLO tick thread (after one final window evaluation), the
-  /// sampler (final sample + timeseries file export), and the exporter.
-  /// Idempotent.
+  /// Joins the thread, takes a final row and a final SLO window, writes
+  /// the timeseries files, and stops the exporter. Idempotent.
   void Stop();
 
-  TimeSeriesSampler& sampler() { return sampler_; }
   HttpExporter& exporter() { return exporter_; }
 
-  /// Thread-safe view of the SLO monitor's JSON (the /slo endpoint body).
-  std::string SloJson() const;
-
-  /// Thread-safe SLO totals (tests / demo summaries).
+  /// Thread-safe SLO totals and sampled rows (tests / demo summaries).
   uint64_t SloWindows() const;
   uint64_t SloBreaches() const;
+  std::vector<TimeSeriesRow> SampleRows() const;
 
  private:
-  void SloLoop();
+  /// One snapshot handed to both consumers. Caller holds mu_.
+  void TickLocked(int64_t now_ns);
+  void Loop();
 
-  Options options_;
-  TimeSeriesSampler sampler_;
-  HttpExporter exporter_;
-
-  mutable std::mutex slo_mu_;  ///< Serializes monitor_ ticks and reads.
-  SloMonitor monitor_;
-  std::condition_variable slo_cv_;
-  bool slo_stopping_ = false;
-  std::thread slo_thread_;
+  mutable std::mutex mu_;
+  TimeSeriesSampler sampler_;  ///< Guarded by mu_.
+  SloMonitor monitor_;         ///< Guarded by mu_.
+  bool stopping_ = false;      ///< Guarded by mu_.
+  std::condition_variable cv_;
+  HttpExporter exporter_;  ///< Its /slo and /timeseries handlers lock mu_.
+  std::thread thread_;
   bool started_ = false;
 };
 

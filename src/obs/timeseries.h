@@ -1,15 +1,13 @@
 #ifndef DPDP_OBS_TIMESERIES_H_
 #define DPDP_OBS_TIMESERIES_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace dpdp::obs {
@@ -22,13 +20,14 @@ struct TimeSeriesRow {
   std::vector<double> values;
 };
 
-/// Background sampler turning the cumulative MetricsRegistry into a
-/// bounded time series: every DPDP_OBS_SAMPLE_MS it snapshots the global
-/// registry and appends one DELTA row to a fixed-size ring (oldest rows
-/// evicted), so memory is constant no matter how long the process runs.
+/// Sampler turning the cumulative MetricsRegistry into a bounded time
+/// series: once per sampling period it closes its RegistryWindow on a
+/// registry snapshot and appends one DELTA row to a fixed-size ring (oldest
+/// rows evicted), so memory is constant no matter how long the process
+/// runs.
 ///
 /// Column semantics per metric kind:
-///   counter    -> one column  `<name>`        = increase since last sample
+///   counter    -> one column  `<name>`        = increase since last row
 ///   gauge      -> one column  `<name>`        = instantaneous value
 ///   histogram  -> two columns `<name>.count`  = new samples since last row
 ///                             `<name>.sum`    = their summed value
@@ -37,14 +36,14 @@ struct TimeSeriesRow {
 /// numerator for its sampling window. Columns appear when their metric is
 /// first seen and keep their position afterwards.
 ///
-/// Thread-safety: Start/Stop manage one background thread; SampleOnce is
-/// the same code path callable deterministically from tests (and is safe
-/// concurrently with the thread — rows append under one mutex).
+/// Clock-injected with no thread, like SloMonitor: the Telemetry thread
+/// ticks it with timestamps and snapshots, tests tick it with synthetic
+/// ones. Not thread-safe (Telemetry serializes every call).
 class TimeSeriesSampler {
  public:
   struct Options {
-    /// Sampling period. <= 0 disables the background thread (SampleOnce
-    /// still works). Initialized from DPDP_OBS_SAMPLE_MS by FromEnv.
+    /// Sampling period. <= 0 disables TickAt (SampleAt still works).
+    /// Initialized from DPDP_OBS_SAMPLE_MS by FromEnv.
     int sample_interval_ms = 250;
     /// Ring capacity in rows. 512 rows at 250 ms ≈ the last 2 minutes.
     int capacity = 512;
@@ -57,30 +56,28 @@ class TimeSeriesSampler {
 
   TimeSeriesSampler();  ///< Default options.
   explicit TimeSeriesSampler(Options options);
-  ~TimeSeriesSampler();  ///< Stops the background thread if running.
 
-  TimeSeriesSampler(const TimeSeriesSampler&) = delete;
-  TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
+  /// True when sample_interval_ms > 0.
+  bool enabled() const { return options_.sample_interval_ms > 0; }
 
-  /// Launches the sampling thread (no-op when already running or when
-  /// sample_interval_ms <= 0). Takes one sample immediately so short runs
-  /// still export at least one row.
-  void Start();
+  /// When the next row is due (see RegistryWindow::due_ns).
+  int64_t due_ns() const { return window_.due_ns(); }
 
-  /// Stops and joins the thread, taking one final sample first so the tail
-  /// of the run is never lost to interval truncation.
-  void Stop();
+  /// Appends a row when enabled and the period is due. The first row is
+  /// the baseline: every counter's total so far.
+  void TickAt(int64_t now_ns, const std::vector<MetricSnapshot>& snapshot);
 
-  /// Takes one sample right now (test hook; also the thread's body).
-  void SampleOnce();
+  /// Appends one row stamped `now_ns` right now, whether or not it is due
+  /// (test hook; also TickAt's body).
+  void SampleAt(int64_t now_ns, const std::vector<MetricSnapshot>& snapshot);
 
   /// Column names in stable first-seen order.
-  std::vector<std::string> ColumnNames() const;
+  const std::vector<std::string>& ColumnNames() const { return columns_; }
 
   /// Rows oldest-first, each padded to ColumnNames().size().
   std::vector<TimeSeriesRow> Rows() const;
 
-  size_t RowCount() const;
+  size_t RowCount() const { return rows_.size(); }
 
   /// CSV: header `t_ns,<col>,...`; one line per row, deltas as %.9g.
   std::string ToCsv() const;
@@ -94,18 +91,10 @@ class TimeSeriesSampler {
   Status WriteFiles(const std::string& dir = "") const;
 
  private:
-  void ThreadBody();
-
   Options options_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool running_ = false;   ///< Thread launched and not yet stopped.
-  bool stopping_ = false;  ///< Tells the thread to exit its wait.
-  std::thread thread_;
+  RegistryWindow window_;
   std::vector<std::string> columns_;
   std::unordered_map<std::string, size_t> column_index_;
-  /// Previous absolute values per column, for delta computation.
-  std::unordered_map<std::string, double> prev_;
   std::deque<TimeSeriesRow> rows_;
 };
 

@@ -13,6 +13,8 @@
 namespace dpdp::obs {
 namespace {
 
+using internal::JsonEscape;
+
 struct TraceEvent {
   const char* name;
   int64_t start_ns;
@@ -106,15 +108,6 @@ bool InitTraceEnabled() {
   // call; explicit WriteTraceFile calls earlier just leave an empty tail.
   if (enabled) std::atexit(WriteTraceAtExit);
   return enabled;
-}
-
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
 }
 
 /// Monotone span-id source shared by traces and hops. Starts at 1 so id 0

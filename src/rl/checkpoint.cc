@@ -1,11 +1,7 @@
 #include "rl/checkpoint.h"
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -13,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/crc32.h"
+#include "util/file.h"
 #include "util/timer.h"
 
 namespace dpdp {
@@ -126,47 +123,18 @@ Status SaveCheckpointPayload(const std::string& path, int episodes_done,
   // Assemble the full file image in memory; checkpoints here are a few MB
   // at most (tiny nets + float replay), so this is cheap and lets the CRC
   // cover exactly the bytes on disk.
-  std::string body;
-  AppendPod(&body, kCheckpointVersion);
-  AppendPod(&body, static_cast<int32_t>(episodes_done));
-  AppendPod(&body, static_cast<uint64_t>(payload.size()));
-  body += payload;
-  AppendPod(&body, seq);
-  const uint32_t crc = Crc32(body.data(), body.size());
-
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-    if (ec) {
-      return Status::Internal("cannot create checkpoint directory: " +
-                              ec.message());
-    }
-  }
-
-  // Atomic write: temp file + fsync + rename.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + tmp + " for writing");
-  }
-  bool ok = std::fwrite(kMagic, 1, sizeof(kMagic), f) == sizeof(kMagic);
-  ok = ok && std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  ok = ok && std::fwrite(&crc, 1, sizeof(crc), f) == sizeof(crc);
-  ok = ok && std::fflush(f) == 0;
-  ok = ok && ::fsync(::fileno(f)) == 0;
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
+  std::string image(kMagic, sizeof(kMagic));
+  AppendPod(&image, kCheckpointVersion);
+  AppendPod(&image, static_cast<int32_t>(episodes_done));
+  AppendPod(&image, static_cast<uint64_t>(payload.size()));
+  image += payload;
+  AppendPod(&image, seq);
+  AppendPod(&image, Crc32(image.data() + sizeof(kMagic),
+                          image.size() - sizeof(kMagic)));
+  DPDP_RETURN_IF_ERROR(WriteFileAtomic(path, image));
   CkptMetrics& metrics = Metrics();
   metrics.saves->Add();
-  metrics.bytes_written->Add(sizeof(kMagic) + body.size() + sizeof(crc));
+  metrics.bytes_written->Add(image.size());
   metrics.save_latency->Record(timer.ElapsedSeconds());
   return Status::OK();
 }

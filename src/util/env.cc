@@ -54,9 +54,14 @@ int64_t EnvInt64Strict(const char* name, int64_t fallback, int64_t min_value,
                        int64_t max_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  const int64_t parsed = ParseWholeInt(name, raw);
+  return ParseIntStrict(name, raw, min_value, max_value);
+}
+
+int64_t ParseIntStrict(const char* name, const char* text, int64_t min_value,
+                       int64_t max_value) {
+  const int64_t parsed = ParseWholeInt(name, text);
   if (parsed < min_value || parsed > max_value) {
-    StrictEnvFailed(name, raw,
+    StrictEnvFailed(name, text,
                     RangeText(std::to_string(min_value),
                               std::to_string(max_value)));
   }

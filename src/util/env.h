@@ -24,6 +24,13 @@ double EnvDoubleStrict(const char* name, double fallback, double min_value,
 /// Accepts 0/1/true/false/yes/no/on/off, case-insensitive.
 bool EnvBoolStrict(const char* name, bool fallback);
 
+/// The integer parser behind EnvInt64Strict, for a knob value that arrives
+/// some other way (one item of a list-valued variable, a command-line
+/// argument): `text` must parse whole into [min_value, max_value], else
+/// the same diagnostic aborts, naming `name` and `text`.
+int64_t ParseIntStrict(const char* name, const char* text, int64_t min_value,
+                       int64_t max_value);
+
 /// Reads a string from the environment (e.g. DPDP_CHECKPOINT_DIR, the
 /// default checkpoint directory of the trainer). Empty values fall back.
 std::string EnvStr(const char* name, const std::string& fallback);

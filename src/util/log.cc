@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "util/env.h"
+#include "util/status.h"
 
 namespace dpdp {
 namespace {
@@ -25,7 +26,10 @@ LogLevel ParseLevel(const std::string& text, LogLevel fallback) {
   if (lower == "warn" || lower == "warning") return LogLevel::kWarn;
   if (lower == "error") return LogLevel::kError;
   if (lower == "off" || lower == "none") return LogLevel::kOff;
-  return fallback;
+  internal::CheckFailed(__FILE__, __LINE__, "strict env parse",
+                        "DPDP_LOG_LEVEL=\"" + text +
+                            "\" rejected: expected debug, info, warn, "
+                            "error, off or 0-4");
 }
 
 LogLevel InitialLevel() {

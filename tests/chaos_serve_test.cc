@@ -122,25 +122,20 @@ fs::path MakeScratchDir(const std::string& tag) {
 
 /// Current value of a registry counter (0 when it does not exist yet).
 double RegistryCounter(const std::string& name) {
-  for (const obs::MetricSnapshot& snap :
-       obs::MetricsRegistry::Global().Snapshot()) {
-    if (snap.name == name &&
-        snap.kind == obs::MetricSnapshot::Kind::kCounter) {
-      return snap.value;
-    }
-  }
-  return 0.0;
+  const auto snapshot = obs::MetricsRegistry::Global().Snapshot();
+  const obs::MetricSnapshot* m = obs::FindMetric(snapshot, name);
+  return m != nullptr && m->kind == obs::MetricSnapshot::Kind::kCounter
+             ? m->value
+             : 0.0;
 }
 
 /// Current value of a registry gauge (-1 when it does not exist yet).
 double RegistryGauge(const std::string& name) {
-  for (const obs::MetricSnapshot& snap :
-       obs::MetricsRegistry::Global().Snapshot()) {
-    if (snap.name == name && snap.kind == obs::MetricSnapshot::Kind::kGauge) {
-      return snap.value;
-    }
-  }
-  return -1.0;
+  const auto snapshot = obs::MetricsRegistry::Global().Snapshot();
+  const obs::MetricSnapshot* m = obs::FindMetric(snapshot, name);
+  return m != nullptr && m->kind == obs::MetricSnapshot::Kind::kGauge
+             ? m->value
+             : -1.0;
 }
 
 /// Scans chaos seeds for a schedule that fires exactly `wanted` at

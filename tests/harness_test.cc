@@ -16,6 +16,7 @@
 #include "serve/shard_router.h"
 #include "stpred/predictor.h"
 #include "rl/dqn_agent.h"
+#include "util/log.h"
 
 namespace dpdp {
 namespace {
@@ -62,6 +63,15 @@ TEST(StrictEnvKnobs, UnknownRouterPolicyAborts) {
   EXPECT_DEATH(serve::ShardedServeConfigFromEnv(),
                "DPDP_SERVE_ROUTER=\"random\"");
   ::unsetenv("DPDP_SERVE_ROUTER");
+}
+
+TEST(StrictEnvKnobs, UnknownLogLevelAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("DPDP_LOG_LEVEL", "verbose", 1);
+  // The level is latched at static initialization, so the re-executed
+  // child dies before it reaches the statement.
+  EXPECT_DEATH(GetLogLevel(), "DPDP_LOG_LEVEL=\"verbose\"");
+  ::unsetenv("DPDP_LOG_LEVEL");
 }
 
 TEST(Harness, StandardDatasetConfigMatchesPaperWorld) {

@@ -1,9 +1,11 @@
 // Telemetry-plane suite: Prometheus name sanitization and exposition
 // rendering (shard-label extraction, cumulative histogram series), the
 // HTTP exporter's request parsing and live-socket behavior (partial
-// reads, 404/405, concurrent scrapes — runs under TSan in CI), SLO
-// window math goldens against synthetic registry counters, the
-// time-series sampler's delta semantics and ring bound, flight-recorder
+// reads, 404/405, concurrent scrapes — runs under TSan in CI), the
+// RegistryWindow delta engine, SLO window math goldens against synthetic
+// registry counters, the time-series sampler's delta semantics and ring
+// bound, each consumer's due-window cadence on a synthetic clock, the
+// Telemetry thread (endpoints read while it ticks), flight-recorder
 // recording/dumping (including the auto-dump a dead shard triggers),
 // request-hop trace linkage, and the staged (.tmp-then-rename) export
 // path shared by every obs file flush.
@@ -31,6 +33,7 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
+#include "obs/telemetry.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "rl/config.h"
@@ -83,6 +86,22 @@ bool NoTmpLeft(const fs::path& dir) {
     if (entry.path().extension() == ".tmp") return false;
   }
   return true;
+}
+
+/// Polls `predicate` every millisecond until it holds or `timeout` ends.
+template <typename Predicate>
+bool WaitFor(Predicate predicate, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!predicate()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// The global registry right now.
+std::vector<MetricSnapshot> GlobalSnapshot() {
+  return MetricsRegistry::Global().Snapshot();
 }
 
 /// A synthetic snapshot entry (counters/gauges).
@@ -387,6 +406,85 @@ TEST(HttpExporterTest, ConcurrentScrapesAllSucceed) {
 }
 
 // ---------------------------------------------------------------------------
+// RegistryWindow: the windowed-delta engine
+// ---------------------------------------------------------------------------
+
+TEST(RegistryWindowTest, ClosesIntoExactPerWindowDeltas) {
+  // A private registry: only this test's metrics, exact binary fractions
+  // so every sum compares with ==.
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("c");
+  Gauge* gauge = registry.GetGauge("g");
+  Histogram* histogram = registry.GetHistogram("h", {1.0, 2.0, 4.0});
+  counter->Add(7);
+  gauge->Set(2.5);
+  histogram->Record(0.5);
+  histogram->Record(3.0);
+  histogram->Record(8.0);
+
+  RegistryWindow window(10);
+  // The first Close counts from zero.
+  std::vector<MetricSnapshot> w = window.Close(0, registry.Snapshot());
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(FindMetric(w, "c")->count, 7u);
+  EXPECT_EQ(FindMetric(w, "c")->value, 7.0);
+  EXPECT_EQ(FindMetric(w, "g")->value, 2.5);
+  const MetricSnapshot* h = FindMetric(w, "h");
+  EXPECT_EQ(h->count, 3u);
+  EXPECT_EQ(h->sum, 11.5);
+  EXPECT_EQ(h->buckets, (std::vector<uint64_t>{1, 0, 1, 1}));
+
+  // Counter and every histogram field become their increase; the gauge
+  // passes through; the histogram's value is the window mean.
+  counter->Add(5);
+  gauge->Set(-1.0);
+  histogram->Record(1.5);
+  histogram->Record(1.5);
+  histogram->Record(16.0);
+  w = window.Close(10, registry.Snapshot());
+  EXPECT_EQ(FindMetric(w, "c")->count, 5u);
+  EXPECT_EQ(FindMetric(w, "c")->value, 5.0);
+  EXPECT_EQ(FindMetric(w, "g")->value, -1.0);
+  h = FindMetric(w, "h");
+  EXPECT_EQ(h->count, 3u);
+  EXPECT_EQ(h->sum, 19.0);
+  EXPECT_EQ(h->value, 19.0 / 3.0);
+  EXPECT_EQ(h->buckets, (std::vector<uint64_t>{0, 2, 0, 1}));
+  EXPECT_EQ(h->bounds, (std::vector<double>{1.0, 2.0, 4.0}));
+
+  // A metric first seen mid-stream counts from zero; an idle window is
+  // all zeros (and a zero-count histogram has value 0).
+  registry.GetCounter("late")->Add(4);
+  w = window.Close(20, registry.Snapshot());
+  ASSERT_NE(FindMetric(w, "late"), nullptr);
+  EXPECT_EQ(FindMetric(w, "late")->count, 4u);
+  EXPECT_EQ(FindMetric(w, "c")->count, 0u);
+  h = FindMetric(w, "h");
+  EXPECT_EQ(h->count, 0u);
+  EXPECT_EQ(h->sum, 0.0);
+  EXPECT_EQ(h->value, 0.0);
+  EXPECT_EQ(h->buckets, (std::vector<uint64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(FindMetric(w, "missing"), nullptr);
+}
+
+TEST(RegistryWindowTest, DueAtLastClosePlusPeriod) {
+  RegistryWindow window(1000);
+  EXPECT_FALSE(window.anchored());
+  EXPECT_TRUE(window.Due(-5000)) << "the first Close is always due";
+  (void)window.Close(100, {});
+  EXPECT_TRUE(window.anchored());
+  EXPECT_EQ(window.last_close_ns(), 100);
+  EXPECT_EQ(window.due_ns(), 1100);
+  EXPECT_FALSE(window.Due(1099));
+  EXPECT_TRUE(window.Due(1100));
+  // A late close moves the next boundary with it.
+  (void)window.Close(1500, {});
+  EXPECT_EQ(window.due_ns(), 2500);
+  EXPECT_FALSE(window.Due(2499));
+  EXPECT_TRUE(window.Due(2500));
+}
+
+// ---------------------------------------------------------------------------
 // SLO monitor: window math goldens
 // ---------------------------------------------------------------------------
 
@@ -409,8 +507,8 @@ SloConfig SyntheticSloConfig(const std::string& tag) {
 TEST(SloMonitorTest, AllBoundsNegativeDisablesTheMonitor) {
   SloMonitor monitor(SloConfig{});  // Default bounds are all -1.
   EXPECT_FALSE(monitor.enabled());
-  monitor.TickAt(1000000000);
-  monitor.TickAt(5000000000);
+  monitor.TickAt(1000000000, GlobalSnapshot());
+  monitor.TickAt(5000000000, GlobalSnapshot());
   EXPECT_EQ(monitor.windows(), 0u);
 }
 
@@ -431,14 +529,15 @@ TEST(SloMonitorTest, WindowDeltasAndBreachJudgments) {
   SloMonitor monitor(config);
   ASSERT_TRUE(monitor.enabled());
   const int64_t t0 = 1000000000;
-  monitor.TickAt(t0);  // Anchor only: no window evaluated.
+  monitor.TickAt(t0, GlobalSnapshot());  // Anchor only: no window evaluated.
   EXPECT_EQ(monitor.windows(), 0u);
 
   // Window 1 — healthy: 200 requests, 2 sheds (1%), fast latencies.
   requests->Add(200);
   shed->Add(2);
   for (int i = 0; i < 100; ++i) latency->Record(0.004);
-  const SloWindowReport w1 = monitor.EvaluateWindowAt(t0 + 1000000000);
+  const SloWindowReport w1 =
+      monitor.EvaluateWindowAt(t0 + 1000000000, GlobalSnapshot());
   EXPECT_EQ(w1.window_start_ns, t0);
   EXPECT_EQ(w1.window_end_ns, t0 + 1000000000);
   EXPECT_EQ(w1.requests, 200u);
@@ -458,7 +557,8 @@ TEST(SloMonitorTest, WindowDeltasAndBreachJudgments) {
   // Window 2 — latency regression: every sample lands at 200 ms.
   requests->Add(100);
   for (int i = 0; i < 50; ++i) latency->Record(0.2);
-  const SloWindowReport w2 = monitor.EvaluateWindowAt(t0 + 2000000000);
+  const SloWindowReport w2 =
+      monitor.EvaluateWindowAt(t0 + 2000000000, GlobalSnapshot());
   EXPECT_EQ(w2.requests, 100u);
   EXPECT_EQ(w2.latency_count, 50u);
   EXPECT_GT(w2.p99_s, 0.1);
@@ -471,7 +571,8 @@ TEST(SloMonitorTest, WindowDeltasAndBreachJudgments) {
   requests->Add(100);
   shed->Add(30);
   deadline->Add(60);
-  const SloWindowReport w3 = monitor.EvaluateWindowAt(t0 + 3000000000);
+  const SloWindowReport w3 =
+      monitor.EvaluateWindowAt(t0 + 3000000000, GlobalSnapshot());
   EXPECT_EQ(w3.shed, 30u);
   EXPECT_EQ(w3.deadline_exceeded, 60u);
   EXPECT_DOUBLE_EQ(w3.shed_rate, 0.3);
@@ -505,18 +606,68 @@ TEST(SloMonitorTest, TickAtEvaluatesOncePerElapsedWindow) {
   config.max_deadline_rate = 1.0;
   SloMonitor monitor(config);
   const int64_t t0 = 5000000000;
-  monitor.TickAt(t0);
+  monitor.TickAt(t0, GlobalSnapshot());
   EXPECT_EQ(monitor.windows(), 0u);  // Anchor.
-  monitor.TickAt(t0 + 400000000);  // 0.4 s: inside the window.
+  monitor.TickAt(t0 + 400000000, GlobalSnapshot());  // Inside the window.
   EXPECT_EQ(monitor.windows(), 0u);
-  monitor.TickAt(t0 + 1100000000);  // 1.1 s: one window elapsed.
+  monitor.TickAt(t0 + 1100000000, GlobalSnapshot());  // One window elapsed.
   EXPECT_EQ(monitor.windows(), 1u);
-  monitor.TickAt(t0 + 1200000000);  // Only 0.1 s since the last eval.
+  EXPECT_EQ(monitor.due_ns(), t0 + 2100000000);
+  monitor.TickAt(t0 + 1200000000, GlobalSnapshot());  // 0.1 s since.
   EXPECT_EQ(monitor.windows(), 1u);
   // A long gap collapses into ONE window ending now — the monitor never
   // back-fills a phantom breach-free streak.
-  monitor.TickAt(t0 + 60000000000);
+  monitor.TickAt(t0 + 60000000000, GlobalSnapshot());
   EXPECT_EQ(monitor.windows(), 2u);
+}
+
+TEST(SloMonitorTest, EvaluatesOnlyWhenItsWindowIsDue) {
+  SloConfig config = SyntheticSloConfig("slo_due");
+  config.window_ms = 10;
+  config.p99_latency_s = 1.0;  // Wide-open bounds: only windows() matters.
+  config.max_shed_rate = 1.0;
+  config.max_deadline_rate = 1.0;
+  SloMonitor monitor(config);
+  const int64_t ms = 1000000;
+  monitor.TickAt(0, GlobalSnapshot());  // Anchor.
+  for (int64_t t = 5 * ms; t <= 100 * ms; t += 5 * ms) {
+    monitor.TickAt(t, GlobalSnapshot());
+  }
+  EXPECT_EQ(monitor.windows(), 10u);
+  const std::vector<SloWindowReport> history = monitor.History();
+  ASSERT_EQ(history.size(), 10u);
+  for (size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(history[i].window_start_ns, static_cast<int64_t>(i) * 10 * ms);
+    EXPECT_EQ(history[i].window_end_ns,
+              static_cast<int64_t>(i + 1) * 10 * ms);
+  }
+}
+
+TEST(SloMonitorTest, OverflowWindowP99UsesTheWindowsOwnSamples) {
+  // 1000 fast samples before the anchor, then 10 samples of 100 s — all
+  // past the last (10 s) bucket bound. The window's p99 rank lands in the
+  // overflow bucket, which clamps to the mean of the window's own samples
+  // (100 s), not of everything the histogram ever recorded.
+  SloConfig config = SyntheticSloConfig("slo_overflow");
+  config.p99_latency_s = 20.0;
+  Histogram* latency = MetricsRegistry::Global().GetHistogram(
+      config.latency_metric, LatencyBucketsSeconds());
+  for (int i = 0; i < 1000; ++i) latency->Record(0.001);
+  SloMonitor monitor(config);
+  monitor.TickAt(0, GlobalSnapshot());  // Anchor.
+  for (int i = 0; i < 10; ++i) latency->Record(100.0);
+  const SloWindowReport w =
+      monitor.EvaluateWindowAt(1000000000, GlobalSnapshot());
+  EXPECT_EQ(w.latency_count, 10u);
+  EXPECT_DOUBLE_EQ(w.p99_s, 100.0);
+  EXPECT_TRUE(w.latency_breach);
+}
+
+TEST(SloMonitorTest, ZeroWindowIsRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  SloConfig config;
+  config.window_ms = 0;
+  EXPECT_DEATH(SloMonitor monitor(config), "window_ms >= 1");
 }
 
 TEST(SloMonitorTest, BreachEdgeTriggersFlightRecorderDump) {
@@ -532,19 +683,21 @@ TEST(SloMonitorTest, BreachEdgeTriggersFlightRecorderDump) {
   Counter* shed = MetricsRegistry::Global().GetCounter(config.shed_metric);
   SloMonitor monitor(config);
   const int64_t t0 = 7000000000;
-  monitor.TickAt(t0);
+  monitor.TickAt(t0, GlobalSnapshot());
 
   const uint64_t dumps_before = FlightRecorderDumps();
   requests->Add(10);
   shed->Add(9);  // 90% shed rate: massive breach.
-  const SloWindowReport w1 = monitor.EvaluateWindowAt(t0 + 1000000000);
+  const SloWindowReport w1 =
+      monitor.EvaluateWindowAt(t0 + 1000000000, GlobalSnapshot());
   ASSERT_TRUE(w1.shed_breach);
   EXPECT_EQ(FlightRecorderDumps(), dumps_before + 1);
 
   // Staying breached is the SAME incident: no second dump.
   requests->Add(10);
   shed->Add(9);
-  const SloWindowReport w2 = monitor.EvaluateWindowAt(t0 + 2000000000);
+  const SloWindowReport w2 =
+      monitor.EvaluateWindowAt(t0 + 2000000000, GlobalSnapshot());
   ASSERT_TRUE(w2.shed_breach);
   EXPECT_EQ(FlightRecorderDumps(), dumps_before + 1);
 
@@ -563,7 +716,7 @@ TEST(SloMonitorTest, BreachEdgeTriggersFlightRecorderDump) {
 // Time-series sampler
 // ---------------------------------------------------------------------------
 
-TEST(TimeSeriesTest, SampleOnceRecordsDeltasPerKind) {
+TEST(TimeSeriesTest, SampleAtRecordsDeltasPerKind) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* counter = registry.GetCounter("tmtest.ts.counter");
   Gauge* gauge = registry.GetGauge("tmtest.ts.gauge");
@@ -573,13 +726,13 @@ TEST(TimeSeriesTest, SampleOnceRecordsDeltasPerKind) {
   gauge->Set(3.5);
   histogram->Record(0.001);
 
-  TimeSeriesSampler sampler;  // Never started: deterministic SampleOnce.
-  sampler.SampleOnce();       // Baseline row (absorbs prior history).
+  TimeSeriesSampler sampler;
+  sampler.SampleAt(100, GlobalSnapshot());  // Baseline row.
   counter->Add(5);
   gauge->Set(-2.0);
   histogram->Record(0.002);
   histogram->Record(0.004);
-  sampler.SampleOnce();
+  sampler.SampleAt(200, GlobalSnapshot());
 
   const std::vector<std::string> columns = sampler.ColumnNames();
   auto column = [&columns](const std::string& name) {
@@ -606,7 +759,23 @@ TEST(TimeSeriesTest, SampleOnceRecordsDeltasPerKind) {
   EXPECT_DOUBLE_EQ(last.values[c_gauge], -2.0);    // Instantaneous.
   EXPECT_DOUBLE_EQ(last.values[c_hcount], 2.0);    // New samples.
   EXPECT_NEAR(last.values[c_hsum], 0.006, 1e-12);  // Their sum.
-  EXPECT_GT(last.t_ns, rows.front().t_ns);
+  EXPECT_EQ(rows.front().t_ns, 100);
+  EXPECT_EQ(last.t_ns, 200);
+}
+
+TEST(TimeSeriesTest, SamplesOnlyWhenItsPeriodIsDue) {
+  TimeSeriesSampler::Options options;
+  options.sample_interval_ms = 20;
+  TimeSeriesSampler sampler(options);
+  const int64_t ms = 1000000;
+  for (int64_t t = 0; t <= 100 * ms; t += 5 * ms) {
+    sampler.TickAt(t, GlobalSnapshot());
+  }
+  const std::vector<TimeSeriesRow> rows = sampler.Rows();
+  ASSERT_EQ(rows.size(), 6u);  // The baseline at 0, then every 20 ms.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].t_ns, static_cast<int64_t>(i) * 20 * ms);
+  }
 }
 
 TEST(TimeSeriesTest, RingEvictsOldestRows) {
@@ -616,7 +785,7 @@ TEST(TimeSeriesTest, RingEvictsOldestRows) {
   Counter* counter = MetricsRegistry::Global().GetCounter("tmtest.ts.ring");
   for (int i = 0; i < 7; ++i) {
     counter->Add(1);
-    sampler.SampleOnce();
+    sampler.SampleAt(i, GlobalSnapshot());
   }
   EXPECT_EQ(sampler.RowCount(), 4u);
   const std::vector<TimeSeriesRow> rows = sampler.Rows();
@@ -628,7 +797,7 @@ TEST(TimeSeriesTest, RingEvictsOldestRows) {
 TEST(TimeSeriesTest, CsvAndJsonCarryColumnsAndRows) {
   TimeSeriesSampler sampler;
   MetricsRegistry::Global().GetCounter("tmtest.ts.export")->Add(2);
-  sampler.SampleOnce();
+  sampler.SampleAt(0, GlobalSnapshot());
   const std::string csv = sampler.ToCsv();
   EXPECT_EQ(csv.rfind("t_ns,", 0), 0u) << csv.substr(0, 80);
   EXPECT_NE(csv.find("tmtest.ts.export"), std::string::npos);
@@ -641,7 +810,7 @@ TEST(TimeSeriesTest, CsvAndJsonCarryColumnsAndRows) {
 TEST(TimeSeriesTest, WriteFilesStagesIntoTargetDir) {
   const fs::path dir = MakeScratchDir("timeseries");
   TimeSeriesSampler sampler;
-  sampler.SampleOnce();
+  sampler.SampleAt(0, GlobalSnapshot());
   ASSERT_TRUE(sampler.WriteFiles(dir.string()).ok());
   EXPECT_TRUE(fs::exists(dir / "timeseries.csv"));
   EXPECT_TRUE(fs::exists(dir / "timeseries.json"));
@@ -652,28 +821,117 @@ TEST(TimeSeriesTest, WriteFilesStagesIntoTargetDir) {
   fs::remove_all(dir);
 }
 
-TEST(TimeSeriesTest, StartStopRunsTheBackgroundThread) {
-  TimeSeriesSampler::Options options;
-  options.sample_interval_ms = 5;
-  TimeSeriesSampler sampler(options);
-  sampler.Start();  // Samples immediately, then every 5 ms.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  sampler.Stop();  // Final sample on the way out.
-  EXPECT_GE(sampler.RowCount(), 2u);
-  const size_t rows_after_stop = sampler.RowCount();
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  EXPECT_EQ(sampler.RowCount(), rows_after_stop) << "thread kept sampling";
+// ---------------------------------------------------------------------------
+// Telemetry: one thread ticks both consumers
+// ---------------------------------------------------------------------------
+
+/// Telemetry options with both consumers on fast periods, pointed at
+/// synthetic SLO metrics with wide-open bounds (no breach, no dump).
+Telemetry::Options FastTelemetryOptions(const std::string& tag) {
+  Telemetry::Options options;
+  options.sampler.sample_interval_ms = 2;
+  options.slo = SyntheticSloConfig(tag);
+  options.slo.window_ms = 3;
+  options.slo.p99_latency_s = 1000.0;
+  options.slo.max_shed_rate = 1.0;
+  options.slo.max_deadline_rate = 1.0;
+  return options;
 }
 
-TEST(TimeSeriesTest, FromEnvDefaultsToDisabledSampling) {
+/// Threads of this process, from /proc/self/task.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(TelemetryTest, StartTakesTheFirstTickAndStopTheLast) {
+  Telemetry::Options options = FastTelemetryOptions("tm0");
+  options.sampler.sample_interval_ms = 3600000;  // Never due mid-test.
+  options.slo.window_ms = 3600000;
+  Telemetry telemetry(options);
+  telemetry.Start();
+  EXPECT_EQ(telemetry.SampleRows().size(), 1u) << "the baseline row";
+  EXPECT_EQ(telemetry.SloWindows(), 0u) << "the first tick only anchors";
+  telemetry.Stop();
+  EXPECT_EQ(telemetry.SampleRows().size(), 2u) << "the final row";
+  EXPECT_EQ(telemetry.SloWindows(), 1u) << "the final window";
+}
+
+TEST(TelemetryTest, OneThreadTicksBothConsumersAndStopFreezesThem) {
+  Telemetry telemetry(FastTelemetryOptions("tm1"));
+  const size_t threads_before = ThreadCount();
+  telemetry.Start();
+  EXPECT_EQ(ThreadCount(), threads_before + 1);
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        return telemetry.SampleRows().size() >= 3 &&
+               telemetry.SloWindows() >= 2;
+      },
+      std::chrono::seconds(30)))
+      << "the thread never ticked the consumers";
+  telemetry.Stop();
+  // A joined thread leaves /proc/self/task a moment after join returns.
+  EXPECT_TRUE(WaitFor([&] { return ThreadCount() == threads_before; },
+                      std::chrono::seconds(30)));
+  const std::vector<TimeSeriesRow> rows = telemetry.SampleRows();
+  const uint64_t windows = telemetry.SloWindows();
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_GE(rows[i].t_ns, rows[i - 1].t_ns);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  EXPECT_EQ(telemetry.SampleRows().size(), rows.size()) << "kept sampling";
+  EXPECT_EQ(telemetry.SloWindows(), windows) << "kept evaluating";
+}
+
+TEST(TelemetryTest, EndpointsReadTheConsumersWhileTheThreadTicks) {
+  // Never bound (no port): HandlePath calls the same handlers a scrape
+  // would, racing the telemetry thread — the TSan case.
+  Telemetry telemetry(FastTelemetryOptions("tm2"));
+  telemetry.Start();
+  std::thread scraper([&telemetry] {
+    for (int i = 0; i < 50; ++i) {
+      const HttpResponse slo = telemetry.exporter().HandlePath("/slo");
+      EXPECT_EQ(slo.status, 200);
+      EXPECT_NE(slo.body.find("\"windows\""), std::string::npos);
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    MetricsRegistry::Global().GetCounter("tmtest.tm2.requests")->Add(1);
+    const HttpResponse ts = telemetry.exporter().HandlePath("/timeseries");
+    EXPECT_EQ(ts.status, 200);
+    EXPECT_NE(ts.body.find("\"columns\""), std::string::npos);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  scraper.join();
+  telemetry.Stop();
+  EXPECT_GE(telemetry.SampleRows().size(), 2u);
+  EXPECT_GE(telemetry.SloWindows(), 1u);
+}
+
+TEST(TelemetryTest, DefaultsAreInert) {
   ASSERT_EQ(::getenv("DPDP_OBS_SAMPLE_MS"), nullptr);
-  const TimeSeriesSampler::Options options = TimeSeriesSampler::FromEnv();
-  EXPECT_LE(options.sample_interval_ms, 0)
+  ASSERT_EQ(::getenv("DPDP_OBS_HTTP_PORT"), nullptr);
+  const Telemetry::Options options = Telemetry::FromEnv();
+  EXPECT_LE(options.sampler.sample_interval_ms, 0)
       << "telemetry knobs must default OFF";
-  TimeSeriesSampler sampler(options);
-  sampler.Start();  // Must not launch a thread.
-  sampler.Stop();
+  Telemetry telemetry(options);
+  const size_t threads_before = ThreadCount();
+  telemetry.Start();  // Must launch no thread and bind no socket.
+  EXPECT_EQ(ThreadCount(), threads_before);
+  EXPECT_FALSE(telemetry.exporter().running());
+  telemetry.Stop();
+  EXPECT_TRUE(telemetry.SampleRows().empty());
+  EXPECT_EQ(telemetry.SloWindows(), 0u);
+  // A disabled sampler ignores ticks; SampleAt still works.
+  TimeSeriesSampler sampler(options.sampler);
+  sampler.TickAt(0, GlobalSnapshot());
   EXPECT_EQ(sampler.RowCount(), 0u);
+  sampler.SampleAt(0, GlobalSnapshot());
+  EXPECT_EQ(sampler.RowCount(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -946,16 +1204,6 @@ std::string CampusOnShard(const ShardRouter& router, int shard) {
   }
   ADD_FAILURE() << "no campus name hashes to shard " << shard;
   return "";
-}
-
-template <typename Predicate>
-bool WaitFor(Predicate predicate, std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!predicate()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
 }
 
 TEST(FlightRecorderIntegrationTest, ShardDeathDumpsTheBlackBox) {
