@@ -275,19 +275,34 @@ BENCHMARK(BM_GemmNaive)->Arg(256);
 // Inference cost scales with the *feasible* sub-fleet: the route planner
 // excludes infeasible vehicles before the network runs. Sweeping the
 // sub-fleet size shows the savings vs always scoring all 150 vehicles.
-void BM_GraphQForward(benchmark::State& state) {
-  const int feasible = static_cast<int>(state.range(0));
+// Every row is distinct there, so the forward runs every row; the
+// `colocated` row is the Fig. 7 mix (~40% of 150 rows are identical idle
+// vehicles at one depot, the rest distinct at 16 other sites), where
+// EvaluateBatch runs one row per row class.
+void BM_GraphQForward(benchmark::State& state, int feasible, bool colocated) {
   dpdp::Rng rng(3);
   dpdp::AgentConfig config = dpdp::MakeStDdgnConfig(1);
   dpdp::GraphQNetwork net(config, &rng);
   dpdp::nn::Matrix features(feasible, dpdp::kStateFeatures);
   dpdp::nn::Matrix pos(feasible, 2);
+  dpdp::nn::Matrix site(colocated ? 17 : 0, 2);
+  for (int s = 0; s < site.rows(); ++s) {
+    site(s, 0) = rng.Uniform(0, 8);
+    site(s, 1) = rng.Uniform(0, 8);
+  }
   for (int r = 0; r < feasible; ++r) {
+    const bool idle = colocated && rng.Bernoulli(0.4);
     for (int c = 0; c < dpdp::kStateFeatures; ++c) {
-      features(r, c) = rng.Uniform();
+      features(r, c) = idle ? 0.1 * c : rng.Uniform();
     }
-    pos(r, 0) = rng.Uniform(0, 8);
-    pos(r, 1) = rng.Uniform(0, 8);
+    if (colocated) {
+      const int s = idle ? 0 : rng.UniformInt(1, site.rows() - 1);
+      pos(r, 0) = site(s, 0);
+      pos(r, 1) = site(s, 1);
+    } else {
+      pos(r, 0) = rng.Uniform(0, 8);
+      pos(r, 1) = rng.Uniform(0, 8);
+    }
   }
   dpdp::nn::Neighbors neighbors;
   dpdp::AppendNeighbors(pos, config.num_neighbors, 0, &neighbors);
@@ -299,10 +314,17 @@ void BM_GraphQForward(benchmark::State& state) {
     benchmark::DoNotOptimize(net.EvaluateBatch(batch));
   }
   ReportAllocs(state, before);
-  state.SetLabel("feasible sub-fleet of " + std::to_string(feasible) +
-                 " (full fleet = 150)");
+  state.SetLabel(colocated ? "Fig. 7 mix of " + std::to_string(feasible) +
+                                 " rows, ~40% idle at one depot"
+                           : "feasible sub-fleet of " +
+                                 std::to_string(feasible) +
+                                 " (full fleet = 150)");
+}
+void BM_GraphQForward(benchmark::State& state) {
+  BM_GraphQForward(state, static_cast<int>(state.range(0)), false);
 }
 BENCHMARK(BM_GraphQForward)->Arg(10)->Arg(30)->Arg(75)->Arg(150);
+BENCHMARK_CAPTURE(BM_GraphQForward, colocated, 150, true);
 
 // ------------------------------------------- batched Q evaluation API ----
 

@@ -9,11 +9,14 @@
 
 namespace dpdp::nn {
 
-/// A sparse self-attention graph in CSR form: row i may attend to the
-/// columns cols[offsets[i], offsets[i + 1]), listed in ascending order and
-/// including i itself (the self loop keeps every softmax row non-empty).
-/// Stacked batches list global column indices, so an item's rows name
-/// only rows of the same item.
+/// A sparse self-attention graph in CSR form: row i attends to the
+/// columns cols[offsets[i], offsets[i + 1]), walked in list order.
+/// Attention needs only a non-empty list per row (every softmax row then
+/// has a term). The lists AppendNeighbors builds ascend and include i
+/// itself, the self loop that keeps them non-empty; stacked batches list
+/// global column indices, so an item's rows name only rows of the same
+/// item. The compact lists of FleetQNetwork's row classes name classes
+/// instead, so they may repeat a column and need not ascend.
 struct Neighbors {
   std::vector<int> offsets = {0};  ///< Size rows() + 1.
   std::vector<int> cols;           ///< Size edges().
@@ -61,6 +64,10 @@ class MultiHeadSelfAttention {
   /// dY: (K x d_model) -> dX (K x d_model); accumulates parameter grads.
   const Matrix& Backward(const Matrix& dy, Workspace& ws);
   Matrix Backward(const Matrix& dy);
+
+  /// Grows every Forward buffer to `rows` rows and `edges` edges in one
+  /// step.
+  void Reserve(int rows, int edges);
 
   std::vector<Parameter*> Params();
 

@@ -69,12 +69,15 @@ void Telemetry::Stop() {
       const int64_t now_ns = MonotonicNanos();
       const std::vector<MetricSnapshot> snapshot =
           MetricsRegistry::Global().Snapshot();
-      if (sampler_.enabled()) sampler_.SampleAt(now_ns, snapshot);
+      if (sampler_.enabled()) {
+        sampler_.SampleAt(now_ns, snapshot);
+        // Only a sampled run has a time series to write.
+        (void)sampler_.WriteFiles();
+      }
       if (monitor_.enabled()) {
         (void)monitor_.EvaluateWindowAt(now_ns, snapshot);
       }
     }
-    (void)sampler_.WriteFiles();
   }
   exporter_.Stop();
 }

@@ -100,7 +100,7 @@ void ActorCriticAgent::TrainEpisode(
   const double inv_n = 1.0 / static_cast<double>(n);
 
   // One batch item per episode step; the whole episode runs through each
-  // head in a single EvaluateBatch / BackwardBatch round trip.
+  // head in a single TrainForward / BackwardBatch round trip.
   train_batch_.Clear();
   std::vector<int> sub_action(n);
   for (size_t i = 0; i < n; ++i) {
@@ -115,7 +115,7 @@ void ActorCriticAgent::TrainEpisode(
 
   // Critic: V(S_i) = mean of per-vehicle values over item i's rows.
   // Value gradient: d/dv_r of 0.5 (V - G)^2 = (V - G) / m.
-  const nn::Matrix& values = critic_->EvaluateBatch(train_batch_);
+  const nn::Matrix& values = critic_->TrainForward(train_batch_);
   std::vector<double> advantage(n);
   dvalues_.Resize(train_batch_.total_rows(), 1);
   for (size_t i = 0; i < n; ++i) {
@@ -132,7 +132,7 @@ void ActorCriticAgent::TrainEpisode(
   critic_->BackwardBatch(dvalues_);
 
   // Actor gradient: d/dlogits of -log pi(a) * A = (pi - onehot_a) * A.
-  const nn::Matrix& logits = actor_->EvaluateBatch(train_batch_);
+  const nn::Matrix& logits = actor_->TrainForward(train_batch_);
   dlogits_.Resize(train_batch_.total_rows(), 1);
   for (size_t i = 0; i < n; ++i) {
     const int off = train_batch_.offset(static_cast<int>(i));

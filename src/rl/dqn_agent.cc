@@ -214,7 +214,10 @@ double DqnFleetAgent::AccumulateTransitionGradient(
   DPDP_CHECK(it != idx.end());
   const int sub_action = static_cast<int>(it - idx.begin());
 
-  const nn::Matrix& q = SubFleetQ(state, online_net, idx, batch);
+  batch->Clear();
+  AppendSubFleetInputs(state, idx, config_.use_graph, config_.num_neighbors,
+                       batch);
+  const nn::Matrix& q = online_net->TrainForward(*batch);
   const double q_sa = q(sub_action, 0);
   dq->Resize(q.rows(), 1);
   dq->Fill(0.0);
@@ -252,11 +255,30 @@ double DqnFleetAgent::TrainOnBatch(
 
   // Serial path, fully batched: every transition's next-state sub-fleet is
   // scored in one EvaluateBatch per network, then every state sub-fleet in
-  // one more, with a single backward. Items of a stacked batch never see
+  // one TrainForward, with a single backward. Items of a stacked batch never see
   // each other (their neighbor lists stay inside the item), so each TD
   // target is bit-identical to the per-transition evaluation.
   const int n = static_cast<int>(batch.size());
   const double inv_batch = 1.0 / static_cast<double>(n);
+
+  // The minibatch states, stacked for phase 2. They are built first so the
+  // online net can grow its buffers once, to this batch's height, before
+  // phase 1 runs a shorter compact batch through it: grown in steps, each
+  // step frees an mmap'd buffer, which raises glibc's mmap threshold, and
+  // later buffers land on the heap, where they raised peak RSS.
+  state_batch_.Clear();
+  std::vector<int> sub_action(n, -1);
+  for (int i = 0; i < n; ++i) {
+    const Transition& t = *batch[i];
+    const FleetState state = t.state.ToFleetState();
+    const std::vector<int> idx = InferenceIndices(state, config_);
+    const auto it = std::find(idx.begin(), idx.end(), t.action);
+    DPDP_CHECK(it != idx.end());
+    sub_action[i] = static_cast<int>(it - idx.begin());
+    AppendSubFleetInputs(state, idx, config_.use_graph,
+                         config_.num_neighbors, &state_batch_);
+  }
+  online_->Reserve(state_batch_);
 
   // Phase 1: batched (double-)DQN targets.
   std::vector<double> y(n, 0.0);
@@ -309,20 +331,9 @@ double DqnFleetAgent::TrainOnBatch(
     }
   }
 
-  // Phase 2: one stacked forward over the minibatch states, one backward.
-  state_batch_.Clear();
-  std::vector<int> sub_action(n, -1);
-  for (int i = 0; i < n; ++i) {
-    const Transition& t = *batch[i];
-    const FleetState state = t.state.ToFleetState();
-    const std::vector<int> idx = InferenceIndices(state, config_);
-    const auto it = std::find(idx.begin(), idx.end(), t.action);
-    DPDP_CHECK(it != idx.end());
-    sub_action[i] = static_cast<int>(it - idx.begin());
-    AppendSubFleetInputs(state, idx, config_.use_graph,
-                         config_.num_neighbors, &state_batch_);
-  }
-  const nn::Matrix& q = online_->EvaluateBatch(state_batch_);
+  // Phase 2: one stacked training forward over the minibatch states, one
+  // backward.
+  const nn::Matrix& q = online_->TrainForward(state_batch_);
   dq_.Resize(q.rows(), 1);
   dq_.Fill(0.0);
   double loss_sum = 0.0;

@@ -97,7 +97,7 @@ class DqnFleetAgent : public Agent {
   /// parameter values via an explicit per-batch sync.
   struct WorkerNets;
 
-  /// One-item forward pass over the feasible sub-fleet via `batch`
+  /// One-item inference forward over the feasible sub-fleet via `batch`
   /// (cleared and rebuilt). Returns the Q column, row i = Q(idx[i]); the
   /// reference lives in `net`. Mutates only `net` and `batch`, so distinct
   /// net/batch pairs may run concurrently.

@@ -1,9 +1,71 @@
 #include "rl/q_network.h"
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rl/state.h"
 
 namespace dpdp {
+
+namespace {
+
+/// Rows handed to EvaluateBatch against rows it ran through the network;
+/// their ratio is the share of the batch the row classes saved.
+struct QNetworkMetrics {
+  obs::Counter* rows_requested =
+      obs::MetricsRegistry::Global().GetCounter("nn.rows_requested");
+  obs::Counter* rows_evaluated =
+      obs::MetricsRegistry::Global().GetCounter("nn.rows_evaluated");
+};
+
+QNetworkMetrics& Metrics() {
+  static QNetworkMetrics* metrics = new QNetworkMetrics;
+  return *metrics;
+}
+
+/// splitmix64's finalizer. A weak combiner such as boost's hash_combine
+/// leaves a fleet's near-identical keys clustered in a linear-probing
+/// table.
+uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// One partition round: numbers the classes of rows [0, m) in order of
+/// first appearance into `cls` and returns their count. Rows share a class
+/// when `equal(representative, row)`; `hash(row)` must agree with it.
+template <typename Hash, typename Equal>
+int Partition(int m, const Hash& hash, const Equal& equal, int* cls,
+              std::vector<int>* rep, std::vector<uint64_t>* key_hash,
+              std::vector<int>* table) {
+  std::fill(table->begin(), table->end(), -1);
+  const size_t mask = table->size() - 1;
+  int n = 0;
+  for (int r = 0; r < m; ++r) {
+    const uint64_t h = hash(r);
+    size_t slot = h & mask;
+    int c = (*table)[slot];
+    while (c >= 0 && !((*key_hash)[c] == h && equal((*rep)[c], r))) {
+      slot = (slot + 1) & mask;
+      c = (*table)[slot];
+    }
+    if (c < 0) {
+      c = n++;
+      (*table)[slot] = c;
+      (*rep)[c] = r;
+      (*key_hash)[c] = h;
+    }
+    cls[r] = c;
+  }
+  return n;
+}
+
+}  // namespace
 
 void DecisionBatch::Clear() {
   num_items_ = 0;
@@ -44,23 +106,144 @@ int DecisionBatch::Add(const nn::Matrix& features,
   return item;
 }
 
-MlpQNetwork::MlpQNetwork(const AgentConfig& config, Rng* rng)
-    : mlp_({kStateFeatures, config.hidden_dim, config.hidden_dim, 1}, rng) {}
+int FleetQNetwork::ClassifyRows(const DecisionBatch& batch) {
+  const nn::Matrix& x = batch.features();
+  const int m = batch.total_rows();
+  const int f = x.cols();
+  RowClasses& s = classes_;
+  s.cls.resize(m);
+  s.prev.resize(m);
+  s.rep.resize(m);
+  s.hash.resize(m);
+  size_t slots = 2;
+  while (slots < 2 * static_cast<size_t>(m)) slots <<= 1;
+  s.table.resize(slots);
 
-const nn::Matrix& MlpQNetwork::EvaluateBatch(const DecisionBatch& batch) {
+  // Round 0: the row's exact feature bits.
+  const double* data = x.data();
+  const size_t row_bytes = sizeof(double) * static_cast<size_t>(f);
+  auto row_hash = [&](int r) {
+    uint64_t h = 0;
+    for (int c = 0; c < f; ++c) {
+      uint64_t bits;
+      std::memcpy(&bits, data + static_cast<size_t>(r) * f + c, sizeof bits);
+      h = Mix(h ^ bits);
+    }
+    return h;
+  };
+  auto row_equal = [&](int a, int b) {
+    return std::memcmp(data + static_cast<size_t>(a) * f,
+                       data + static_cast<size_t>(b) * f, row_bytes) == 0;
+  };
+  int n = Partition(m, row_hash, row_equal, s.cls.data(), &s.rep, &s.hash,
+                    &s.table);
+
+  // Each round refines a class by (own class, the listed neighbors'
+  // classes in list order): what one attention level reads. A round that
+  // splits no class leaves the partition where every later round would.
+  if (refine_rounds_ > 0 && n < m) {
+    const nn::Neighbors& g = batch.neighbors();
+    DPDP_CHECK(g.rows() == m);
+    const int* off = g.offsets.data();
+    const int* cols = g.cols.data();
+    for (int round = 0; round < refine_rounds_ && n < m; ++round) {
+      std::swap(s.cls, s.prev);
+      const int* prev = s.prev.data();
+      auto list_hash = [&](int r) {
+        uint64_t h = Mix(static_cast<uint64_t>(prev[r]));
+        for (int e = off[r]; e < off[r + 1]; ++e) {
+          h = Mix(h ^ static_cast<uint64_t>(prev[cols[e]]));
+        }
+        return h;
+      };
+      auto list_equal = [&](int a, int b) {
+        if (prev[a] != prev[b]) return false;
+        const int len = off[a + 1] - off[a];
+        if (off[b + 1] - off[b] != len) return false;
+        for (int e = 0; e < len; ++e) {
+          if (prev[cols[off[a] + e]] != prev[cols[off[b] + e]]) return false;
+        }
+        return true;
+      };
+      const int refined = Partition(m, list_hash, list_equal, s.cls.data(),
+                                    &s.rep, &s.hash, &s.table);
+      if (refined == n) break;
+      n = refined;
+    }
+  }
+  if (n == m) return n;
+
+  // One representative row per class; its list names classes, so the
+  // compact lists may repeat a column and need not ascend.
+  compact_.Clear();
+  compact_.AddItem(n, f);
+  double* out = compact_.mutable_features().data();
+  for (int c = 0; c < n; ++c) {
+    std::memcpy(out + static_cast<size_t>(c) * f,
+                data + static_cast<size_t>(s.rep[c]) * f, row_bytes);
+  }
+  if (refine_rounds_ > 0) {
+    const nn::Neighbors& g = batch.neighbors();
+    nn::Neighbors& cg = compact_.mutable_neighbors();
+    for (int c = 0; c < n; ++c) {
+      const int r = s.rep[c];
+      for (int e = g.offsets[r]; e < g.offsets[r + 1]; ++e) {
+        cg.cols.push_back(s.cls[g.cols[e]]);
+      }
+      cg.offsets.push_back(cg.edges());
+    }
+  }
+  return n;
+}
+
+const nn::Matrix& FleetQNetwork::EvaluateBatch(const DecisionBatch& batch) {
   DPDP_TRACE_SPAN("nn.forward");
+  backward_ready_ = false;
+  const int m = batch.total_rows();
+  const int n = ClassifyRows(batch);
+  QNetworkMetrics& metrics = Metrics();
+  metrics.rows_requested->Add(static_cast<uint64_t>(m));
+  metrics.rows_evaluated->Add(static_cast<uint64_t>(n));
+  if (n == m) return Forward(batch);
+  const nn::Matrix& q = Forward(compact_);
+  q_.Resize(m, 1);
+  for (int r = 0; r < m; ++r) q_(r, 0) = q(classes_.cls[r], 0);
+  return q_;
+}
+
+const nn::Matrix& FleetQNetwork::TrainForward(const DecisionBatch& batch) {
+  DPDP_TRACE_SPAN("nn.forward");
+  const nn::Matrix& q = Forward(batch);
+  backward_ready_ = true;
+  return q;
+}
+
+void FleetQNetwork::BackwardBatch(const nn::Matrix& dq) {
+  DPDP_CHECK(backward_ready_ && "BackwardBatch must follow TrainForward");
+  DPDP_CHECK(dq.cols() == 1);
+  backward_ready_ = false;
+  Backward(dq);
+}
+
+MlpQNetwork::MlpQNetwork(const AgentConfig& config, Rng* rng)
+    : FleetQNetwork(/*refine_rounds=*/0),
+      mlp_({kStateFeatures, config.hidden_dim, config.hidden_dim, 1}, rng) {}
+
+const nn::Matrix& MlpQNetwork::Forward(const DecisionBatch& batch) {
   return mlp_.Forward(batch.features(), ws_);
 }
 
-void MlpQNetwork::BackwardBatch(const nn::Matrix& dq) {
-  DPDP_CHECK(dq.cols() == 1);
-  mlp_.Backward(dq, ws_);
+void MlpQNetwork::Backward(const nn::Matrix& dq) { mlp_.Backward(dq, ws_); }
+
+void MlpQNetwork::Reserve(const DecisionBatch& batch) {
+  mlp_.Reserve(batch.total_rows());
 }
 
 std::vector<nn::Parameter*> MlpQNetwork::Params() { return mlp_.Params(); }
 
 GraphQNetwork::GraphQNetwork(const AgentConfig& config, Rng* rng)
-    : levels_(config.attention_levels),
+    : FleetQNetwork(config.attention_levels),
+      levels_(config.attention_levels),
       encoder_({kStateFeatures, config.hidden_dim, config.hidden_dim}, rng),
       head_({config.hidden_dim * (config.attention_levels + 1),
              config.hidden_dim, 1},
@@ -73,8 +256,7 @@ GraphQNetwork::GraphQNetwork(const AgentConfig& config, Rng* rng)
   level_.resize(levels_ + 1);
 }
 
-const nn::Matrix& GraphQNetwork::EvaluateBatch(const DecisionBatch& batch) {
-  DPDP_TRACE_SPAN("nn.forward");
+const nn::Matrix& GraphQNetwork::Forward(const DecisionBatch& batch) {
   const int m = batch.total_rows();
   const int d = encoder_.out_dim();
   const nn::Neighbors& neighbors = batch.neighbors();
@@ -98,13 +280,10 @@ const nn::Matrix& GraphQNetwork::EvaluateBatch(const DecisionBatch& batch) {
       for (int c = 0; c < d; ++c) concat_(r, l * d + c) = src(r, c);
     }
   }
-  forward_valid_ = true;
   return head_.Forward(concat_, ws_);
 }
 
-void GraphQNetwork::BackwardBatch(const nn::Matrix& dq) {
-  DPDP_CHECK(forward_valid_);
-  DPDP_CHECK(dq.cols() == 1);
+void GraphQNetwork::Backward(const nn::Matrix& dq) {
   const int m = dq.rows();
   const int d = encoder_.out_dim();
   const nn::Matrix& dconcat = head_.Backward(dq, ws_);
@@ -131,7 +310,18 @@ void GraphQNetwork::BackwardBatch(const nn::Matrix& dq) {
     dh = &dh_;
   }
   encoder_.Backward(*dh, ws_);
-  forward_valid_ = false;
+}
+
+void GraphQNetwork::Reserve(const DecisionBatch& batch) {
+  const int rows = batch.total_rows();
+  const int d = encoder_.out_dim();
+  encoder_.Reserve(rows);
+  for (int l = 0; l < levels_; ++l) {
+    attention_[l].Reserve(rows, batch.neighbors().edges());
+    relus_[l].Reserve(rows, d);
+  }
+  concat_.Reserve(rows, d * (levels_ + 1));
+  head_.Reserve(rows);
 }
 
 std::vector<nn::Parameter*> GraphQNetwork::Params() {

@@ -1,6 +1,7 @@
 #ifndef DPDP_RL_Q_NETWORK_H_
 #define DPDP_RL_Q_NETWORK_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -65,29 +66,73 @@ class DecisionBatch {
   int num_items_ = 0;
 };
 
-/// Per-fleet Q-value network. EvaluateBatch scores every candidate row of
-/// every item of a DecisionBatch (constraint embedding has already removed
-/// infeasible vehicles) in one forward pass and returns a (total_rows x 1)
-/// column of Q-values; the reference stays valid until the network's next
-/// Evaluate/Backward call.
+/// Per-fleet Q-value network, scoring every candidate row of every item of
+/// a DecisionBatch (constraint embedding has already removed infeasible
+/// vehicles) and returning a (total_rows x 1) column of Q-values. The
+/// reference stays valid until the network's next forward or backward.
 ///
-/// BackwardBatch must follow the corresponding EvaluateBatch (gradients
-/// accumulate across calls until the optimizer steps), and the
-/// DecisionBatch passed to that EvaluateBatch must stay alive through the
-/// backward pass: the first layer holds a reference to the batch's
-/// features, and the graph network's attention levels one to its neighbor
-/// graph, rather than copying them.
+/// Two forwards give the same bits:
+/// - EvaluateBatch is the inference forward. It runs the network once per
+///   row class and copies each class's Q to its rows. Two rows share a
+///   class when they have bit-identical features and, for the relational
+///   net, their listed neighbors share classes in list order, level by
+///   level (DESIGN.md "Compute kernel model"), so every row's Q is the
+///   bits a full forward gives it.
+/// - TrainForward runs every row through the network and keeps the caches
+///   BackwardBatch consumes. BackwardBatch must follow a TrainForward
+///   (gradients accumulate across calls until the optimizer steps); after
+///   an EvaluateBatch, or a second time, it aborts. The DecisionBatch
+///   passed to TrainForward must stay alive through the backward pass:
+///   the first layer holds a reference to the batch's features, and the
+///   graph network's attention levels one to its neighbor graph, rather
+///   than copying them.
 class FleetQNetwork {
  public:
   virtual ~FleetQNetwork() = default;
 
-  virtual const nn::Matrix& EvaluateBatch(const DecisionBatch& batch) = 0;
+  const nn::Matrix& EvaluateBatch(const DecisionBatch& batch);
+  const nn::Matrix& TrainForward(const DecisionBatch& batch);
 
   /// dq: (total_rows x 1) gradient of the loss w.r.t. each output Q
   /// (usually one-hot at the chosen vehicle).
-  virtual void BackwardBatch(const nn::Matrix& dq) = 0;
+  void BackwardBatch(const nn::Matrix& dq);
+
+  /// Grows every forward buffer to `batch`'s height in one step. A caller
+  /// that runs a shorter EvaluateBatch and then a TrainForward on one
+  /// network calls it first with the TrainForward batch, so the buffers do
+  /// not grow in steps (DESIGN.md "Row classes").
+  virtual void Reserve(const DecisionBatch& batch) = 0;
 
   virtual std::vector<nn::Parameter*> Params() = 0;
+
+ protected:
+  /// `refine_rounds`: how many times a row's class is refined by its
+  /// neighbors' classes, one round per attention level (0 without one).
+  explicit FleetQNetwork(int refine_rounds) : refine_rounds_(refine_rounds) {}
+
+  /// The full forward over every row of `batch`, and its backward.
+  virtual const nn::Matrix& Forward(const DecisionBatch& batch) = 0;
+  virtual void Backward(const nn::Matrix& dq) = 0;
+
+ private:
+  /// Scratch of the row-class pass, reused across calls.
+  struct RowClasses {
+    std::vector<int> cls;        ///< Class of each row.
+    std::vector<int> prev;       ///< The previous round's classes.
+    std::vector<int> rep;        ///< First row of each class.
+    std::vector<uint64_t> hash;  ///< Key hash of each class.
+    std::vector<int> table;      ///< Open addressing: class or -1.
+  };
+
+  /// Numbers the row classes of `batch` into classes_ and returns their
+  /// count; below total_rows() it also fills compact_.
+  int ClassifyRows(const DecisionBatch& batch);
+
+  const int refine_rounds_;
+  bool backward_ready_ = false;
+  RowClasses classes_;
+  DecisionBatch compact_;  ///< One representative row per class.
+  nn::Matrix q_;           ///< Class Q-values copied out to every row.
 };
 
 /// Factorized per-vehicle MLP without relational structure (the DQN /
@@ -97,9 +142,12 @@ class MlpQNetwork : public FleetQNetwork {
  public:
   MlpQNetwork(const AgentConfig& config, Rng* rng);
 
-  const nn::Matrix& EvaluateBatch(const DecisionBatch& batch) override;
-  void BackwardBatch(const nn::Matrix& dq) override;
+  void Reserve(const DecisionBatch& batch) override;
   std::vector<nn::Parameter*> Params() override;
+
+ protected:
+  const nn::Matrix& Forward(const DecisionBatch& batch) override;
+  void Backward(const nn::Matrix& dq) override;
 
  private:
   nn::Mlp mlp_;
@@ -114,9 +162,12 @@ class GraphQNetwork : public FleetQNetwork {
  public:
   GraphQNetwork(const AgentConfig& config, Rng* rng);
 
-  const nn::Matrix& EvaluateBatch(const DecisionBatch& batch) override;
-  void BackwardBatch(const nn::Matrix& dq) override;
+  void Reserve(const DecisionBatch& batch) override;
   std::vector<nn::Parameter*> Params() override;
+
+ protected:
+  const nn::Matrix& Forward(const DecisionBatch& batch) override;
+  void Backward(const nn::Matrix& dq) override;
 
  private:
   int levels_;
@@ -128,7 +179,6 @@ class GraphQNetwork : public FleetQNetwork {
 
   // Reused pass buffers. The level outputs themselves live in the layers'
   // own buffers; only the concatenation and two gradients need homes.
-  bool forward_valid_ = false;
   std::vector<const nn::Matrix*> level_;  ///< Borrowed level outputs.
   nn::Matrix concat_;
   nn::Matrix dtop_;  ///< Top level's slice of the concat gradient.

@@ -235,18 +235,21 @@ int Environment::Apply(int vehicle, double decision_seconds) {
     Metrics().degraded->Add();
   }
 
-  std::vector<Stop> new_suffix = ctx_.options[chosen].insertion.suffix;
+  // The vehicle copies the chosen suffix (or the local search's result)
+  // straight from where it lies.
+  const std::vector<Stop>& chosen_suffix =
+      ctx_.options[chosen].insertion.suffix;
+  std::span<const Stop> new_suffix = chosen_suffix;
+  LocalSearchResult improved;
   if (config_.local_search_passes > 0) {
     vehicles_[chosen].MakeAnchor(&anchor_);
-    LocalSearchResult improved = ImproveSuffixByReinsertion(
-        planner_, anchor_, std::move(new_suffix),
-        vehicles_[chosen].depot(), config_.local_search_passes,
-        &vehicles_[chosen].config());
+    improved = ImproveSuffixByReinsertion(
+        planner_, anchor_, chosen_suffix, vehicles_[chosen].depot(),
+        config_.local_search_passes, &vehicles_[chosen].config());
     result_.local_search_km_saved += improved.improvement();
-    new_suffix = std::move(improved.suffix);
+    new_suffix = improved.suffix;
   }
-  vehicles_[chosen].ApplyNewSuffix(std::move(new_suffix),
-                                   /*serves_order=*/true);
+  vehicles_[chosen].ApplyNewSuffix(new_suffix, /*serves_order=*/true);
   result_.sum_incremental_length +=
       ctx_.options[chosen].incremental_length;
   ++result_.num_served;
@@ -345,7 +348,7 @@ void Environment::ApplyBreakdown(const DisruptionEvent& event,
   for (const Stop& stop : suffix) {
     if (extract_ids.count(stop.order_id) == 0) keep.push_back(stop);
   }
-  vehicle.ApplyNewSuffix(std::move(keep), /*serves_order=*/false);
+  vehicle.ApplyNewSuffix(keep, /*serves_order=*/false);
   vehicle.NoteOrdersRemoved(static_cast<int>(extract_ids.size()));
 
   // Re-plan the extracted orders in ascending id (deterministic) onto the
@@ -376,7 +379,7 @@ void Environment::ApplyBreakdown(const DisruptionEvent& event,
       }
     }
     if (best >= 0) {
-      vehicles_[best].ApplyNewSuffix(std::move(best_insertion.suffix),
+      vehicles_[best].ApplyNewSuffix(best_insertion.suffix,
                                      /*serves_order=*/true);
       assigned_to_[order_id] = best;
       if (config_.record_plan) result->order_assignment[order_id] = best;
@@ -436,7 +439,7 @@ void Environment::ApplyCancellation(const DisruptionEvent& event,
   for (const Stop& stop : suffix) {
     if (stop.order_id != order_id) keep.push_back(stop);
   }
-  vehicle.ApplyNewSuffix(std::move(keep), /*serves_order=*/false);
+  vehicle.ApplyNewSuffix(keep, /*serves_order=*/false);
   vehicle.NoteOrdersRemoved(1);
   assigned_to_[order_id] = -1;
   if (config_.record_plan) result->order_assignment[order_id] = -1;

@@ -1,6 +1,7 @@
 #include "sim/vehicle_state.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace dpdp {
 
@@ -165,9 +166,13 @@ std::span<const Stop> VehicleState::FreeSuffix() const {
   return std::span<const Stop>(stops_).subspan(FirstFreeIndex());
 }
 
-void VehicleState::ApplyNewSuffix(std::vector<Stop> new_suffix,
+void VehicleState::ApplyNewSuffix(std::span<const Stop> new_suffix,
                                   bool serves_order) {
   DPDP_CHECK(!finished_);
+  const std::less<const Stop*> before;
+  DPDP_CHECK(new_suffix.empty() ||
+             before(new_suffix.data(), stops_.data()) ||
+             !before(new_suffix.data(), stops_.data() + stops_.size()));
   const int first = FirstFreeIndex();
   stops_.resize(first);
   stops_.insert(stops_.end(), new_suffix.begin(), new_suffix.end());

@@ -74,11 +74,13 @@ class VehicleState {
   /// the final depot-return leg until the route actually ends.
   double committed_length() const { return committed_length_; }
 
-  /// Replaces the re-plannable suffix with `new_suffix` (as produced by
-  /// RoutePlanner::BestInsertion on FreeSuffix()) at the current time; if
-  /// the vehicle is idle it departs immediately. `serves_order` increments
-  /// the assigned-order counter and marks the vehicle used.
-  void ApplyNewSuffix(std::vector<Stop> new_suffix, bool serves_order);
+  /// Replaces the re-plannable suffix with a copy of `new_suffix` (as
+  /// produced by RoutePlanner::BestInsertion on FreeSuffix()) at the
+  /// current time; if the vehicle is idle it departs immediately.
+  /// `serves_order` increments the assigned-order counter and marks the
+  /// vehicle used. `new_suffix` must not view this vehicle's own stops
+  /// (FreeSuffix()): the route is rewritten in place.
+  void ApplyNewSuffix(std::span<const Stop> new_suffix, bool serves_order);
 
   /// Bookkeeping hook for disruptions that pull `n` previously assigned
   /// orders off this vehicle (breakdown re-plan, cancellation).

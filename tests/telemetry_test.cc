@@ -912,6 +912,31 @@ TEST(TelemetryTest, EndpointsReadTheConsumersWhileTheThreadTicks) {
   EXPECT_GE(telemetry.SloWindows(), 1u);
 }
 
+TEST(TelemetryTest, StopWritesTheTimeSeriesOnlyWhenSampling) {
+  const fs::path dir = MakeScratchDir("telemetry_files");
+  ASSERT_EQ(::getenv("DPDP_METRICS_DIR"), nullptr);
+  ::setenv("DPDP_METRICS_DIR", dir.string().c_str(), 1);
+  {
+    Telemetry::Options options = FastTelemetryOptions("tm3");
+    options.sampler.sample_interval_ms = 0;  // Sampling off, the SLO on.
+    Telemetry telemetry(options);
+    telemetry.Start();
+    telemetry.Stop();
+    EXPECT_EQ(telemetry.SloWindows(), 1u);
+  }
+  EXPECT_FALSE(fs::exists(dir / "timeseries.csv"));
+  EXPECT_FALSE(fs::exists(dir / "timeseries.json"));
+  {
+    Telemetry telemetry(FastTelemetryOptions("tm4"));
+    telemetry.Start();
+    telemetry.Stop();
+  }
+  EXPECT_TRUE(fs::exists(dir / "timeseries.csv"));
+  EXPECT_TRUE(fs::exists(dir / "timeseries.json"));
+  ::unsetenv("DPDP_METRICS_DIR");
+  fs::remove_all(dir);
+}
+
 TEST(TelemetryTest, DefaultsAreInert) {
   ASSERT_EQ(::getenv("DPDP_OBS_SAMPLE_MS"), nullptr);
   ASSERT_EQ(::getenv("DPDP_OBS_HTTP_PORT"), nullptr);

@@ -55,7 +55,7 @@ TEST_F(VehicleStateTest, FreshVehicleIdleAtDepot) {
 TEST_F(VehicleStateTest, DepartsImmediatelyOnAssignment) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, /*serves_order=*/true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, /*serves_order=*/true);
   EXPECT_TRUE(v.used());
   EXPECT_EQ(v.num_assigned_orders(), 1);
   // En route to F1: the first stop is locked, suffix starts after it.
@@ -64,10 +64,26 @@ TEST_F(VehicleStateTest, DepartsImmediatelyOnAssignment) {
   EXPECT_TRUE(v.FreeSuffix()[0] == D(0));
 }
 
+TEST_F(VehicleStateTest, NewSuffixMustNotViewTheVehiclesOwnStops) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  VehicleState v(0, 0, &inst_);
+  v.AdvanceTo(0.0);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0), P(1), D(1)}, true);
+  ASSERT_EQ(v.FreeSuffix().size(), 3u);
+  EXPECT_DEATH(v.ApplyNewSuffix(v.FreeSuffix(), false), "new_suffix");
+  // A copy of the free suffix is fine and leaves the route as it was.
+  const std::vector<Stop> copy(v.FreeSuffix().begin(), v.FreeSuffix().end());
+  v.ApplyNewSuffix(copy, false);
+  ASSERT_EQ(v.FreeSuffix().size(), 3u);
+  EXPECT_TRUE(v.FreeSuffix()[0] == D(0));
+  EXPECT_TRUE(v.FreeSuffix()[2] == D(1));
+  EXPECT_EQ(v.num_assigned_orders(), 1);
+}
+
 TEST_F(VehicleStateTest, PositionInterpolatesWhileDriving) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   v.AdvanceTo(5.0);  // Halfway along depot(0,0) -> F1(10,0).
   const auto pos = v.Position();
   EXPECT_NEAR(pos.first, 5.0, 1e-9);
@@ -77,7 +93,7 @@ TEST_F(VehicleStateTest, PositionInterpolatesWhileDriving) {
 TEST_F(VehicleStateTest, AnchorWhileDrivingIsPostStop) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   v.AdvanceTo(5.0);  // Driving to the pickup.
   const PlanAnchor anchor = AnchorOf(v);
   EXPECT_EQ(anchor.node, 1);            // The locked stop's node.
@@ -89,7 +105,7 @@ TEST_F(VehicleStateTest, AnchorWhileDrivingIsPostStop) {
 TEST_F(VehicleStateTest, ReusedAnchorAndSuffixViewTrackTheRoute) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   v.AdvanceTo(5.0);  // Driving to P0; D0 is the free suffix.
   // A reused anchor holding a stale stack gets exactly this one's.
   PlanAnchor anchor{4, 99.0, {7, 8, 9}};
@@ -102,7 +118,7 @@ TEST_F(VehicleStateTest, ReusedAnchorAndSuffixViewTrackTheRoute) {
 
   // The view is taken afresh after the route changes (the stops may have
   // moved when the route grew).
-  v.ApplyNewSuffix({P(1), D(1), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(1), D(1), D(0)}, true);
   const std::span<const Stop> suffix = v.FreeSuffix();
   ASSERT_EQ(suffix.size(), 3u);
   EXPECT_TRUE(suffix[0] == P(1));
@@ -118,7 +134,7 @@ TEST_F(VehicleStateTest, ReusedAnchorAndSuffixViewTrackTheRoute) {
 TEST_F(VehicleStateTest, EventsApplyLoadAndVisits) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   v.AdvanceTo(25.0);  // Past both stops (arrivals at 10 and 20).
   ASSERT_EQ(v.visits().size(), 2u);
   EXPECT_EQ(v.visits()[0].node, 1);
@@ -132,7 +148,7 @@ TEST_F(VehicleStateTest, EventsApplyLoadAndVisits) {
 TEST_F(VehicleStateTest, IdleVehicleAnchorsAtLastStop) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   v.AdvanceTo(300.0);
   const PlanAnchor anchor = AnchorOf(v);
   EXPECT_EQ(anchor.node, 2);              // Waits at F2.
@@ -143,7 +159,7 @@ TEST_F(VehicleStateTest, IdleVehicleAnchorsAtLastStop) {
 TEST_F(VehicleStateTest, CommittedLengthGrowsPerDepartedArc) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   EXPECT_DOUBLE_EQ(v.committed_length(), 10.0);  // Departed depot -> F1.
   v.AdvanceTo(10.0);  // Arrive F1, serve, depart to F2.
   EXPECT_DOUBLE_EQ(v.committed_length(), 20.0);
@@ -154,7 +170,7 @@ TEST_F(VehicleStateTest, CommittedLengthGrowsPerDepartedArc) {
 TEST_F(VehicleStateTest, FinishRouteAddsReturnLeg) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   const double total = v.FinishRoute();
   EXPECT_DOUBLE_EQ(total, 10.0 + 10.0 + 20.0);  // Incl. F2 -> depot.
   // Finishing twice is idempotent.
@@ -164,10 +180,10 @@ TEST_F(VehicleStateTest, FinishRouteAddsReturnLeg) {
 TEST_F(VehicleStateTest, ReplanningKeepsCommittedPrefix) {
   VehicleState v(0, 0, &inst_);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({P(0), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(0), D(0)}, true);
   v.AdvanceTo(5.0);  // Driving toward P(0): it is locked.
   // Insert order 1 into the free suffix (after P(0)).
-  v.ApplyNewSuffix({P(1), D(1), D(0)}, true);
+  v.ApplyNewSuffix(std::vector<Stop>{P(1), D(1), D(0)}, true);
   ASSERT_EQ(v.stops().size(), 4u);
   EXPECT_TRUE(v.stops()[0] == P(0));  // Prefix untouched.
   EXPECT_TRUE(v.stops()[1] == P(1));
@@ -183,7 +199,7 @@ TEST_F(VehicleStateTest, PickupWaitsForCreationTime) {
   Instance inst = MakeTestInstance({MakeOrder(0, 1, 2, 10.0, 60.0, 500.0)});
   VehicleState v(0, 0, &inst);
   v.AdvanceTo(60.0);
-  v.ApplyNewSuffix({{1, 0, StopType::kPickup}, {2, 0, StopType::kDelivery}},
+  v.ApplyNewSuffix(std::vector<Stop>{{1, 0, StopType::kPickup}, {2, 0, StopType::kDelivery}},
                    true);
   v.AdvanceTo(70.0);  // Arrived at F1 at 70 and can serve immediately.
   ASSERT_EQ(v.visits().size(), 1u);
@@ -197,7 +213,7 @@ TEST_F(VehicleStateTest, ServiceTimeDelaysDeparture) {
   inst.vehicle_config.service_time_min = 5.0;
   VehicleState v(0, 0, &inst);
   v.AdvanceTo(0.0);
-  v.ApplyNewSuffix({{1, 0, StopType::kPickup}, {2, 0, StopType::kDelivery}},
+  v.ApplyNewSuffix(std::vector<Stop>{{1, 0, StopType::kPickup}, {2, 0, StopType::kDelivery}},
                    true);
   v.AdvanceTo(12.0);  // Arrived at 10, serving until 15.
   // Anchor is post-pickup: service end 15 at F1... but the pickup is the
