@@ -272,6 +272,48 @@ BENCHMARK(BM_GemmNaive)->Arg(256);
 
 // ------------------------------------- constraint embedding (Sec IV-C) ----
 
+// A sub-fleet of `m` all-distinct rows: uniform features, uniform
+// positions on an 8 km square.
+void MakeSubFleetItem(dpdp::Rng* rng, int m, int num_neighbors,
+                      dpdp::nn::Matrix* features,
+                      dpdp::nn::Neighbors* neighbors) {
+  *features = dpdp::nn::Matrix(m, dpdp::kStateFeatures);
+  dpdp::nn::Matrix pos(m, 2);
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < dpdp::kStateFeatures; ++c) {
+      (*features)(r, c) = rng->Uniform();
+    }
+    pos(r, 0) = rng->Uniform(0, 8);
+    pos(r, 1) = rng->Uniform(0, 8);
+  }
+  dpdp::AppendNeighbors(pos, num_neighbors, 0, neighbors);
+}
+
+// A sub-fleet of `m` rows in the Fig. 7 mix: each row idles at the depot
+// (site 0) with probability 0.4, all idle rows sharing the feature row
+// `idle`; the rest are distinct rows at 16 other sites.
+void MakeColocatedItem(dpdp::Rng* rng, int m, int num_neighbors,
+                       const double* idle, dpdp::nn::Matrix* features,
+                       dpdp::nn::Neighbors* neighbors) {
+  *features = dpdp::nn::Matrix(m, dpdp::kStateFeatures);
+  dpdp::nn::Matrix pos(m, 2);
+  dpdp::nn::Matrix site(17, 2);
+  for (int s = 0; s < site.rows(); ++s) {
+    site(s, 0) = rng->Uniform(0, 8);
+    site(s, 1) = rng->Uniform(0, 8);
+  }
+  for (int r = 0; r < m; ++r) {
+    const bool at_depot = rng->Bernoulli(0.4);
+    for (int c = 0; c < dpdp::kStateFeatures; ++c) {
+      (*features)(r, c) = at_depot ? idle[c] : rng->Uniform();
+    }
+    const int s = at_depot ? 0 : rng->UniformInt(1, site.rows() - 1);
+    pos(r, 0) = site(s, 0);
+    pos(r, 1) = site(s, 1);
+  }
+  dpdp::AppendNeighbors(pos, num_neighbors, 0, neighbors);
+}
+
 // Inference cost scales with the *feasible* sub-fleet: the route planner
 // excludes infeasible vehicles before the network runs. Sweeping the
 // sub-fleet size shows the savings vs always scoring all 150 vehicles.
@@ -283,29 +325,17 @@ void BM_GraphQForward(benchmark::State& state, int feasible, bool colocated) {
   dpdp::Rng rng(3);
   dpdp::AgentConfig config = dpdp::MakeStDdgnConfig(1);
   dpdp::GraphQNetwork net(config, &rng);
-  dpdp::nn::Matrix features(feasible, dpdp::kStateFeatures);
-  dpdp::nn::Matrix pos(feasible, 2);
-  dpdp::nn::Matrix site(colocated ? 17 : 0, 2);
-  for (int s = 0; s < site.rows(); ++s) {
-    site(s, 0) = rng.Uniform(0, 8);
-    site(s, 1) = rng.Uniform(0, 8);
-  }
-  for (int r = 0; r < feasible; ++r) {
-    const bool idle = colocated && rng.Bernoulli(0.4);
-    for (int c = 0; c < dpdp::kStateFeatures; ++c) {
-      features(r, c) = idle ? 0.1 * c : rng.Uniform();
-    }
-    if (colocated) {
-      const int s = idle ? 0 : rng.UniformInt(1, site.rows() - 1);
-      pos(r, 0) = site(s, 0);
-      pos(r, 1) = site(s, 1);
-    } else {
-      pos(r, 0) = rng.Uniform(0, 8);
-      pos(r, 1) = rng.Uniform(0, 8);
-    }
-  }
+  dpdp::nn::Matrix features;
   dpdp::nn::Neighbors neighbors;
-  dpdp::AppendNeighbors(pos, config.num_neighbors, 0, &neighbors);
+  if (colocated) {
+    double idle[dpdp::kStateFeatures];
+    for (int c = 0; c < dpdp::kStateFeatures; ++c) idle[c] = 0.1 * c;
+    MakeColocatedItem(&rng, feasible, config.num_neighbors, idle, &features,
+                      &neighbors);
+  } else {
+    MakeSubFleetItem(&rng, feasible, config.num_neighbors, &features,
+                     &neighbors);
+  }
   dpdp::DecisionBatch batch;
   batch.Add(features, neighbors);
   net.EvaluateBatch(batch);  // Warm the activation caches.
@@ -328,30 +358,20 @@ BENCHMARK_CAPTURE(BM_GraphQForward, colocated, 150, true);
 
 // ------------------------------------------- batched Q evaluation API ----
 
-// Builds `items` feasible sub-fleets of 30 vehicles each as one
-// DecisionBatch (per-row neighbor lists) and scores them in a single
-// forward pass. Compare against BM_QForwardLooped, which walks the same
-// items one one-item DecisionBatch at a time (the unbatched decision
-// loop). allocs_per_op must read 0: the decision hot path reuses every
-// buffer in steady state.
-void MakeSubFleetItem(dpdp::Rng* rng, int m, int num_neighbors,
-                      dpdp::nn::Matrix* features,
-                      dpdp::nn::Neighbors* neighbors) {
-  *features = dpdp::nn::Matrix(m, dpdp::kStateFeatures);
-  dpdp::nn::Matrix pos(m, 2);
-  for (int r = 0; r < m; ++r) {
-    for (int c = 0; c < dpdp::kStateFeatures; ++c) {
-      (*features)(r, c) = rng->Uniform();
-    }
-    pos(r, 0) = rng->Uniform(0, 8);
-    pos(r, 1) = rng->Uniform(0, 8);
-  }
-  dpdp::AppendNeighbors(pos, num_neighbors, 0, neighbors);
-}
-
-void BM_EvaluateBatch(benchmark::State& state) {
+// Builds `items` feasible sub-fleets as one DecisionBatch (per-row neighbor
+// lists) and scores them in a single forward pass. Compare against
+// BM_QForwardLooped, which walks the same items one one-item DecisionBatch
+// at a time (the unbatched decision loop). allocs_per_op must read 0: the
+// decision hot path reuses every buffer in steady state.
+//
+// The plain rows stack 30-row, all-distinct items. The `colocated` rows
+// stack what the dispatch service loop serves at Fig. 7 scale: 133-row
+// items in the Fig. 7 mix, whose idle row is drawn per item (an idle
+// vehicle's d', xi, t and Delta d depend on the order), so items fold
+// within themselves but not into each other.
+void BM_EvaluateBatch(benchmark::State& state, bool colocated) {
   const int items = static_cast<int>(state.range(0));
-  const int m = 30;
+  const int m = colocated ? 133 : 30;
   dpdp::Rng rng(5);
   dpdp::AgentConfig config = dpdp::MakeStDdgnConfig(1);
   dpdp::GraphQNetwork net(config, &rng);
@@ -359,7 +379,15 @@ void BM_EvaluateBatch(benchmark::State& state) {
   for (int i = 0; i < items; ++i) {
     dpdp::nn::Matrix features;
     dpdp::nn::Neighbors neighbors;
-    MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &neighbors);
+    if (colocated) {
+      const double idle[dpdp::kStateFeatures] = {
+          0.0, rng.Uniform(), rng.Uniform(), 0.0, rng.Uniform(),
+          rng.Uniform()};
+      MakeColocatedItem(&rng, m, config.num_neighbors, idle, &features,
+                        &neighbors);
+    } else {
+      MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &neighbors);
+    }
     batch.Add(features, neighbors);
   }
   net.EvaluateBatch(batch);  // Warm the activation caches.
@@ -370,9 +398,14 @@ void BM_EvaluateBatch(benchmark::State& state) {
   ReportAllocs(state, before);
   state.SetItemsProcessed(state.iterations() * items);
   state.SetLabel(std::to_string(items) + " decisions x " +
-                 std::to_string(m) + " vehicles");
+                 std::to_string(m) + " vehicles" +
+                 (colocated ? ", Fig. 7 mix" : ""));
+}
+void BM_EvaluateBatch(benchmark::State& state) {
+  BM_EvaluateBatch(state, false);
 }
 BENCHMARK(BM_EvaluateBatch)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK_CAPTURE(BM_EvaluateBatch, colocated, true)->Arg(1)->Arg(6)->Arg(12);
 
 // The unbatched decision loop: one one-item DecisionBatch evaluation per
 // item, exactly like N independent agents each deciding alone.

@@ -21,9 +21,10 @@
 //   DPDP_SERVE_EPISODES    episodes per campus        (default 1)
 //   DPDP_SERVE_ORDERS      orders per campus          (default 24)
 //   DPDP_SERVE_VEHICLES    vehicles per campus        (default 8)
-//   DPDP_SERVE_HIDDEN      policy hidden width        (default 128)
-//   DPDP_SERVE_MAX_BATCH / DPDP_SERVE_MAX_WAIT_US / DPDP_SERVE_QUEUE_CAP
-//                          service policy             (see README)
+//   DPDP_SERVE_HIDDEN      policy hidden width        (default 512)
+//   DPDP_SERVE_MAX_BATCH   flush at this many pending (default: clients)
+//   DPDP_SERVE_MAX_WAIT_US ... or after this wait, us (default 300)
+//   DPDP_SERVE_QUEUE_CAP   admission bound            (default 256)
 //   DPDP_BENCH_JSON        result file                (default BENCH_5.json)
 
 #include <unistd.h>

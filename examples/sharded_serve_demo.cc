@@ -21,8 +21,12 @@
 // (ServeConfig::commit_us — think "wait for the dispatch channel to ack
 // the batch before releasing replies"). Commit waits consume no CPU and
 // genuinely overlap across shard loops, which is exactly the property
-// sharding buys in a real deployment. Set DPDP_SERVE_COMMIT_US=0 to watch
-// the work-conserving (flat) curve instead.
+// sharding buys in a real deployment. After the modeled-commit sweep
+// (BM_ShardedServeThroughput/<shards> rows) the demo sweeps the same shard
+// counts again with no commit stage (BM_ShardedServeComputeBound/<shards>
+// rows): compute-bound numbers that no modeled sleep inflates, where the
+// work-conserving curve stays flat on one core. With
+// DPDP_SERVE_COMMIT_US=0 only the compute-bound sweep runs.
 //
 // Build & run:
 //   cmake -B build && cmake --build build
@@ -36,7 +40,8 @@
 //   DPDP_SHARD_VEHICLES    vehicles per campus         (default 4)
 //   DPDP_SHARD_HIDDEN      policy hidden width         (default 64)
 //   DPDP_SERVE_COMMIT_US   per-batch commit latency    (default 8000)
-//   DPDP_SERVE_MAX_BATCH / DPDP_SERVE_MAX_WAIT_US     service policy
+//   DPDP_SERVE_MAX_BATCH   flush at this many pending  (default 16)
+//   DPDP_SERVE_MAX_WAIT_US ... or after this wait, us  (default 300)
 //   DPDP_BENCH_JSON        result file                 (default BENCH_6.json)
 //   DPDP_METRICS_DIR       also dump the registry snapshot there
 //
@@ -204,59 +209,68 @@ int main() {
   // same ModelServer, so a sweep compares fabrics, not models.
   dpdp::serve::ModelServer models(config);
 
+  // One sweep over the shard counts with `sweep_commit_us` per batch,
+  // appending a `row_prefix`<shards> row per count.
   std::vector<BenchRow> rows;
-  double one_shard_ips = 0.0;
-  for (const int num_shards : shard_counts) {
-    dpdp::serve::ShardedServeConfig serve_config;
-    serve_config.num_shards = num_shards;
-    serve_config.shard.max_batch =
-        dpdp::EnvIntStrict("DPDP_SERVE_MAX_BATCH", 16, 1, 65536);
-    serve_config.shard.max_wait_us =
-        dpdp::EnvIntStrict("DPDP_SERVE_MAX_WAIT_US", 300, 0, 60000000);
-    // Admission must never trip in this demo: a shed reply is a greedy
-    // decision and would (correctly) fail the bitwise check.
-    serve_config.shard.queue_capacity = num_clients;
-    serve_config.shard.commit_us = commit_us;
+  auto sweep = [&](long sweep_commit_us, const std::string& row_prefix) {
+    const size_t first_row = rows.size();
+    for (const int num_shards : shard_counts) {
+      dpdp::serve::ShardedServeConfig serve_config;
+      serve_config.num_shards = num_shards;
+      serve_config.shard.max_batch =
+          dpdp::EnvIntStrict("DPDP_SERVE_MAX_BATCH", 16, 1, 65536);
+      serve_config.shard.max_wait_us =
+          dpdp::EnvIntStrict("DPDP_SERVE_MAX_WAIT_US", 300, 0, 60000000);
+      // Admission must never trip in this demo: a shed reply is a greedy
+      // decision and would (correctly) fail the bitwise check.
+      serve_config.shard.queue_capacity = num_clients;
+      serve_config.shard.commit_us = sweep_commit_us;
 
-    dpdp::serve::ShardRouter router(serve_config, &models);
-    const dpdp::serve::LoadReport served =
-        dpdp::serve::RunServedLoad(client_ptrs, &router, options);
-    const dpdp::serve::RouterStats stats = router.Stats();
-    router.Stop();
+      dpdp::serve::ShardRouter router(serve_config, &models);
+      const dpdp::serve::LoadReport served =
+          dpdp::serve::RunServedLoad(client_ptrs, &router, options);
+      const dpdp::serve::RouterStats stats = router.Stats();
+      router.Stop();
 
-    // ---- The invariants the fabric is sold on. ----
-    DPDP_CHECK(stats.total.sheds == 0);
-    DPDP_CHECK(stats.total.requests ==
-               static_cast<uint64_t>(served.total_decisions));
-    for (int i = 0; i < num_clients; ++i) {
-      CheckSameEpisode(local.clients[i % num_campuses].episodes[0],
-                       served.clients[i].episodes[0]);
+      // ---- The invariants the fabric is sold on. ----
+      DPDP_CHECK(stats.total.sheds == 0);
+      DPDP_CHECK(stats.total.requests ==
+                 static_cast<uint64_t>(served.total_decisions));
+      for (int i = 0; i < num_clients; ++i) {
+        CheckSameEpisode(local.clients[i % num_campuses].episodes[0],
+                         served.clients[i].episodes[0]);
+      }
+      // Every shard must have carried real traffic: the campus-hash
+      // partition map may not starve a shard at this campus population.
+      for (int k = 0; k < num_shards; ++k) {
+        DPDP_CHECK(stats.shards[k].requests > 0);
+      }
+
+      std::printf("  %d shard(s), commit=%ldus: %ld decisions, %.0f dec/s, "
+                  "p50 %.0f us, p99 %.0f us, %llu batches, 0 shed\n",
+                  num_shards, sweep_commit_us, served.total_decisions,
+                  served.decisions_per_second, served.p50_us, served.p99_us,
+                  static_cast<unsigned long long>(stats.total.batches));
+      rows.push_back(MakeRow(row_prefix + std::to_string(num_shards), served,
+                             static_cast<long>(stats.total.sheds)));
     }
-    // Every shard must have carried real traffic: the campus-hash
-    // partition map may not starve a shard at this campus population.
-    for (int k = 0; k < num_shards; ++k) {
-      DPDP_CHECK(stats.shards[k].requests > 0);
-    }
-
-    std::printf("  %d shard(s): %ld decisions, %.0f dec/s, p50 %.0f us, "
-                "p99 %.0f us, %llu batches, 0 shed\n",
-                num_shards, served.total_decisions,
-                served.decisions_per_second, served.p50_us, served.p99_us,
-                static_cast<unsigned long long>(stats.total.batches));
-    if (num_shards == 1) one_shard_ips = served.decisions_per_second;
-    rows.push_back(MakeRow(
-        "BM_ShardedServeThroughput/" + std::to_string(num_shards), served,
-        static_cast<long>(stats.total.sheds)));
-  }
-
-  if (one_shard_ips > 0.0) {
-    std::printf("  scaling vs 1 shard:");
+    double one_shard_ips = 0.0;
     for (size_t i = 0; i < shard_counts.size(); ++i) {
-      std::printf(" %dx=%.2f", shard_counts[i],
-                  rows[i].decisions_per_second / one_shard_ips);
+      if (shard_counts[i] == 1) {
+        one_shard_ips = rows[first_row + i].decisions_per_second;
+      }
     }
-    std::printf("\n");
-  }
+    if (one_shard_ips > 0.0) {
+      std::printf("  scaling vs 1 shard, commit=%ldus:", sweep_commit_us);
+      for (size_t i = 0; i < shard_counts.size(); ++i) {
+        std::printf(" %dx=%.2f", shard_counts[i],
+                    rows[first_row + i].decisions_per_second / one_shard_ips);
+      }
+      std::printf("\n");
+    }
+  };
+  if (commit_us > 0) sweep(commit_us, "BM_ShardedServeThroughput/");
+  sweep(0, "BM_ShardedServeComputeBound/");
 
   // Registry rollup: all served traffic flowed through tagged shards, so
   // the aggregate request counter equals the per-shard sum exactly — even

@@ -1,8 +1,11 @@
 #include "serve/dispatch_service.h"
 
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,13 +49,16 @@ struct ServeMetrics {
       "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
   obs::Histogram* queue_wait = obs::MetricsRegistry::Global().GetHistogram(
       "serve.queue_wait_s", obs::LatencyBucketsSeconds());
+  /// One batch's weight sync, stacking and forward. The items were built
+  /// on the submitting threads (serve.hop.build_s), so no build is in it.
   obs::Histogram* eval_latency = obs::MetricsRegistry::Global().GetHistogram(
       "serve.eval_latency_s", obs::LatencyBucketsSeconds());
   obs::Histogram* commit_latency = obs::MetricsRegistry::Global().GetHistogram(
       "serve.commit_latency_s", obs::LatencyBucketsSeconds());
-  /// End-to-end service latency (enqueue -> reply release), recorded for
-  /// every answered request on every path (served, shed, deadline) — the
-  /// histogram the SLO monitor's p99 objective reads by default.
+  /// End-to-end service latency (submit -> reply release, the build
+  /// included), recorded for every answered request on every path
+  /// (served, shed, deadline) — the histogram the SLO monitor's p99
+  /// objective reads by default.
   obs::Histogram* request_latency = obs::MetricsRegistry::Global().GetHistogram(
       "serve.request_latency_s", obs::LatencyBucketsSeconds());
   /// Queue depth sampled at each batch pop (aggregate; per-shard gauges
@@ -64,6 +70,8 @@ struct ServeMetrics {
   /// hop spans and these rows come from the same timestamps).
   obs::Histogram* hop_route = obs::MetricsRegistry::Global().GetHistogram(
       "serve.hop.route_s", obs::LatencyBucketsSeconds());
+  obs::Histogram* hop_build = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.hop.build_s", obs::LatencyBucketsSeconds());
   obs::Histogram* hop_queue = obs::MetricsRegistry::Global().GetHistogram(
       "serve.hop.queue_s", obs::LatencyBucketsSeconds());
   obs::Histogram* hop_eval = obs::MetricsRegistry::Global().GetHistogram(
@@ -92,15 +100,40 @@ double SecondsBetween(int64_t start_ns, int64_t end_ns) {
   return static_cast<double>(end_ns - start_ns) / 1e9;
 }
 
-/// Records the submit-side route hop (the flow-start of the request's
-/// trace lane) plus its serve.hop.route_s row. No-op for untraced
-/// requests: one branch.
-void RecordRouteHop(DecisionRequest* request, int64_t route_start) {
+/// The span name "serve.shard<index>". A buffered span keeps its name
+/// pointer until the trace file is written, which can be after the shard
+/// is destroyed, so each index's name is made once and never freed.
+const char* ShardSpanName(int index) {
+  static std::mutex mu;
+  static auto* names = new std::map<int, std::string>;
+  std::lock_guard<std::mutex> lock(mu);
+  return names->try_emplace(index, "serve.shard" + std::to_string(index))
+      .first->second.c_str();
+}
+
+/// Records a submit-side hop that ends now, plus its histogram row. No-op
+/// for untraced requests: one branch.
+void RecordSubmitHop(const char* name, obs::FlowPhase phase,
+                     obs::Histogram* histogram, DecisionRequest* request,
+                     int64_t start) {
   if (!request->trace.active()) return;
   const int64_t now = MonotonicNanos();
-  request->trace = obs::RecordHop("serve.hop.route", request->trace,
-                                  route_start, now, obs::FlowPhase::kStart);
-  Metrics().hop_route->Record(SecondsBetween(route_start, now));
+  request->trace = obs::RecordHop(name, request->trace, start, now, phase);
+  histogram->Record(SecondsBetween(start, now));
+}
+
+/// A request for `context` with no item yet: its submit time, its trace
+/// identity and the route hop that starts its flow lane (routing ends
+/// here).
+DecisionRequest OpenRequest(const DispatchContext& context,
+                            int64_t route_start) {
+  DecisionRequest request;
+  request.context = &context;
+  request.submit_time = std::chrono::steady_clock::now();
+  request.trace = obs::NewTraceContext();
+  RecordSubmitHop("serve.hop.route", obs::FlowPhase::kStart,
+                  Metrics().hop_route, &request, route_start);
+  return request;
 }
 
 }  // namespace
@@ -130,7 +163,8 @@ DispatchService::DispatchService(const ServeConfig& config,
   DPDP_CHECK(models_ != nullptr);
   if (config_.chaos.any()) chaos_.emplace(config_.chaos);
   if (tag_.index >= 0) {
-    const std::string prefix = "serve.shard" + std::to_string(tag_.index);
+    shard_span_name_ = ShardSpanName(tag_.index);
+    const std::string prefix = shard_span_name_;
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     shard_requests_ = registry.GetCounter(prefix + ".requests");
     shard_sheds_ = registry.GetCounter(prefix + ".shed");
@@ -143,7 +177,6 @@ DispatchService::DispatchService(const ServeConfig& config,
     shard_rerouted_ = registry.GetCounter(prefix + ".rerouted");
     shard_restarts_ = registry.GetCounter(prefix + ".restarts");
     shard_queue_depth_ = registry.GetGauge(prefix + ".queue_depth");
-    shard_span_name_ = prefix;
   }
   heartbeat_ns_.store(MonotonicNanos(), std::memory_order_relaxed);
   loop_ = std::thread([this] { Loop(); });
@@ -151,15 +184,24 @@ DispatchService::DispatchService(const ServeConfig& config,
 
 DispatchService::~DispatchService() { Stop(); }
 
-DecisionRequest DispatchService::MakeRequest(
-    const DispatchContext& context) const {
-  DecisionRequest request;
-  request.context = &context;
-  request.trace = obs::NewTraceContext();
+DecisionRequest DispatchService::MakeRequest(const DispatchContext& context,
+                                             int64_t route_start) const {
+  DecisionRequest request = OpenRequest(context, route_start);
+  const int64_t build_start = request.trace.active() ? MonotonicNanos() : 0;
+  const AgentConfig& config = models_->config();
+  FleetState state = BuildFleetState(context, config);
+  request.vehicles = InferenceIndices(state, config);
+  AppendSubFleetInputs(state, request.vehicles, config.use_graph,
+                       config.num_neighbors, &request.item);
+  request.fleet.feasible = std::move(state.feasible);
+  RecordSubmitHop("serve.hop.build", obs::FlowPhase::kStep,
+                  Metrics().hop_build, &request, build_start);
+  // The queue wait starts once the item is built; the deadline counts from
+  // the submit.
   request.enqueue_time = std::chrono::steady_clock::now();
   if (config_.deadline_us > 0) {
     request.deadline =
-        request.enqueue_time + std::chrono::microseconds(config_.deadline_us);
+        request.submit_time + std::chrono::microseconds(config_.deadline_us);
     request.has_deadline = true;
   }
   return request;
@@ -168,15 +210,14 @@ DecisionRequest DispatchService::MakeRequest(
 std::future<ServeReply> DispatchService::Submit(
     const DispatchContext& context) {
   const int64_t route_start = obs::TraceEnabled() ? MonotonicNanos() : 0;
-  DecisionRequest request = MakeRequest(context);
+  DecisionRequest request = MakeRequest(context, route_start);
   std::future<ServeReply> fut = request.reply.get_future();
   CountRequest();
-  RecordRouteHop(&request, route_start);
   const PushResult result = queue_.TryPush(std::move(request));
   if (result != PushResult::kAdmitted) {
     // Shed: answer right here on the caller's thread with the emergency
-    // rule. Overload slows one caller down by one greedy scan; it never
-    // wedges the service or blocks the queue.
+    // rule. Overload slows one caller down by its unused build and one
+    // greedy scan; it never wedges the service or blocks the queue.
     AnswerShed(&request, /*closed_reject=*/result == PushResult::kClosed);
   }
   return fut;
@@ -186,17 +227,18 @@ std::future<ServeReply> DispatchService::SubmitWithDeadline(
     const DispatchContext& context,
     std::chrono::steady_clock::time_point deadline) {
   const int64_t route_start = obs::TraceEnabled() ? MonotonicNanos() : 0;
-  DecisionRequest request = MakeRequest(context);
-  request.deadline = deadline;
-  request.has_deadline = true;
-  std::future<ServeReply> fut = request.reply.get_future();
   CountRequest();
-  RecordRouteHop(&request, route_start);
   if (std::chrono::steady_clock::now() >= deadline) {
-    // Already expired at push: never worth a queue slot.
+    // Already expired at push: never worth a build or a queue slot.
+    DecisionRequest request = OpenRequest(context, route_start);
+    std::future<ServeReply> fut = request.reply.get_future();
     AnswerDeadline(&request);
     return fut;
   }
+  DecisionRequest request = MakeRequest(context, route_start);
+  request.deadline = deadline;
+  request.has_deadline = true;
+  std::future<ServeReply> fut = request.reply.get_future();
   const PushResult result = queue_.TryPush(std::move(request));
   if (result != PushResult::kAdmitted) {
     AnswerShed(&request, /*closed_reject=*/result == PushResult::kClosed);
@@ -240,7 +282,7 @@ void DispatchService::AnswerShed(DecisionRequest* request,
   }
   const int64_t now = MonotonicNanos();
   Metrics().request_latency->Record(
-      SecondsBetween(ToNanos(request->enqueue_time), now));
+      SecondsBetween(ToNanos(request->submit_time), now));
   if (request->trace.active()) {
     // Terminal hop: the shed decision ends the request's flow lane.
     request->trace = obs::RecordHop("serve.hop.shed", request->trace, now,
@@ -261,7 +303,7 @@ void DispatchService::AnswerDeadline(DecisionRequest* request) {
   if (shard_deadline_exceeded_ != nullptr) shard_deadline_exceeded_->Add();
   const int64_t now = MonotonicNanos();
   Metrics().request_latency->Record(
-      SecondsBetween(ToNanos(request->enqueue_time), now));
+      SecondsBetween(ToNanos(request->submit_time), now));
   if (request->trace.active()) {
     // Terminal hop: deadline triage answered with the fallback.
     request->trace = obs::RecordHop("serve.hop.triage", request->trace, now,
@@ -331,14 +373,11 @@ void DispatchService::Loop() {
   // "resync from the model server" means for an in-process shard.
   Rng scratch(models_->config().seed);
   std::unique_ptr<FleetQNetwork> net = MakeQNetwork(models_->config(), &scratch);
-  const AgentConfig& agent_config = models_->config();
   bool synced_once = false;
   uint64_t net_seq = 0;
 
   std::vector<DecisionRequest> requests;
   std::vector<DecisionRequest> live;
-  std::vector<FleetState> states;
-  std::vector<std::vector<int>> indices;
   DecisionBatch batch;
   ServeMetrics& metrics = Metrics();
 
@@ -395,7 +434,7 @@ void DispatchService::Loop() {
     // Per-shard span annotation: the same batch shows up under its shard's
     // own name so a trace viewer separates the N loops.
     std::optional<obs::TraceSpan> shard_span;
-    if (!shard_span_name_.empty()) shard_span.emplace(shard_span_name_.c_str());
+    if (shard_span_name_ != nullptr) shard_span.emplace(shard_span_name_);
 
     // Deadline triage: requests that aged out while queued (or while the
     // loop was stalled) get the greedy fallback immediately; only the
@@ -426,9 +465,9 @@ void DispatchService::Loop() {
       synced_once = true;
     }
 
+    // Stack the built items; Add shifts each item's neighbor lists to its
+    // global rows.
     const int n = static_cast<int>(live.size());
-    states.resize(n);
-    indices.resize(n);
     batch.Clear();
     const int64_t eval_start_ns = ToNanos(start);
     for (int i = 0; i < n; ++i) {
@@ -445,10 +484,7 @@ void DispatchService::Loop() {
         metrics.hop_queue->Record(
             SecondsBetween(enqueued_ns, eval_start_ns));
       }
-      states[i] = BuildFleetState(*live[i].context, agent_config);
-      indices[i] = InferenceIndices(states[i], agent_config);
-      AppendSubFleetInputs(states[i], indices[i], agent_config.use_graph,
-                           agent_config.num_neighbors, &batch);
+      batch.Add(live[i].item.features(), live[i].item.neighbors());
     }
     const nn::Matrix& q = net->EvaluateBatch(batch);
     const int64_t eval_end_ns = MonotonicNanos();
@@ -489,8 +525,8 @@ void DispatchService::Loop() {
 
     const int64_t reply_start_ns = MonotonicNanos();
     for (int i = 0; i < n; ++i) {
-      const GreedyQChoice choice =
-          ArgmaxFeasibleQ(states[i], indices[i], q, batch.offset(i));
+      const GreedyQChoice choice = ArgmaxFeasibleQ(
+          live[i].fleet, live[i].vehicles, q, batch.offset(i));
       ServeReply reply;
       reply.vehicle = choice.vehicle;
       reply.degraded = choice.vehicle < 0;
@@ -503,7 +539,7 @@ void DispatchService::Loop() {
       }
       const int64_t reply_ns = MonotonicNanos();
       metrics.request_latency->Record(
-          SecondsBetween(ToNanos(live[i].enqueue_time), reply_ns));
+          SecondsBetween(ToNanos(live[i].submit_time), reply_ns));
       if (live[i].trace.active()) {
         // Terminal hop: the reply leaves the fabric, the flow lane ends.
         live[i].trace =

@@ -66,9 +66,12 @@ class DecisionService {
  public:
   virtual ~DecisionService() = default;
 
-  /// Submits one decision request. `context` must stay alive until the
-  /// returned future is fulfilled (ServiceDispatcher guarantees this by
-  /// blocking inside Act). Thread-safe.
+  /// Submits one decision request. The request's network input is built
+  /// from `context` on the calling thread before Submit returns, but
+  /// `context` must stay alive until the returned future is fulfilled:
+  /// shed and deadline replies run the greedy fallback on it
+  /// (ServiceDispatcher guarantees this by blocking inside Act).
+  /// Thread-safe.
   virtual std::future<ServeReply> Submit(const DispatchContext& context) = 0;
 };
 
@@ -81,7 +84,10 @@ struct ShardTag {
 
 /// The in-process dispatch service: many concurrent simulated campuses
 /// submit decision requests; a single service loop coalesces them into
-/// stacked DecisionBatch evaluations on the current ModelSnapshot.
+/// stacked DecisionBatch evaluations on the current ModelSnapshot. Each
+/// submitter builds its own request's fleet state, sub-fleet and neighbor
+/// lists (MakeRequest), so the loop only triages deadlines, stacks the
+/// built items, runs one EvaluateBatch and replies.
 ///
 /// Correctness invariant: because a stacked EvaluateBatch is bit-identical
 /// to per-item evaluation (neighbor lists that never cross items + one-
@@ -138,9 +144,16 @@ class DispatchService : public DecisionService {
 
   // --- Fabric-facing admission (used by ShardRouter / ShardSupervisor) ---
 
-  /// Builds a request for `context` stamped with this service's deadline
-  /// policy. The caller owns the promise until the request is admitted.
-  DecisionRequest MakeRequest(const DispatchContext& context) const;
+  /// Builds a request for `context` on the calling thread: the fleet
+  /// state, the inference indices and the one-item DecisionBatch the
+  /// service loop stacks, stamped with this service's deadline policy. The
+  /// request carries its item through every requeue, readmit and reroute,
+  /// so it is built once. `route_start` (MonotonicNanos, 0 when tracing is
+  /// off) opens a traced request's route hop, which ends where the build
+  /// hop begins. The caller owns the promise until the request is
+  /// admitted.
+  DecisionRequest MakeRequest(const DispatchContext& context,
+                              int64_t route_start) const;
 
   /// Tries to enqueue an already-built request, preserving its promise.
   /// Counts the request against this shard unless the queue is closed
@@ -245,8 +258,9 @@ class DispatchService : public DecisionService {
   obs::Counter* shard_rerouted_ = nullptr;
   obs::Counter* shard_restarts_ = nullptr;
   obs::Gauge* shard_queue_depth_ = nullptr;
-  /// Span name "serve.shard<k>"; stored so the const char* outlives spans.
-  std::string shard_span_name_;
+  /// Span name "serve.shard<k>" (ShardSpanName: never freed, since
+  /// buffered spans outlive the shard until the trace file is written).
+  const char* shard_span_name_ = nullptr;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> sheds_{0};

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "rl/q_network.h"
+#include "rl/state.h"
 #include "sim/dispatcher.h"
 
 namespace dpdp::serve {
@@ -37,12 +39,33 @@ struct ServeReply {
   uint64_t trace_id = 0;
 };
 
-/// One queued decision request. The context is borrowed: the submitter
+/// One queued decision request. The submitting thread builds the
+/// decision's network input (DispatchService::MakeRequest), so the service
+/// loop only stacks, scores and replies. The context stays borrowed: shed
+/// and deadline replies run the greedy fallback on it, so the submitter
 /// must keep it alive until the reply future is fulfilled. The dispatch
 /// adapter guarantees this by blocking on the future inside Act.
 struct DecisionRequest {
   const DispatchContext* context = nullptr;
+  /// The scored sub-fleet as a one-item DecisionBatch: its feature rows
+  /// and, for relational nets, neighbor lists naming the item's own rows.
+  /// The loop stacks it with DecisionBatch::Add, which shifts the lists to
+  /// global rows. Its bytes are those a local agent builds for the same
+  /// context, which keeps served decisions bit-identical to local ones.
+  DecisionBatch item;
+  /// What ArgmaxFeasibleQ reads to turn the item's Q rows into a vehicle:
+  /// the fleet index of each item row (InferenceIndices) and the fleet's
+  /// feasibility flags. Only `fleet.feasible` is kept; the features and
+  /// positions went into `item`.
+  std::vector<int> vehicles;
+  FleetState fleet;
   std::promise<ServeReply> reply;
+  /// When the submitting thread opened the request, before its build.
+  /// serve.request_latency_s and ServeConfig::deadline_us count from here,
+  /// so both include the build.
+  std::chrono::steady_clock::time_point submit_time;
+  /// When the built request went to the queue. The queue wait and the
+  /// flush policy's max_wait count from here.
   std::chrono::steady_clock::time_point enqueue_time;
   /// Reply-by deadline (valid when has_deadline). Past it, the service
   /// answers with the greedy fallback instead of the model.

@@ -12,22 +12,13 @@
 namespace dpdp::serve {
 namespace {
 
-/// Submit -> admitted-elsewhere latency of rerouted requests (failover
+/// Enqueue -> admitted-elsewhere latency of rerouted requests (failover
 /// overlay or closed-queue hops). Recorded only when a reroute actually
 /// happens, so the home-shard fast path pays nothing.
 obs::Histogram& RerouteLatency() {
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().GetHistogram(
           "serve.reroute_latency_s", obs::LatencyBucketsSeconds());
-  return *histogram;
-}
-
-/// Router-side handle for the shared route-hop histogram (the same
-/// serve.hop.route_s rows the single-service Submit records).
-obs::Histogram& RouteHopLatency() {
-  static obs::Histogram* histogram =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "serve.hop.route_s", obs::LatencyBucketsSeconds());
   return *histogram;
 }
 
@@ -182,17 +173,12 @@ std::future<ServeReply> ShardRouter::Submit(const DispatchContext& context) {
   const std::shared_ptr<const Overlay> overlay = CurrentOverlay();
   int target = overlay ? overlay->redirect[home] : home;
   DispatchService& home_shard = *shards_[home];
-  DecisionRequest request = home_shard.MakeRequest(context);
+  // The routing hop (shard choice + overlay lookup) starts the request's
+  // flow lane and the build hop follows it; admission hops below extend
+  // it. The built item rides along to whichever shard admits it.
+  DecisionRequest request = home_shard.MakeRequest(context, route_start);
   std::future<ServeReply> fut = request.reply.get_future();
   const int64_t enqueue_ns = ToNanos(request.enqueue_time);
-  if (request.trace.active()) {
-    // The routing hop (shard choice + overlay lookup) starts the request's
-    // flow lane; admission hops below extend it.
-    const int64_t now = MonotonicNanos();
-    request.trace = obs::RecordHop("serve.hop.route", request.trace,
-                                   route_start, now, obs::FlowPhase::kStart);
-    RouteHopLatency().Record(static_cast<double>(now - route_start) / 1e9);
-  }
   const int n = num_shards();
   for (int hop = 0; hop < n; ++hop) {
     DispatchService* shard = shards_[target].get();

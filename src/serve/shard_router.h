@@ -114,12 +114,13 @@ class ShardRouter : public DecisionService {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Routes to ShardOf(context) — or, when a failover overlay is active,
-  /// to the live shard standing in for it — and submits there.
-  /// Thread-safe. A request bounced by a closed queue (the shard crashed
-  /// between the overlay read and the push) hops to the next live shard,
-  /// so a reply is lost only if EVERY shard is closed — i.e. the whole
-  /// fabric is stopping, and even then it is answered as a closed-shed,
-  /// never dropped.
+  /// to the live shard standing in for it — and submits there. The
+  /// request's item is built once, on the calling thread, before the
+  /// first admission attempt. Thread-safe. A request bounced by a closed
+  /// queue (the shard crashed between the overlay read and the push) hops
+  /// to the next live shard with its built item, so a reply is lost only
+  /// if EVERY shard is closed — i.e. the whole fabric is stopping, and
+  /// even then it is answered as a closed-shed, never dropped.
   std::future<ServeReply> Submit(const DispatchContext& context) override;
 
   // --- Failover overlay (driven by the ShardSupervisor) ---

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/greedy_baselines.h"
+#include "obs/metrics.h"
 #include "rl/checkpoint.h"
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
@@ -272,6 +273,76 @@ TEST(DispatchServiceTest, FourClientsBitwiseMatchSingleClient) {
     EXPECT_EQ(client.sheds, 0);
   }
   EXPECT_EQ(quad.total_decisions, 4 * solo.total_decisions);
+}
+
+// Fig. 7's shape at test size: concurrent campuses whose fleets mostly idle
+// at one depot. Idle vehicles give bit-identical rows, so the row classes
+// fold rows within an item, and across the stacked items of campuses whose
+// current orders share a factory pair and a time interval. Each campus
+// walks the factory pairs at its own stride, so the campuses' busy
+// vehicles differ and an item that read another item's rows would change
+// its decisions. Every campus must decide exactly as its local agent does.
+void RunServedMatchesLocalAtScale(const AgentConfig& config) {
+  constexpr int kCampuses = 4;
+  constexpr int kVehicles = 40;
+  std::vector<Instance> campuses;
+  for (int c = 0; c < kCampuses; ++c) {
+    std::vector<Order> orders;
+    for (int i = 0; i < 16; ++i) {
+      const int pickup = 1 + ((i + c) % 2);        // F1 / F2
+      const int delivery = 3 + ((i / (c + 1)) % 2);  // F3 / F4
+      orders.push_back(MakeOrder(i, pickup, delivery, 5.0 + (i % 3),
+                                 10.0 * i, 600.0 + 10.0 * i));
+    }
+    campuses.push_back(MakeTestInstance(std::move(orders), kVehicles));
+    campuses.back().name = "idle-depot-" + std::to_string(c);
+  }
+  std::vector<const Instance*> instances;
+  for (const Instance& campus : campuses) instances.push_back(&campus);
+  LoadOptions options;
+  options.sim.record_plan = true;
+  const LoadReport local = RunLocalAgentsLoad(instances, config, options);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* rows_requested = registry.GetCounter("nn.rows_requested");
+  obs::Counter* rows_evaluated = registry.GetCounter("nn.rows_evaluated");
+  const uint64_t requested_before = rows_requested->Value();
+  const uint64_t evaluated_before = rows_evaluated->Value();
+  ModelServer models(config);
+  ServeConfig serve_config;
+  serve_config.max_batch = kCampuses;
+  serve_config.max_wait_us = 5000;
+  DispatchService service(serve_config, &models);
+  const LoadReport served = RunServedLoad(instances, &service, options);
+  service.Stop();
+  const uint64_t requested = rows_requested->Value() - requested_before;
+  const uint64_t evaluated = rows_evaluated->Value() - evaluated_before;
+
+  ASSERT_EQ(served.clients.size(), static_cast<size_t>(kCampuses));
+  for (int c = 0; c < kCampuses; ++c) {
+    SCOPED_TRACE("campus " + std::to_string(c));
+    ASSERT_EQ(served.clients[c].episodes.size(), 1u);
+    ASSERT_GT(local.clients[c].episodes[0].num_decisions, 0);
+    ExpectSameEpisode(local.clients[c].episodes[0],
+                      served.clients[c].episodes[0]);
+    EXPECT_TRUE(dpdp::testing::CheckEpisodeFeasible(
+        campuses[c], served.clients[c].episodes[0]));
+  }
+  EXPECT_EQ(service.sheds(), 0u);
+  EXPECT_EQ(service.requests(),
+            static_cast<uint64_t>(served.total_decisions));
+  EXPECT_LT(service.batches(), service.requests())
+      << "no batch stacked more than one item";
+  EXPECT_GE(requested, static_cast<uint64_t>(served.total_decisions));
+  EXPECT_LT(evaluated, requested) << "no rows folded into row classes";
+}
+
+TEST(DispatchServiceTest, ServedMatchesLocalAtScaleMlp) {
+  RunServedMatchesLocalAtScale(MakeStDdqnConfig(31));
+}
+
+TEST(DispatchServiceTest, ServedMatchesLocalAtScaleGraph) {
+  RunServedMatchesLocalAtScale(MakeStDdgnConfig(31));
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1129,7 +1130,11 @@ TEST(TraceHopTest, HopChainLinksParentsAndEmitsFlowEvents) {
 TEST(TraceHopTest, ServedRequestCarriesItsTraceIdIntoTheReply) {
   // End-to-end: with tracing on, a request served by the fabric surfaces
   // its trace id in the reply and leaves a connected hop chain (route ->
-  // queue -> eval -> commit -> reply) in the trace file.
+  // build -> queue -> eval -> commit -> reply) in the trace file. The
+  // build runs on the submitting thread and is its own hop, so the route
+  // hop measures routing alone. The trace file is written after the router
+  // is gone, as at process exit: the buffered spans, the per-shard batch
+  // span included, must keep their names.
   DiscardTrace();
   SetTraceEnabled(true);
   const AgentConfig config = MakeStDdqnConfig(51);
@@ -1138,7 +1143,7 @@ TEST(TraceHopTest, ServedRequestCarriesItsTraceIdIntoTheReply) {
   serve_config.num_shards = 1;
   serve_config.shard.max_wait_us = 200;
   serve_config.shard.commit_us = 50;  // > 0 so the commit hop exists.
-  ShardRouter router(serve_config, &models);
+  auto router = std::make_unique<ShardRouter>(serve_config, &models);
 
   const Instance inst = MakeTestInstance({MakeOrder(0, 1, 3, 5, 0, 600)}, 4);
   DispatchContext context;
@@ -1159,9 +1164,20 @@ TEST(TraceHopTest, ServedRequestCarriesItsTraceIdIntoTheReply) {
   }
   context.num_feasible = 4;
 
-  const ServeReply reply = router.Submit(context).get();
-  router.Stop();
+  auto hop_count = [](const char* name) {
+    const std::vector<MetricSnapshot> snapshot =
+        MetricsRegistry::Global().Snapshot();
+    const MetricSnapshot* hop = FindMetric(snapshot, name);
+    return hop == nullptr ? uint64_t{0} : hop->count;
+  };
+  const uint64_t routes_before = hop_count("serve.hop.route_s");
+  const uint64_t builds_before = hop_count("serve.hop.build_s");
+  const ServeReply reply = router->Submit(context).get();
+  router->Stop();
+  router.reset();
   EXPECT_NE(reply.trace_id, 0u);
+  EXPECT_EQ(hop_count("serve.hop.route_s") - routes_before, 1u);
+  EXPECT_EQ(hop_count("serve.hop.build_s") - builds_before, 1u);
 
   const fs::path dir = MakeScratchDir("served_trace");
   const fs::path path = dir / "trace.json";
@@ -1169,10 +1185,12 @@ TEST(TraceHopTest, ServedRequestCarriesItsTraceIdIntoTheReply) {
   SetTraceEnabled(false);
   const std::string trace = ReadFile(path);
   for (const char* hop :
-       {"serve.hop.route", "serve.hop.queue", "serve.hop.eval",
-        "serve.hop.commit", "serve.hop.reply"}) {
+       {"serve.hop.route", "serve.hop.build", "serve.hop.queue",
+        "serve.hop.eval", "serve.hop.commit", "serve.hop.reply"}) {
     EXPECT_NE(trace.find(hop), std::string::npos) << "missing hop " << hop;
   }
+  EXPECT_NE(trace.find("{\"name\": \"serve.shard0\""), std::string::npos)
+      << "the per-shard batch span lost its name";
   std::ostringstream want;
   want << "\"trace\": " << reply.trace_id;
   EXPECT_NE(trace.find(want.str()), std::string::npos)
