@@ -152,12 +152,6 @@ Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
   return Backward(dy, ThreadLocalWorkspace());
 }
 
-void MultiHeadSelfAttention::Reserve(int rows, int edges) {
-  for (Linear* l : {&wq_, &wk_, &wv_, &wo_}) l->Reserve(rows);
-  attn_.Reserve(num_heads_, edges);
-  concat_.Reserve(rows, d_model_);
-}
-
 std::vector<Parameter*> MultiHeadSelfAttention::Params() {
   std::vector<Parameter*> out;
   for (Linear* l : {&wq_, &wk_, &wv_, &wo_}) {

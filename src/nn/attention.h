@@ -65,10 +65,6 @@ class MultiHeadSelfAttention {
   const Matrix& Backward(const Matrix& dy, Workspace& ws);
   Matrix Backward(const Matrix& dy);
 
-  /// Grows every Forward buffer to `rows` rows and `edges` edges in one
-  /// step.
-  void Reserve(int rows, int edges);
-
   std::vector<Parameter*> Params();
 
   int d_model() const { return d_model_; }

@@ -200,13 +200,6 @@ Matrix Mlp::Backward(const Matrix& dy) {
   return Backward(dy, ThreadLocalWorkspace());
 }
 
-void Mlp::Reserve(int rows) {
-  for (size_t i = 0; i < linears_.size(); ++i) {
-    linears_[i].Reserve(rows);
-    if (i < relus_.size()) relus_[i].Reserve(rows, linears_[i].out_dim());
-  }
-}
-
 std::vector<Parameter*> Mlp::Params() {
   std::vector<Parameter*> out;
   for (Linear& l : linears_) {

@@ -71,9 +71,6 @@ class Linear {
   const Matrix& Backward(const Matrix& dy, Workspace& ws);
   Matrix Backward(const Matrix& dy);
 
-  /// Grows the Forward output buffer to `rows` rows in one step.
-  void Reserve(int rows) { y_.Reserve(rows, out_dim()); }
-
   std::vector<Parameter*> Params();
 
   int in_dim() const { return w_.value.rows(); }
@@ -96,9 +93,6 @@ class ReLU {
   const Matrix& Backward(const Matrix& dy, Workspace& ws);
   Matrix Backward(const Matrix& dy);
 
-  /// Grows the Forward output buffer to rows x cols in one step.
-  void Reserve(int rows, int cols) { y_.Reserve(rows, cols); }
-
  private:
   Matrix y_;
   Matrix dx_;
@@ -117,9 +111,6 @@ class Mlp {
   Matrix Forward(const Matrix& x);
   const Matrix& Backward(const Matrix& dy, Workspace& ws);
   Matrix Backward(const Matrix& dy);
-
-  /// Grows every Forward buffer to `rows` rows in one step.
-  void Reserve(int rows);
 
   std::vector<Parameter*> Params();
 

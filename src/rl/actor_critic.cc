@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace dpdp {
 
@@ -100,7 +101,9 @@ void ActorCriticAgent::TrainEpisode(
   const double inv_n = 1.0 / static_cast<double>(n);
 
   // One batch item per episode step; the whole episode runs through each
-  // head in a single TrainForward / BackwardBatch round trip.
+  // head in a single TrainForward / BackwardBatch round trip. Every row's
+  // output feeds the loss, so every row is listed and the field is the
+  // whole batch.
   train_batch_.Clear();
   std::vector<int> sub_action(n);
   for (size_t i = 0; i < n; ++i) {
@@ -113,9 +116,12 @@ void ActorCriticAgent::TrainEpisode(
                          config_.num_neighbors, &train_batch_);
   }
 
+  std::vector<int> rows(static_cast<size_t>(train_batch_.total_rows()));
+  std::iota(rows.begin(), rows.end(), 0);
+
   // Critic: V(S_i) = mean of per-vehicle values over item i's rows.
   // Value gradient: d/dv_r of 0.5 (V - G)^2 = (V - G) / m.
-  const nn::Matrix& values = critic_->TrainForward(train_batch_);
+  const nn::Matrix& values = critic_->TrainForward(train_batch_, rows);
   std::vector<double> advantage(n);
   dvalues_.Resize(train_batch_.total_rows(), 1);
   for (size_t i = 0; i < n; ++i) {
@@ -132,7 +138,7 @@ void ActorCriticAgent::TrainEpisode(
   critic_->BackwardBatch(dvalues_);
 
   // Actor gradient: d/dlogits of -log pi(a) * A = (pi - onehot_a) * A.
-  const nn::Matrix& logits = actor_->TrainForward(train_batch_);
+  const nn::Matrix& logits = actor_->TrainForward(train_batch_, rows);
   dlogits_.Resize(train_batch_.total_rows(), 1);
   for (size_t i = 0; i < n; ++i) {
     const int off = train_batch_.offset(static_cast<int>(i));

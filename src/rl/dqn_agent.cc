@@ -37,6 +37,26 @@ RlMetrics& Metrics() {
   return *metrics;
 }
 
+/// The entry of `idx` whose feasible vehicle has the largest Q, read at
+/// q(offset + i, 0); the first best wins ties and a NaN never wins. Aborts
+/// when no feasible Q beats -inf: a target read at entry -1 would land on
+/// another item's row.
+int FeasibleArgmax(const FleetState& state, const std::vector<int>& idx,
+                   const nn::Matrix& q, int offset = 0) {
+  int best = -1;
+  double best_q = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < idx.size(); ++i) {
+    if (!state.feasible[idx[i]]) continue;
+    const double qi = q(offset + static_cast<int>(i), 0);
+    if (qi > best_q) {
+      best_q = qi;
+      best = static_cast<int>(i);
+    }
+  }
+  DPDP_CHECK(best >= 0 && "every feasible next-state Q is non-finite");
+  return best;
+}
+
 }  // namespace
 
 /// Worker-local clones for the parallel minibatch path. `synced_generation`
@@ -174,31 +194,16 @@ double DqnFleetAgent::TdTarget(const Transition& t, FleetQNetwork* online_net,
   if (next.NumFeasible() == 0) return y;
 
   const std::vector<int> next_idx = InferenceIndices(next, config_);
-  auto feasible_max = [&](const nn::Matrix& q) {
-    int best = -1;
-    double best_q = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < next_idx.size(); ++i) {
-      if (!next.feasible[next_idx[i]]) continue;
-      if (q(static_cast<int>(i), 0) > best_q) {
-        best_q = q(static_cast<int>(i), 0);
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
-  };
   double next_value = 0.0;
   if (config_.double_dqn) {
-    // Double DQN: argmax from the online net, value from the target. The
-    // argmax is taken before the target evaluation so a shared underlying
-    // buffer could never be a hazard (distinct nets today, but cheap
-    // insurance).
-    const int best = feasible_max(SubFleetQ(next, online_net, next_idx,
-                                            batch));
-    const nn::Matrix& qt = SubFleetQ(next, target_net, next_idx, batch);
-    next_value = qt(best, 0);
+    // Double DQN: the argmax from the online net, the value from the
+    // target net, which scores only that row's receptive field.
+    const int best = FeasibleArgmax(
+        next, next_idx, SubFleetQ(next, online_net, next_idx, batch));
+    next_value = target_net->EvaluateBatch(*batch, {best})(0, 0);
   } else {
     const nn::Matrix& qt = SubFleetQ(next, target_net, next_idx, batch);
-    next_value = qt(feasible_max(qt), 0);
+    next_value = qt(FeasibleArgmax(next, next_idx, qt), 0);
   }
   return y + config_.gamma * next_value;
 }
@@ -217,11 +222,9 @@ double DqnFleetAgent::AccumulateTransitionGradient(
   batch->Clear();
   AppendSubFleetInputs(state, idx, config_.use_graph, config_.num_neighbors,
                        batch);
-  const nn::Matrix& q = online_net->TrainForward(*batch);
-  const double q_sa = q(sub_action, 0);
-  dq->Resize(q.rows(), 1);
-  dq->Fill(0.0);
-  (*dq)(sub_action, 0) = nn::HuberLossGrad(q_sa, y) * inv_batch;
+  const double q_sa = online_net->TrainForward(*batch, {sub_action})(0, 0);
+  dq->Resize(1, 1);
+  (*dq)(0, 0) = nn::HuberLossGrad(q_sa, y) * inv_batch;
   {
     DPDP_TRACE_SPAN("rl.q_backward");
     online_net->BackwardBatch(*dq);
@@ -254,31 +257,13 @@ double DqnFleetAgent::TrainOnBatch(
   }
 
   // Serial path, fully batched: every transition's next-state sub-fleet is
-  // scored in one EvaluateBatch per network, then every state sub-fleet in
-  // one TrainForward, with a single backward. Items of a stacked batch never see
-  // each other (their neighbor lists stay inside the item), so each TD
-  // target is bit-identical to the per-transition evaluation.
+  // stacked into one batch for the targets and every state sub-fleet into
+  // one training batch, with a single backward. Items of a stacked batch
+  // never see each other (their neighbor lists stay inside the item), and
+  // each network runs only the receptive field of the rows whose Q is
+  // read, so every TD term is bit-identical to the per-transition one.
   const int n = static_cast<int>(batch.size());
   const double inv_batch = 1.0 / static_cast<double>(n);
-
-  // The minibatch states, stacked for phase 2. They are built first so the
-  // online net can grow its buffers once, to this batch's height, before
-  // phase 1 runs a shorter compact batch through it: grown in steps, each
-  // step frees an mmap'd buffer, which raises glibc's mmap threshold, and
-  // later buffers land on the heap, where they raised peak RSS.
-  state_batch_.Clear();
-  std::vector<int> sub_action(n, -1);
-  for (int i = 0; i < n; ++i) {
-    const Transition& t = *batch[i];
-    const FleetState state = t.state.ToFleetState();
-    const std::vector<int> idx = InferenceIndices(state, config_);
-    const auto it = std::find(idx.begin(), idx.end(), t.action);
-    DPDP_CHECK(it != idx.end());
-    sub_action[i] = static_cast<int>(it - idx.begin());
-    AppendSubFleetInputs(state, idx, config_.use_graph,
-                         config_.num_neighbors, &state_batch_);
-  }
-  online_->Reserve(state_batch_);
 
   // Phase 1: batched (double-)DQN targets.
   std::vector<double> y(n, 0.0);
@@ -298,49 +283,53 @@ double DqnFleetAgent::TrainOnBatch(
                                         config_.num_neighbors, &next_batch_);
   }
   if (next_batch_.num_items() > 0) {
-    auto feasible_max = [&](const nn::Matrix& q, int i) {
+    // Item i's argmax row of a Q column over every next-state row.
+    auto best_row = [&](const nn::Matrix& q, int i) {
       const int off = next_batch_.offset(next_item[i]);
-      int best = -1;
-      double best_q = -std::numeric_limits<double>::infinity();
-      for (size_t r = 0; r < next_idx[i].size(); ++r) {
-        if (!next_states[i].feasible[next_idx[i][r]]) continue;
-        const double qr = q(off + static_cast<int>(r), 0);
-        if (qr > best_q) {
-          best_q = qr;
-          best = static_cast<int>(r);
-        }
-      }
-      return best;
+      return off + FeasibleArgmax(next_states[i], next_idx[i], q, off);
     };
-    std::vector<int> best_next(n, -1);
     if (config_.double_dqn) {
-      // Argmaxes must be pulled out of the online result before the target
-      // evaluation reuses any buffers.
+      // The online net picks each item's row over every row; the target
+      // net then scores only those rows' receptive fields.
+      std::vector<int> best;
       const nn::Matrix& qo = online_->EvaluateBatch(next_batch_);
       for (int i = 0; i < n; ++i) {
-        if (next_item[i] >= 0) best_next[i] = feasible_max(qo, i);
+        if (next_item[i] >= 0) best.push_back(best_row(qo, i));
       }
-    }
-    const nn::Matrix& qt = target_->EvaluateBatch(next_batch_);
-    for (int i = 0; i < n; ++i) {
-      if (next_item[i] < 0) continue;
-      const int best =
-          config_.double_dqn ? best_next[i] : feasible_max(qt, i);
-      y[i] += config_.gamma *
-              qt(next_batch_.offset(next_item[i]) + best, 0);
+      const nn::Matrix& qt = target_->EvaluateBatch(next_batch_, best);
+      int k = 0;
+      for (int i = 0; i < n; ++i) {
+        if (next_item[i] >= 0) y[i] += config_.gamma * qt(k++, 0);
+      }
+    } else {
+      const nn::Matrix& qt = target_->EvaluateBatch(next_batch_);
+      for (int i = 0; i < n; ++i) {
+        if (next_item[i] >= 0) y[i] += config_.gamma * qt(best_row(qt, i), 0);
+      }
     }
   }
 
-  // Phase 2: one stacked training forward over the minibatch states, one
-  // backward.
-  const nn::Matrix& q = online_->TrainForward(state_batch_);
-  dq_.Resize(q.rows(), 1);
-  dq_.Fill(0.0);
+  // Phase 2: one stacked training forward over the receptive field of the
+  // executed vehicles' rows, one backward.
+  state_batch_.Clear();
+  std::vector<int> action_rows(n);
+  for (int i = 0; i < n; ++i) {
+    const Transition& t = *batch[i];
+    const FleetState state = t.state.ToFleetState();
+    const std::vector<int> idx = InferenceIndices(state, config_);
+    const auto it = std::find(idx.begin(), idx.end(), t.action);
+    DPDP_CHECK(it != idx.end());
+    action_rows[i] = state_batch_.total_rows() +
+                     static_cast<int>(it - idx.begin());
+    AppendSubFleetInputs(state, idx, config_.use_graph,
+                         config_.num_neighbors, &state_batch_);
+  }
+  const nn::Matrix& q = online_->TrainForward(state_batch_, action_rows);
+  dq_.Resize(n, 1);
   double loss_sum = 0.0;
   for (int i = 0; i < n; ++i) {
-    const int row = state_batch_.offset(i) + sub_action[i];
-    const double q_sa = q(row, 0);
-    dq_(row, 0) = nn::HuberLossGrad(q_sa, y[i]) * inv_batch;
+    const double q_sa = q(i, 0);
+    dq_(i, 0) = nn::HuberLossGrad(q_sa, y[i]) * inv_batch;
     loss_sum += nn::HuberLoss(q_sa, y[i]);
   }
   {

@@ -80,8 +80,10 @@ class DqnFleetAgent : public Agent {
   Status LoadState(std::istream* is) override;
 
   /// One gradient step over an externally sampled minibatch: batched
-  /// (double-)DQN targets, one stacked forward/backward, one Adam step.
-  /// Returns the minibatch Huber loss. The headless-learner entry point of
+  /// (double-)DQN targets, one stacked forward/backward over the receptive
+  /// field of the executed vehicles' rows, one Adam step. Returns the
+  /// minibatch Huber loss. Aborts when every feasible Q of a next state is
+  /// non-finite. The headless-learner entry point of
   /// the src/train/ fabric, which owns replay sampling itself; the local
   /// TrainBatch path is Sample + TrainOnBatch.
   double TrainOnBatch(const std::vector<const Transition*>& batch);
@@ -138,7 +140,7 @@ class DqnFleetAgent : public Agent {
   /// does not allocate).
   DecisionBatch act_batch_;
   /// Serial-TrainBatch scratch: next-state and state batches spanning the
-  /// whole minibatch, plus the dq column.
+  /// whole minibatch, plus the dq column (one gradient per transition).
   DecisionBatch next_batch_;
   DecisionBatch state_batch_;
   nn::Matrix dq_;

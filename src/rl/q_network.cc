@@ -12,13 +12,19 @@ namespace dpdp {
 
 namespace {
 
-/// Rows handed to EvaluateBatch against rows it ran through the network;
-/// their ratio is the share of the batch the row classes saved.
+/// Rows of the batches handed to the inference forward against rows it ran
+/// through the network (one per row class), and the same for the training
+/// forward (the receptive field's rows); each ratio is the share of the
+/// batch run.
 struct QNetworkMetrics {
   obs::Counter* rows_requested =
       obs::MetricsRegistry::Global().GetCounter("nn.rows_requested");
   obs::Counter* rows_evaluated =
       obs::MetricsRegistry::Global().GetCounter("nn.rows_evaluated");
+  obs::Counter* train_rows_requested =
+      obs::MetricsRegistry::Global().GetCounter("nn.train_rows_requested");
+  obs::Counter* train_rows_evaluated =
+      obs::MetricsRegistry::Global().GetCounter("nn.train_rows_evaluated");
 };
 
 QNetworkMetrics& Metrics() {
@@ -63,6 +69,34 @@ int Partition(int m, const Hash& hash, const Equal& equal, int* cls,
     cls[r] = c;
   }
   return n;
+}
+
+/// Copies rows take[0, n) of `src` into `dst` as its one item. With
+/// `lists`, each row's neighbor list follows, every entry mapped through
+/// `map` and dropped where the map reads -1.
+void GatherRows(const DecisionBatch& src, const int* take, int n,
+                const int* map, bool lists, DecisionBatch* dst) {
+  const nn::Matrix& x = src.features();
+  const int f = x.cols();
+  const size_t row_bytes = sizeof(double) * static_cast<size_t>(f);
+  dst->Clear();
+  dst->AddItem(n, f);
+  double* out = dst->mutable_features().data();
+  for (int i = 0; i < n; ++i) {
+    std::memcpy(out + static_cast<size_t>(i) * f,
+                x.data() + static_cast<size_t>(take[i]) * f, row_bytes);
+  }
+  if (!lists) return;
+  const nn::Neighbors& g = src.neighbors();
+  nn::Neighbors& out_g = dst->mutable_neighbors();
+  for (int i = 0; i < n; ++i) {
+    const int r = take[i];
+    for (int e = g.offsets[r]; e < g.offsets[r + 1]; ++e) {
+      const int j = map[g.cols[e]];
+      if (j >= 0) out_g.cols.push_back(j);
+    }
+    out_g.offsets.push_back(out_g.edges());
+  }
 }
 
 }  // namespace
@@ -141,12 +175,12 @@ int FleetQNetwork::ClassifyRows(const DecisionBatch& batch) {
   // Each round refines a class by (own class, the listed neighbors'
   // classes in list order): what one attention level reads. A round that
   // splits no class leaves the partition where every later round would.
-  if (refine_rounds_ > 0 && n < m) {
+  if (attention_levels_ > 0 && n < m) {
     const nn::Neighbors& g = batch.neighbors();
     DPDP_CHECK(g.rows() == m);
     const int* off = g.offsets.data();
     const int* cols = g.cols.data();
-    for (int round = 0; round < refine_rounds_ && n < m; ++round) {
+    for (int round = 0; round < attention_levels_ && n < m; ++round) {
       std::swap(s.cls, s.prev);
       const int* prev = s.prev.data();
       auto list_hash = [&](int r) {
@@ -175,25 +209,63 @@ int FleetQNetwork::ClassifyRows(const DecisionBatch& batch) {
 
   // One representative row per class; its list names classes, so the
   // compact lists may repeat a column and need not ascend.
-  compact_.Clear();
-  compact_.AddItem(n, f);
-  double* out = compact_.mutable_features().data();
-  for (int c = 0; c < n; ++c) {
-    std::memcpy(out + static_cast<size_t>(c) * f,
-                data + static_cast<size_t>(s.rep[c]) * f, row_bytes);
+  GatherRows(batch, s.rep.data(), n, s.cls.data(), attention_levels_ > 0,
+             &compact_);
+  return n;
+}
+
+const DecisionBatch& FleetQNetwork::ReceptiveField(
+    const DecisionBatch& batch, const std::vector<int>& rows) {
+  const int m = batch.total_rows();
+  RowClasses& s = classes_;
+  // R_L is the listed rows; R_(l-1) adds every row a row of R_l lists.
+  // field_pos holds each row's highest level l with the row in R_l, so
+  // only the rows that entered at level l need their lists walked.
+  s.field_pos.assign(m, -1);
+  s.frontier.clear();
+  int last = -1;
+  for (const int r : rows) {
+    DPDP_CHECK(r > last && r < m && "rows must ascend within the batch");
+    last = r;
+    s.field_pos[r] = attention_levels_;
+    s.frontier.push_back(r);
   }
-  if (refine_rounds_ > 0) {
+  if (attention_levels_ > 0) {
     const nn::Neighbors& g = batch.neighbors();
-    nn::Neighbors& cg = compact_.mutable_neighbors();
-    for (int c = 0; c < n; ++c) {
-      const int r = s.rep[c];
-      for (int e = g.offsets[r]; e < g.offsets[r + 1]; ++e) {
-        cg.cols.push_back(s.cls[g.cols[e]]);
+    DPDP_CHECK(g.rows() == m);
+    for (int l = attention_levels_; l > 0; --l) {
+      s.reached.clear();
+      for (const int r : s.frontier) {
+        for (int e = g.offsets[r]; e < g.offsets[r + 1]; ++e) {
+          const int j = g.cols[e];
+          if (s.field_pos[j] < l - 1) {
+            s.field_pos[j] = l - 1;
+            s.reached.push_back(j);
+          }
+        }
       }
-      cg.offsets.push_back(cg.edges());
+      std::swap(s.frontier, s.reached);
     }
   }
-  return n;
+  // R_0 in ascending batch order; field_pos becomes the field position.
+  s.field.clear();
+  for (int r = 0; r < m; ++r) {
+    if (s.field_pos[r] < 0) continue;
+    s.field_pos[r] = static_cast<int>(s.field.size());
+    s.field.push_back(r);
+  }
+  if (static_cast<int>(s.field.size()) == m) {
+    listed_ = rows;
+    return batch;
+  }
+  listed_.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) listed_[i] = s.field_pos[rows[i]];
+  // A row of R_1 keeps its whole list, which lies in R_0. A row of
+  // R_0 \ R_1 keeps its listed rows inside R_0: its upper levels go
+  // wrong, and no listed row's Q reads them.
+  GatherRows(batch, s.field.data(), static_cast<int>(s.field.size()),
+             s.field_pos.data(), attention_levels_ > 0, &field_);
+  return field_;
 }
 
 const nn::Matrix& FleetQNetwork::EvaluateBatch(const DecisionBatch& batch) {
@@ -211,22 +283,65 @@ const nn::Matrix& FleetQNetwork::EvaluateBatch(const DecisionBatch& batch) {
   return q_;
 }
 
-const nn::Matrix& FleetQNetwork::TrainForward(const DecisionBatch& batch) {
+const nn::Matrix& FleetQNetwork::EvaluateBatch(
+    const DecisionBatch& batch, const std::vector<int>& rows) {
   DPDP_TRACE_SPAN("nn.forward");
-  const nn::Matrix& q = Forward(batch);
+  backward_ready_ = false;
+  const DecisionBatch& run = ReceptiveField(batch, rows);
+  const int n = ClassifyRows(run);
+  QNetworkMetrics& metrics = Metrics();
+  metrics.rows_requested->Add(static_cast<uint64_t>(batch.total_rows()));
+  metrics.rows_evaluated->Add(static_cast<uint64_t>(n));
+  // With every row its own class, classes are numbered in row order.
+  const nn::Matrix& q = Forward(n == run.total_rows() ? run : compact_);
+  q_.Resize(static_cast<int>(rows.size()), 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    q_(static_cast<int>(i), 0) = q(classes_.cls[listed_[i]], 0);
+  }
+  return q_;
+}
+
+const nn::Matrix& FleetQNetwork::TrainForward(const DecisionBatch& batch,
+                                              const std::vector<int>& rows) {
+  DPDP_TRACE_SPAN("nn.forward");
+  const DecisionBatch& run = ReceptiveField(batch, rows);
+  QNetworkMetrics& metrics = Metrics();
+  metrics.train_rows_requested->Add(
+      static_cast<uint64_t>(batch.total_rows()));
+  metrics.train_rows_evaluated->Add(static_cast<uint64_t>(run.total_rows()));
+  const nn::Matrix& q = Forward(run);
   backward_ready_ = true;
-  return q;
+  forward_rows_ = run.total_rows();
+  if (static_cast<int>(rows.size()) == forward_rows_) return q;
+  q_.Resize(static_cast<int>(rows.size()), 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    q_(static_cast<int>(i), 0) = q(listed_[i], 0);
+  }
+  return q_;
 }
 
 void FleetQNetwork::BackwardBatch(const nn::Matrix& dq) {
   DPDP_CHECK(backward_ready_ && "BackwardBatch must follow TrainForward");
-  DPDP_CHECK(dq.cols() == 1);
+  DPDP_CHECK(dq.cols() == 1 &&
+             dq.rows() == static_cast<int>(listed_.size()) &&
+             "dq must hold one gradient per listed row");
   backward_ready_ = false;
-  Backward(dq);
+  if (dq.rows() == forward_rows_) {
+    Backward(dq);
+    return;
+  }
+  // Rows outside the listed ones get an exact +0, which adds nothing to
+  // any gradient (DESIGN.md "Receptive fields").
+  dfield_.Resize(forward_rows_, 1);
+  dfield_.Fill(0.0);
+  for (size_t i = 0; i < listed_.size(); ++i) {
+    dfield_(listed_[i], 0) = dq(static_cast<int>(i), 0);
+  }
+  Backward(dfield_);
 }
 
 MlpQNetwork::MlpQNetwork(const AgentConfig& config, Rng* rng)
-    : FleetQNetwork(/*refine_rounds=*/0),
+    : FleetQNetwork(/*levels=*/0),
       mlp_({kStateFeatures, config.hidden_dim, config.hidden_dim, 1}, rng) {}
 
 const nn::Matrix& MlpQNetwork::Forward(const DecisionBatch& batch) {
@@ -234,10 +349,6 @@ const nn::Matrix& MlpQNetwork::Forward(const DecisionBatch& batch) {
 }
 
 void MlpQNetwork::Backward(const nn::Matrix& dq) { mlp_.Backward(dq, ws_); }
-
-void MlpQNetwork::Reserve(const DecisionBatch& batch) {
-  mlp_.Reserve(batch.total_rows());
-}
 
 std::vector<nn::Parameter*> MlpQNetwork::Params() { return mlp_.Params(); }
 
@@ -310,18 +421,6 @@ void GraphQNetwork::Backward(const nn::Matrix& dq) {
     dh = &dh_;
   }
   encoder_.Backward(*dh, ws_);
-}
-
-void GraphQNetwork::Reserve(const DecisionBatch& batch) {
-  const int rows = batch.total_rows();
-  const int d = encoder_.out_dim();
-  encoder_.Reserve(rows);
-  for (int l = 0; l < levels_; ++l) {
-    attention_[l].Reserve(rows, batch.neighbors().edges());
-    relus_[l].Reserve(rows, d);
-  }
-  concat_.Reserve(rows, d * (levels_ + 1));
-  head_.Reserve(rows);
 }
 
 std::vector<nn::Parameter*> GraphQNetwork::Params() {

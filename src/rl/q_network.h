@@ -66,73 +66,100 @@ class DecisionBatch {
   int num_items_ = 0;
 };
 
-/// Per-fleet Q-value network, scoring every candidate row of every item of
-/// a DecisionBatch (constraint embedding has already removed infeasible
-/// vehicles) and returning a (total_rows x 1) column of Q-values. The
-/// reference stays valid until the network's next forward or backward.
+/// Per-fleet Q-value network, scoring candidate rows of a DecisionBatch
+/// (constraint embedding has already removed infeasible vehicles) and
+/// returning a column of Q-values. The reference stays valid until the
+/// network's next forward or backward.
 ///
-/// Two forwards give the same bits:
+/// Every forward gives each row the bits a full forward over the whole
+/// batch gives it:
 /// - EvaluateBatch is the inference forward. It runs the network once per
 ///   row class and copies each class's Q to its rows. Two rows share a
 ///   class when they have bit-identical features and, for the relational
 ///   net, their listed neighbors share classes in list order, level by
-///   level (DESIGN.md "Compute kernel model"), so every row's Q is the
-///   bits a full forward gives it.
-/// - TrainForward runs every row through the network and keeps the caches
-///   BackwardBatch consumes. BackwardBatch must follow a TrainForward
-///   (gradients accumulate across calls until the optimizer steps); after
-///   an EvaluateBatch, or a second time, it aborts. The DecisionBatch
-///   passed to TrainForward must stay alive through the backward pass:
-///   the first layer holds a reference to the batch's features, and the
-///   graph network's attention levels one to its neighbor graph, rather
-///   than copying them.
+///   level (DESIGN.md "Row classes").
+/// - A forward given `rows` (strictly ascending rows of the batch) runs
+///   only their receptive field: the listed rows plus every row they reach
+///   over attention_levels hops of neighbor lists (DESIGN.md "Receptive
+///   fields"). It returns one Q per listed row, in list order. When the
+///   field holds every row, the batch runs as is, with no copy.
+/// - TrainForward is the training forward over the field of `rows`; it
+///   keeps the caches BackwardBatch consumes. BackwardBatch must follow a
+///   TrainForward (gradients accumulate across calls until the optimizer
+///   steps); after an EvaluateBatch, or a second time, it aborts. The
+///   DecisionBatch passed to TrainForward must stay alive through the
+///   backward pass: when the field holds every row, the first layer holds
+///   a reference to the batch's features, and the graph network's
+///   attention levels one to its neighbor graph, rather than copying them.
+///
+/// Neighbor lists must include their own row, as AppendNeighbors' do: a
+/// row on the field's outer ring keeps only its listed rows inside the
+/// field, and its self loop keeps that list non-empty.
 class FleetQNetwork {
  public:
   virtual ~FleetQNetwork() = default;
 
+  /// (total_rows x 1): the Q of every row of `batch`.
   const nn::Matrix& EvaluateBatch(const DecisionBatch& batch);
-  const nn::Matrix& TrainForward(const DecisionBatch& batch);
+  /// (rows.size() x 1): the Q of the listed rows, row classes run on their
+  /// receptive field.
+  const nn::Matrix& EvaluateBatch(const DecisionBatch& batch,
+                                  const std::vector<int>& rows);
+  /// (rows.size() x 1): the Q of the listed rows, the whole field run.
+  const nn::Matrix& TrainForward(const DecisionBatch& batch,
+                                 const std::vector<int>& rows);
 
-  /// dq: (total_rows x 1) gradient of the loss w.r.t. each output Q
-  /// (usually one-hot at the chosen vehicle).
+  /// dq: (rows.size() x 1), the gradient of the loss w.r.t. each Q the
+  /// preceding TrainForward returned.
   void BackwardBatch(const nn::Matrix& dq);
-
-  /// Grows every forward buffer to `batch`'s height in one step. A caller
-  /// that runs a shorter EvaluateBatch and then a TrainForward on one
-  /// network calls it first with the TrainForward batch, so the buffers do
-  /// not grow in steps (DESIGN.md "Row classes").
-  virtual void Reserve(const DecisionBatch& batch) = 0;
 
   virtual std::vector<nn::Parameter*> Params() = 0;
 
  protected:
-  /// `refine_rounds`: how many times a row's class is refined by its
-  /// neighbors' classes, one round per attention level (0 without one).
-  explicit FleetQNetwork(int refine_rounds) : refine_rounds_(refine_rounds) {}
+  /// `levels`: the attention levels, each one neighbor hop of a row's
+  /// receptive field and one refinement round of its class (0 without
+  /// attention).
+  explicit FleetQNetwork(int levels) : attention_levels_(levels) {}
 
   /// The full forward over every row of `batch`, and its backward.
   virtual const nn::Matrix& Forward(const DecisionBatch& batch) = 0;
   virtual void Backward(const nn::Matrix& dq) = 0;
 
  private:
-  /// Scratch of the row-class pass, reused across calls.
+  /// Scratch of the row-class and receptive-field passes, reused across
+  /// calls.
   struct RowClasses {
     std::vector<int> cls;        ///< Class of each row.
     std::vector<int> prev;       ///< The previous round's classes.
     std::vector<int> rep;        ///< First row of each class.
     std::vector<uint64_t> hash;  ///< Key hash of each class.
     std::vector<int> table;      ///< Open addressing: class or -1.
+    /// Per row: its field level while the field grows, then its field
+    /// position; -1 outside the field.
+    std::vector<int> field_pos;
+    std::vector<int> frontier;   ///< Rows that entered at this level.
+    std::vector<int> reached;    ///< Rows that enter at the next level.
+    std::vector<int> field;      ///< Field rows in ascending order.
   };
 
   /// Numbers the row classes of `batch` into classes_ and returns their
   /// count; below total_rows() it also fills compact_.
   int ClassifyRows(const DecisionBatch& batch);
+  /// Gathers the receptive field of `rows` and returns the batch to run:
+  /// `batch` itself when the field holds every row, field_ otherwise.
+  /// Fills listed_ with each listed row's position in it.
+  const DecisionBatch& ReceptiveField(const DecisionBatch& batch,
+                                      const std::vector<int>& rows);
 
-  const int refine_rounds_;
+  const int attention_levels_;
   bool backward_ready_ = false;
+  int forward_rows_ = 0;  ///< Rows the last TrainForward ran.
   RowClasses classes_;
   DecisionBatch compact_;  ///< One representative row per class.
-  nn::Matrix q_;           ///< Class Q-values copied out to every row.
+  DecisionBatch field_;    ///< The receptive field of the listed rows.
+  std::vector<int> listed_;  ///< Listed rows' positions in the run batch.
+  nn::Matrix q_;           ///< Q-values copied out per row.
+  nn::Matrix dfield_;      ///< dq scattered over the field's rows.
 };
 
 /// Factorized per-vehicle MLP without relational structure (the DQN /
@@ -142,7 +169,6 @@ class MlpQNetwork : public FleetQNetwork {
  public:
   MlpQNetwork(const AgentConfig& config, Rng* rng);
 
-  void Reserve(const DecisionBatch& batch) override;
   std::vector<nn::Parameter*> Params() override;
 
  protected:
@@ -162,7 +188,6 @@ class GraphQNetwork : public FleetQNetwork {
  public:
   GraphQNetwork(const AgentConfig& config, Rng* rng);
 
-  void Reserve(const DecisionBatch& batch) override;
   std::vector<nn::Parameter*> Params() override;
 
  protected:

@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "baselines/greedy_baselines.h"
 #include "rl/actor_critic.h"
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
+#include "rl/replay.h"
+#include "rl/state.h"
 #include "rl/trainer.h"
 #include "sim/environment.h"
 #include "tests/test_util.h"
@@ -215,6 +220,60 @@ TEST(DqnAgent, FinalizeTrainingWithoutSnapshotIsNoop) {
 }
 
 // ---------------------------------------------------------- ActorCritic --
+
+/// `m` feasible vehicles with random features at random positions.
+FleetState RandomFleetState(int m, Rng* rng) {
+  FleetState state;
+  state.features = nn::Matrix(m, kStateFeatures);
+  state.positions = nn::Matrix(m, 2);
+  state.feasible.assign(static_cast<size_t>(m), 1);
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < kStateFeatures; ++c) {
+      state.features(r, c) = rng->Uniform();
+    }
+    state.positions(r, 0) = rng->Uniform(0, 8);
+    state.positions(r, 1) = rng->Uniform(0, 8);
+  }
+  return state;
+}
+
+/// Loads `agent`'s own weights back with the output bias, the last double
+/// of the blob, set to NaN: every Q the network emits is then NaN.
+void PoisonOutputBias(DqnFleetAgent* agent) {
+  std::stringstream saved;
+  agent->Save(&saved);
+  std::string blob = saved.str();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(&blob[blob.size() - sizeof nan], &nan, sizeof nan);
+  std::stringstream poisoned(blob);
+  ASSERT_TRUE(agent->Load(&poisoned));
+}
+
+TEST(DqnAgentDeathTest, NonFiniteNextStateQAbortsTraining) {
+  // A target read at entry -1 would land on another item's row; training
+  // must stop and name the non-finite Q instead.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(41);
+  std::vector<EpisodeStep> steps(3);
+  for (EpisodeStep& step : steps) {
+    step.state = StoredFleetState::FromFleetState(RandomFleetState(6, &rng));
+    step.action = 2;
+    step.instant_reward = -1.0;
+  }
+  const std::vector<Transition> transitions = FoldEpisodeRewards(steps);
+  const std::vector<const Transition*> batch = {&transitions[0],
+                                                &transitions[1]};
+  AgentConfig parallel = FastConfig(true, 43);
+  parallel.parallel_batch = true;
+  for (const AgentConfig& config :
+       {FastConfig(false, 43), MakeDqnConfig(43), FastConfig(true, 43),
+        MakeDgnConfig(43), parallel}) {
+    DqnFleetAgent agent(config, "poisoned");
+    PoisonOutputBias(&agent);
+    EXPECT_DEATH(agent.TrainOnBatch(batch),
+                 "every feasible next-state Q is non-finite");
+  }
+}
 
 TEST(ActorCritic, UntrainedAgentIsValidDispatcher) {
   const Instance inst = TrainingInstance();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "rl/config.h"
@@ -63,6 +65,13 @@ nn::Matrix DqColumn(const std::vector<double>& dq) {
     col(static_cast<int>(i), 0) = dq[i];
   }
   return col;
+}
+
+/// Every row of `batch`, the row list of an all-rows forward.
+std::vector<int> AllRows(const DecisionBatch& batch) {
+  std::vector<int> rows(static_cast<size_t>(batch.total_rows()));
+  for (size_t r = 0; r < rows.size(); ++r) rows[r] = static_cast<int>(r);
+  return rows;
 }
 
 TEST(MlpQNetwork, OneQPerVehicle) {
@@ -128,10 +137,11 @@ TEST(GraphQNetwork, GradientsMatchFiniteDifferences) {
   // The batch fed to the training forward that precedes BackwardBatch
   // must outlive the backward: the encoder borrows its features and the
   // attention levels its neighbor graph instead of copying them.
+  // Row 1's receptive field over two ring levels is rows {1, 2, 3}.
   DecisionBatch batch;
   batch.Add(x, ring);
-  (void)net.TrainForward(batch);
-  net.BackwardBatch(DqColumn({0.0, 1.0, 0.0, 0.0}));
+  (void)net.TrainForward(batch, {target_row});
+  net.BackwardBatch(DqColumn({1.0}));
 
   const double eps = 1e-6;
   int checked = 0;
@@ -163,8 +173,8 @@ TEST(MlpQNetwork, GradientsMatchFiniteDifferences) {
   // layer borrows its features.
   DecisionBatch batch;
   batch.Add(x);
-  (void)net.TrainForward(batch);
-  net.BackwardBatch(DqColumn({0.0, 0.0, 1.0}));
+  (void)net.TrainForward(batch, {2});
+  net.BackwardBatch(DqColumn({1.0}));
   const double eps = 1e-6;
   for (nn::Parameter* p : net.Params()) {
     for (int r = 0; r < p->value.rows(); ++r) {
@@ -248,7 +258,8 @@ uint64_t RowsEvaluated() {
 /// Compares the two forwards with memcmp and returns the rows EvaluateBatch
 /// ran through the network.
 int ExpectClassForwardBitwise(FleetQNetwork* net, const DecisionBatch& batch) {
-  const nn::Matrix full = net->TrainForward(batch);  // Copy: buffers reused.
+  // Copy: buffers reused.
+  const nn::Matrix full = net->TrainForward(batch, AllRows(batch));
   const uint64_t before = RowsEvaluated();
   const nn::Matrix& q = net->EvaluateBatch(batch);
   const int evaluated = static_cast<int>(RowsEvaluated() - before);
@@ -287,12 +298,130 @@ void Fig7Mix(Rng* rng, int m, int sites, nn::Matrix* features,
   }
 }
 
-/// Both networks (the MLP with no neighbor lists) over the same rows.
+AgentConfig LevelsConfig(int levels) {
+  AgentConfig c = SmallConfig(true);
+  c.attention_levels = levels;
+  return c;
+}
+
+/// Both networks (the MLP with no neighbor lists) over the same rows, plus
+/// graph networks with one and three attention levels for the receptive
+/// fields.
 struct BothNets {
   Rng rng{30};
   MlpQNetwork mlp{SmallConfig(false), &rng};
   GraphQNetwork graph{SmallConfig(true), &rng};
+  GraphQNetwork graph1{LevelsConfig(1), &rng};
+  GraphQNetwork graph3{LevelsConfig(3), &rng};
 };
+
+// ---------------------------------------------------- receptive fields ----
+//
+// A forward given rows runs only their receptive field. Every listed Q and
+// every parameter gradient must keep the bits of the all-rows pass.
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+/// Copies out every parameter gradient of `net` and zeroes it.
+std::vector<nn::Matrix> TakeGrads(FleetQNetwork* net) {
+  std::vector<nn::Matrix> grads;
+  for (nn::Parameter* p : net->Params()) {
+    grads.push_back(p->grad);
+    p->ZeroGrad();
+  }
+  return grads;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Compares the field passes over `rows` with the all-rows passes under
+/// memcmp: TrainForward's Q per listed row; every parameter gradient after
+/// BackwardBatch, against the all-rows backward fed the same gradients at
+/// the listed rows and 0 elsewhere; EvaluateBatch(batch, rows) against
+/// EvaluateBatch(batch). Returns the rows the training field ran.
+int ExpectFieldBitwise(FleetQNetwork* net, const DecisionBatch& batch,
+                       const std::vector<int>& rows, Rng* rng) {
+  const int m = batch.total_rows();
+  const int n = static_cast<int>(rows.size());
+  nn::Matrix dq(n, 1);
+  nn::Matrix dq_all(m, 1);
+  dq_all.Fill(0.0);
+  for (int i = 0; i < n; ++i) {
+    // Every third listed row gets an exact zero gradient.
+    dq(i, 0) = i % 3 == 2 ? 0.0 : rng->Normal(0.0, 1.0);
+    dq_all(rows[i], 0) = dq(i, 0);
+  }
+  TakeGrads(net);
+  const nn::Matrix full = net->TrainForward(batch, AllRows(batch));  // Copy.
+  net->BackwardBatch(dq_all);
+  const std::vector<nn::Matrix> full_grads = TakeGrads(net);
+
+  const uint64_t before = CounterValue("nn.train_rows_evaluated");
+  const nn::Matrix q = net->TrainForward(batch, rows);  // Copy.
+  const int evaluated =
+      static_cast<int>(CounterValue("nn.train_rows_evaluated") - before);
+  net->BackwardBatch(dq);
+  const std::vector<nn::Matrix> grads = TakeGrads(net);
+
+  EXPECT_EQ(q.rows(), n);
+  for (int i = 0; i < n && i < q.rows(); ++i) {
+    EXPECT_TRUE(SameBits(q(i, 0), full(rows[i], 0)))
+        << "row " << rows[i] << ": " << q(i, 0) << " vs " << full(rows[i], 0);
+  }
+  EXPECT_EQ(grads.size(), full_grads.size());
+  bool any_nonzero = false;
+  for (size_t p = 0; p < grads.size() && p < full_grads.size(); ++p) {
+    EXPECT_EQ(std::memcmp(grads[p].data(), full_grads[p].data(),
+                          sizeof(double) * grads[p].size()),
+              0)
+        << "parameter " << p;
+    for (int e = 0; e < full_grads[p].size(); ++e) {
+      any_nonzero = any_nonzero || full_grads[p].data()[e] != 0.0;
+    }
+  }
+  EXPECT_TRUE(any_nonzero);
+
+  const nn::Matrix all = net->EvaluateBatch(batch);  // Copy.
+  const nn::Matrix& listed = net->EvaluateBatch(batch, rows);
+  EXPECT_EQ(listed.rows(), n);
+  for (int i = 0; i < n && i < listed.rows(); ++i) {
+    EXPECT_TRUE(SameBits(listed(i, 0), all(rows[i], 0)))
+        << "row " << rows[i] << ": " << listed(i, 0) << " vs "
+        << all(rows[i], 0);
+  }
+  EXPECT_LE(evaluated, m);
+  return evaluated;
+}
+
+/// Runs ExpectFieldBitwise for every net on four row sets: one random row
+/// per item (the DQN shape), a random subset, every row, and one random
+/// row. The MLP scores `mlp_batch`, the same items without neighbor lists.
+void ExpectFieldsBitwise(BothNets* nets, const DecisionBatch& graph_batch,
+                         const DecisionBatch& mlp_batch, Rng* rng) {
+  std::vector<std::vector<int>> sets(4);
+  for (int i = 0; i < graph_batch.num_items(); ++i) {
+    sets[0].push_back(graph_batch.offset(i) +
+                      rng->UniformInt(graph_batch.rows(i)));
+  }
+  for (int r = 0; r < graph_batch.total_rows(); ++r) {
+    if (rng->Bernoulli(0.3)) sets[1].push_back(r);
+  }
+  if (sets[1].empty()) sets[1].push_back(0);
+  sets[2] = AllRows(graph_batch);
+  sets[3] = {rng->UniformInt(graph_batch.total_rows())};
+  for (size_t k = 0; k < sets.size(); ++k) {
+    SCOPED_TRACE("row set " + std::to_string(k));
+    EXPECT_EQ(ExpectFieldBitwise(&nets->mlp, mlp_batch, sets[k], rng),
+              static_cast<int>(sets[k].size()));
+    for (GraphQNetwork* net : {&nets->graph1, &nets->graph, &nets->graph3}) {
+      ExpectFieldBitwise(net, graph_batch, sets[k], rng);
+    }
+  }
+}
 
 TEST(RowClasses, AllDistinctRowsRunEveryRow) {
   Rng rng(31);
@@ -309,6 +438,7 @@ TEST(RowClasses, AllDistinctRowsRunEveryRow) {
   mlp_batch.Add(features);
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.graph, graph_batch), 40);
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.mlp, mlp_batch), 40);
+  ExpectFieldsBitwise(&nets, graph_batch, mlp_batch, &rng);
 }
 
 TEST(RowClasses, Fig7MixRunsFewerRows) {
@@ -330,6 +460,7 @@ TEST(RowClasses, Fig7MixRunsFewerRows) {
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.graph, graph_batch),
             150 - idle + 1);
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.mlp, mlp_batch), 150 - idle + 1);
+  ExpectFieldsBitwise(&nets, graph_batch, mlp_batch, &rng);
 }
 
 TEST(RowClasses, RefinementSplitsByNeighborsLevelByLevel) {
@@ -369,6 +500,8 @@ TEST(RowClasses, RefinementSplitsByNeighborsLevelByLevel) {
   DecisionBatch mlp_batch;
   mlp_batch.Add(features);
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.mlp, mlp_batch), 9);
+  Rng rng(33);
+  ExpectFieldsBitwise(&nets, graph_batch, mlp_batch, &rng);
 }
 
 TEST(RowClasses, StackedItemsShareClassesAcrossItems) {
@@ -399,6 +532,21 @@ TEST(RowClasses, StackedItemsShareClassesAcrossItems) {
   // The repeated item adds no class; the idle rows of all items are one.
   EXPECT_LE(graph_rows, 90 - 3);
   EXPECT_LE(mlp_rows, 90 - 3);
+
+  // A fifth item of 5 rows with k = 8: every row lists the whole item, so
+  // one row's field is its item and no more, at any attention level.
+  nn::Matrix features;
+  nn::Matrix positions;
+  Fig7Mix(&rng, 5, 5, &features, &positions);
+  nn::Neighbors neighbors;
+  AppendNeighbors(positions, 8, 0, &neighbors);
+  const int last = graph_batch.Add(features, neighbors);
+  mlp_batch.Add(features);
+  ExpectFieldsBitwise(&nets, graph_batch, mlp_batch, &rng);
+  const std::vector<int> row = {graph_batch.offset(last) + 2};
+  for (GraphQNetwork* net : {&nets.graph1, &nets.graph, &nets.graph3}) {
+    EXPECT_EQ(ExpectFieldBitwise(net, graph_batch, row, &rng), 5);
+  }
 }
 
 TEST(RowClasses, SelfLoopsOnlyWithNoNeighbors) {
@@ -418,6 +566,7 @@ TEST(RowClasses, SelfLoopsOnlyWithNoNeighbors) {
   const int mlp_rows = ExpectClassForwardBitwise(&nets.mlp, mlp_batch);
   EXPECT_LT(mlp_rows, 50);
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.graph, graph_batch), mlp_rows);
+  ExpectFieldsBitwise(&nets, graph_batch, mlp_batch, &rng);
 }
 
 TEST(RowClasses, SiteSmallerThanNeighborCount) {
@@ -445,6 +594,7 @@ TEST(RowClasses, SiteSmallerThanNeighborCount) {
   mlp_batch.Add(features);
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.graph, graph_batch), 22);
   EXPECT_EQ(ExpectClassForwardBitwise(&nets.mlp, mlp_batch), 22);
+  ExpectFieldsBitwise(&nets, graph_batch, mlp_batch, &rng);
 }
 
 TEST(RowClassesDeathTest, BackwardAfterEvaluateBatchAborts) {
@@ -459,7 +609,7 @@ TEST(RowClassesDeathTest, BackwardAfterEvaluateBatchAborts) {
   EXPECT_DEATH(
       {
         GraphQNetwork net(SmallConfig(true), &rng);
-        (void)net.TrainForward(graph_batch);
+        (void)net.TrainForward(graph_batch, AllRows(graph_batch));
         (void)net.EvaluateBatch(graph_batch);
         net.BackwardBatch(dq);
       },
@@ -474,9 +624,80 @@ TEST(RowClassesDeathTest, BackwardAfterEvaluateBatchAborts) {
   EXPECT_DEATH(
       {
         MlpQNetwork net(SmallConfig(false), &rng);
-        (void)net.TrainForward(mlp_batch);
+        (void)net.TrainForward(mlp_batch, AllRows(mlp_batch));
         net.BackwardBatch(dq);
         net.BackwardBatch(dq);
+      },
+      "BackwardBatch must follow TrainForward");
+}
+
+TEST(ReceptiveField, CountersReadTheFieldOfATwoItemBatch) {
+  // Two ring items of 4 and 6 rows, row i listing {i, i + 1 mod n}. Row 0
+  // of the first item and row 3 of the second are listed. Over L levels
+  // their fields are the next L + 1 rows of each ring, clipped to the
+  // item: 4 rows at L = 1, 6 at L = 2 and 8 at L = 3 of the 10.
+  Rng rng(38);
+  BothNets nets;
+  DecisionBatch graph_batch;
+  DecisionBatch mlp_batch;
+  for (int m : {4, 6}) {
+    const nn::Matrix x = RandomMatrix(m, kStateFeatures, &rng);
+    graph_batch.Add(x, RingNeighbors(m));
+    mlp_batch.Add(x);
+  }
+  const std::vector<int> rows = {0, 4 + 3};
+  struct Case {
+    FleetQNetwork* net;
+    const DecisionBatch* batch;
+    uint64_t field;
+  };
+  for (const Case& c : {Case{&nets.mlp, &mlp_batch, 2},
+                        Case{&nets.graph1, &graph_batch, 4},
+                        Case{&nets.graph, &graph_batch, 6},
+                        Case{&nets.graph3, &graph_batch, 8}}) {
+    const uint64_t train_requested = CounterValue("nn.train_rows_requested");
+    const uint64_t train_evaluated = CounterValue("nn.train_rows_evaluated");
+    const uint64_t requested = CounterValue("nn.rows_requested");
+    const uint64_t evaluated = CounterValue("nn.rows_evaluated");
+    (void)c.net->TrainForward(*c.batch, rows);
+    EXPECT_EQ(CounterValue("nn.train_rows_requested") - train_requested,
+              10u);
+    EXPECT_EQ(CounterValue("nn.train_rows_evaluated") - train_evaluated,
+              c.field);
+    EXPECT_EQ(CounterValue("nn.rows_requested"), requested);
+    // The inference forward runs the field's row classes: with random
+    // features, one class per field row.
+    (void)c.net->EvaluateBatch(*c.batch, rows);
+    EXPECT_EQ(CounterValue("nn.rows_requested") - requested, 10u);
+    EXPECT_EQ(CounterValue("nn.rows_evaluated") - evaluated, c.field);
+    EXPECT_EQ(CounterValue("nn.train_rows_requested") - train_requested,
+              10u);
+  }
+}
+
+TEST(ReceptiveFieldDeathTest, BadRowsAndGradientsAbort) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(39);
+  DecisionBatch batch;
+  batch.Add(RandomMatrix(4, kStateFeatures, &rng), RingNeighbors(4));
+  GraphQNetwork net(SmallConfig(true), &rng);
+  const char* kBadRows = "rows must ascend within the batch";
+  EXPECT_DEATH((void)net.TrainForward(batch, {2, 1}), kBadRows);
+  EXPECT_DEATH((void)net.TrainForward(batch, {1, 1}), kBadRows);
+  EXPECT_DEATH((void)net.TrainForward(batch, {0, 4}), kBadRows);
+  EXPECT_DEATH((void)net.EvaluateBatch(batch, {-1}), kBadRows);
+  EXPECT_DEATH((void)net.EvaluateBatch(batch, {3, 0}), kBadRows);
+  EXPECT_DEATH(
+      {
+        (void)net.TrainForward(batch, {1, 2});
+        net.BackwardBatch(DqColumn({1.0}));
+      },
+      "dq must hold one gradient per listed row");
+  EXPECT_DEATH(
+      {
+        (void)net.TrainForward(batch, {1});
+        (void)net.EvaluateBatch(batch, {1});
+        net.BackwardBatch(DqColumn({1.0}));
       },
       "BackwardBatch must follow TrainForward");
 }
