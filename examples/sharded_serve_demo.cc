@@ -86,7 +86,6 @@ std::vector<int> ParseCounts(const std::string& spec) {
   std::stringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    // The DPDP_SERVE_SHARDS range.
     counts.push_back(static_cast<int>(
         dpdp::ParseIntStrict("DPDP_SHARD_COUNTS", item.c_str(), 1, 256)));
   }

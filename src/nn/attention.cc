@@ -26,6 +26,13 @@ const Matrix& MultiHeadSelfAttention::Forward(const Matrix& x,
   DPDP_CHECK(neighbors.rows() == n);
   const int* cols = neighbors.cols.data();
   const int* row = neighbors.offsets.data();
+  // The list walks below (and Backward's, over the same lists) index
+  // k_/v_ and dk_/dv_ by these entries unchecked, so validate them once.
+  DPDP_CHECK(row[0] == 0 && row[n] == neighbors.edges());
+  for (int i = 0; i < n; ++i) DPDP_CHECK(row[i] <= row[i + 1]);
+  for (int e = 0; e < neighbors.edges(); ++e) {
+    DPDP_CHECK(cols[e] >= 0 && cols[e] < n);
+  }
 
   neighbors_ = &neighbors;
   q_ = &wq_.Forward(x, ws);

@@ -49,6 +49,8 @@ class MultiHeadSelfAttention {
   MultiHeadSelfAttention(int d_model, int num_heads, Rng* rng);
 
   /// X: (K x d_model); `neighbors` has K rows. Returns (K x d_model).
+  /// Aborts unless the offsets run from 0 to edges() without decreasing
+  /// and every column lies in [0, K).
   ///
   /// The Workspace overload returns a reference to a layer-owned buffer
   /// (valid until the next Forward) and performs no heap allocation once

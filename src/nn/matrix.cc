@@ -224,14 +224,6 @@ bool Matrix::AllClose(const Matrix& other, double tol) const {
   return true;
 }
 
-bool Matrix::AllFinite() const {
-  const size_t n = static_cast<size_t>(size());
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data_[i])) return false;
-  }
-  return true;
-}
-
 std::string Matrix::DebugString(int max_rows, int max_cols) const {
   std::ostringstream os;
   os << "Matrix(" << rows_ << "x" << cols_ << ")[";

@@ -120,10 +120,6 @@ class Matrix {
   /// True when all elements are within `tol` of `other`'s.
   bool AllClose(const Matrix& other, double tol = 1e-9) const;
 
-  /// True when no element is NaN or +/-Inf. Used by the dispatch-time
-  /// degradation guards to reject poisoned network outputs.
-  bool AllFinite() const;
-
   std::string DebugString(int max_rows = 8, int max_cols = 8) const;
 
  private:

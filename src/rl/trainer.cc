@@ -20,21 +20,8 @@ std::string TrainOptions::checkpoint_path(
 }
 
 std::string TrainOptions::resolved_metrics_path() const {
-  if (!metrics_path.empty()) return metrics_path;
   const std::string dir = EnvStr("DPDP_METRICS_DIR", "");
   return dir.empty() ? std::string() : dir + "/metrics.csv";
-}
-
-TrainOptions TrainOptions::FromEnv() {
-  TrainOptions options;
-  options.episodes =
-      EnvIntStrict("DPDP_TRAIN_EPISODES", options.episodes, 1, 1000000);
-  options.checkpoint_every = EnvIntStrict(
-      "DPDP_TRAIN_CHECKPOINT_EVERY", options.checkpoint_every, 0, 1000000);
-  options.checkpoint_dir = EnvStr("DPDP_TRAIN_CHECKPOINT_DIR", "");
-  options.resume_from = EnvStr("DPDP_TRAIN_RESUME_FROM", "");
-  options.metrics_path = EnvStr("DPDP_TRAIN_METRICS", "");
-  return options;
 }
 
 namespace {

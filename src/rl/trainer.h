@@ -48,29 +48,16 @@ struct TrainOptions {
   /// scratch.
   std::string resume_from;
 
-  /// Observability: when non-empty (or when DPDP_METRICS_DIR is set, which
-  /// yields <dir>/metrics.csv), each finished episode appends one row of
-  /// training telemetry — NUV/TC, loss, epsilon, mean/max greedy Q, replay
-  /// size, decision count/latency and degradation counters — so
-  /// convergence plots come from recorded data instead of ad-hoc prints.
-  /// The file is truncated per RunEpisodes call; telemetry failures log a
-  /// warning and never abort training.
-  std::string metrics_path;
-
   /// Where checkpoints land: <dir>/<agent name>.ckpt.
   std::string checkpoint_path(const std::string& agent_name) const;
-  /// metrics_path, falling back to $DPDP_METRICS_DIR/metrics.csv; empty
-  /// string disables the per-episode metrics time series.
+  /// Observability: when DPDP_METRICS_DIR is set, each finished episode
+  /// appends one row of training telemetry to <dir>/metrics.csv — NUV/TC,
+  /// loss, epsilon, mean/max greedy Q, replay size, decision count/latency
+  /// and degradation counters — so convergence plots come from recorded
+  /// data instead of ad-hoc prints. The file is truncated per RunEpisodes
+  /// call; telemetry failures log a warning and never abort training. An
+  /// empty string (the variable unset) disables the time series.
   std::string resolved_metrics_path() const;
-
-  /// Environment-driven options, mirroring ServeConfigFromEnv so every
-  /// subsystem's knobs parse through the same layer (see README):
-  ///   DPDP_TRAIN_EPISODES          episode count (default 100)
-  ///   DPDP_TRAIN_CHECKPOINT_EVERY  checkpoint cadence, 0 = off
-  ///   DPDP_TRAIN_CHECKPOINT_DIR    checkpoint directory override
-  ///   DPDP_TRAIN_RESUME_FROM       checkpoint file to resume from
-  ///   DPDP_TRAIN_METRICS           metrics.csv path override
-  static TrainOptions FromEnv();
 };
 
 /// Runs `options.episodes` episodes of `env` under `dispatcher` (each one

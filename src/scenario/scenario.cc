@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "net/road_network.h"
-#include "util/env.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -409,27 +408,6 @@ Result<Scenario> BuiltinScenario(const std::string& name) {
   }
   return Status::InvalidArgument("unknown built-in scenario \"" + name +
                                  "\"");
-}
-
-Scenario ScenarioFromEnv() {
-  Scenario s;
-  const std::string selector = EnvStr("DPDP_SCENARIO", "");
-  if (!selector.empty()) {
-    Result<Scenario> chosen = BuiltinScenario(selector);
-    if (!chosen.ok()) chosen = LoadScenarioFile(selector);
-    DPDP_CHECK_OK(chosen.status());
-    s = std::move(chosen).value();
-  }
-  s.seed = EnvU64Strict("DPDP_SCENARIO_SEED", s.seed);
-  s.demand.rate_scale = EnvDoubleStrict("DPDP_SCENARIO_RATE_SCALE",
-                                        s.demand.rate_scale, 0.0, 100.0);
-  s.travel.wave_amplitude = EnvDoubleStrict(
-      "DPDP_SCENARIO_WAVE_AMPLITUDE", s.travel.wave_amplitude, 0.0, 0.999);
-  s.demand.burst_prob = EnvDoubleStrict("DPDP_SCENARIO_BURST_PROB",
-                                        s.demand.burst_prob, 0.0, 1.0);
-  s.topology.num_campuses =
-      EnvIntStrict("DPDP_SCENARIO_CAMPUSES", s.topology.num_campuses, 1, 64);
-  return s;
 }
 
 void ApplyFleetLayer(const FleetLayer& layer, uint64_t seed,

@@ -141,21 +141,11 @@ Result<Scenario> ParseScenario(const std::string& text);
 /// Reads and parses a scenario config file.
 Result<Scenario> LoadScenarioFile(const std::string& path);
 
-/// Names of the built-in scenarios (usable as DPDP_SCENARIO values).
+/// Names of the built-in scenarios (each a BuiltinScenario argument).
 const std::vector<std::string>& BuiltinScenarioNames();
 
 /// Returns the named built-in scenario, or InvalidArgument.
 Result<Scenario> BuiltinScenario(const std::string& name);
-
-/// Builds the scenario from the environment. DPDP_SCENARIO selects a
-/// built-in by name or a config file by path (default: the inactive
-/// baseline). Strict overrides (see util/env.h) applied on top:
-///   DPDP_SCENARIO_SEED            u64
-///   DPDP_SCENARIO_RATE_SCALE      [0, 100]
-///   DPDP_SCENARIO_WAVE_AMPLITUDE  [0, 1]
-///   DPDP_SCENARIO_BURST_PROB     [0, 1]
-///   DPDP_SCENARIO_CAMPUSES        [1, 64]
-Scenario ScenarioFromEnv();
 
 /// Applies the fleet layer to a built instance (sizes vehicle_profiles
 /// from the instance's fleet). No-op when the layer is inactive.

@@ -1,6 +1,5 @@
 #include "serve/chaos.h"
 
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace dpdp::serve {
@@ -31,38 +30,6 @@ bool Draw(uint64_t cell, uint64_t stream, double prob) {
 }
 
 }  // namespace
-
-ChaosConfig ChaosConfigFromEnv() {
-  ChaosConfig config;
-  config.seed = EnvU64Strict("DPDP_SERVE_CHAOS_SEED", config.seed);
-  config.stall_prob = EnvDoubleStrict("DPDP_SERVE_CHAOS_STALL_PROB",
-                                      config.stall_prob, 0.0, 1.0);
-  config.stall_us = EnvInt64Strict("DPDP_SERVE_CHAOS_STALL_US",
-                                   config.stall_us, 0, 60000000);
-  config.slow_prob = EnvDoubleStrict("DPDP_SERVE_CHAOS_SLOW_PROB",
-                                     config.slow_prob, 0.0, 1.0);
-  config.slow_us = EnvInt64Strict("DPDP_SERVE_CHAOS_SLOW_US", config.slow_us,
-                                  0, 60000000);
-  config.crash_prob = EnvDoubleStrict("DPDP_SERVE_CHAOS_CRASH_PROB",
-                                      config.crash_prob, 0.0, 1.0);
-  config.corrupt_publish_prob = EnvDoubleStrict(
-      "DPDP_SERVE_CHAOS_CORRUPT_PROB", config.corrupt_publish_prob, 0.0, 1.0);
-  return config;
-}
-
-const char* ChaosActionName(ChaosAction action) {
-  switch (action) {
-    case ChaosAction::kNone:
-      return "none";
-    case ChaosAction::kEvalSlowdown:
-      return "eval_slowdown";
-    case ChaosAction::kStall:
-      return "stall";
-    case ChaosAction::kCrash:
-      return "crash";
-  }
-  return "?";
-}
 
 ChaosAction ChaosPolicy::ActionAt(int shard, uint64_t tick) const {
   const uint64_t cell = CellSeed(config_.seed, shard, tick);

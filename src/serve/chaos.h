@@ -51,11 +51,6 @@ struct ChaosConfig {
   }
 };
 
-/// Fills a ChaosConfig from DPDP_SERVE_CHAOS_SEED / _STALL_PROB /
-/// _STALL_US / _SLOW_PROB / _SLOW_US / _CRASH_PROB / _CORRUPT_PROB, with
-/// the struct defaults (chaos off) as fallbacks.
-ChaosConfig ChaosConfigFromEnv();
-
 /// What chaos does to one (shard, tick) cell. At most one action fires per
 /// cell; severity wins when multiple sub-streams trigger (crash > stall >
 /// slowdown).
@@ -65,8 +60,6 @@ enum class ChaosAction {
   kStall,
   kCrash,
 };
-
-const char* ChaosActionName(ChaosAction action);
 
 /// The seeded fault schedule. Stateless and thread-safe: ActionAt and
 /// CorruptPublishAt are pure functions, so N shard loops can share one

@@ -1,24 +1,6 @@
 #include "serve/circuit_breaker.h"
 
-#include "util/env.h"
-
 namespace dpdp::serve {
-
-BreakerConfig BreakerConfigFromEnv() {
-  BreakerConfig config;
-  config.failure_threshold = EnvIntStrict(
-      "DPDP_SERVE_BREAKER_THRESHOLD", config.failure_threshold, 1, 1000000);
-  config.backoff.initial_backoff_ms =
-      EnvIntStrict("DPDP_SERVE_BREAKER_BACKOFF_MS",
-                   config.backoff.initial_backoff_ms, 0, 3600000);
-  config.backoff.backoff_multiplier =
-      EnvDoubleStrict("DPDP_SERVE_BREAKER_BACKOFF_MULT",
-                      config.backoff.backoff_multiplier, 1.0, 1000.0);
-  config.backoff.max_backoff_ms =
-      EnvIntStrict("DPDP_SERVE_BREAKER_BACKOFF_MAX_MS",
-                   config.backoff.max_backoff_ms, 0, 3600000);
-  return config;
-}
 
 const char* BreakerStateName(BreakerState state) {
   switch (state) {

@@ -22,10 +22,6 @@ struct BreakerConfig {
   RetryPolicy backoff;
 };
 
-/// Fills a BreakerConfig from DPDP_SERVE_BREAKER_THRESHOLD /
-/// _BREAKER_BACKOFF_MS / _BREAKER_BACKOFF_MULT / _BREAKER_BACKOFF_MAX_MS.
-BreakerConfig BreakerConfigFromEnv();
-
 enum class BreakerState {
   kClosed = 0,    ///< Healthy: traffic flows, failures are counted.
   kOpen = 1,      ///< Tripped: traffic is rerouted until the backoff ends.

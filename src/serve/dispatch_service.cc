@@ -14,7 +14,6 @@
 #include "obs/trace.h"
 #include "rl/q_network.h"
 #include "rl/state.h"
-#include "util/env.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -137,22 +136,6 @@ DecisionRequest OpenRequest(const DispatchContext& context,
 }
 
 }  // namespace
-
-ServeConfig ServeConfigFromEnv() {
-  ServeConfig config;
-  config.max_batch =
-      EnvIntStrict("DPDP_SERVE_MAX_BATCH", config.max_batch, 1, 65536);
-  config.max_wait_us = EnvInt64Strict("DPDP_SERVE_MAX_WAIT_US",
-                                      config.max_wait_us, 0, 60000000);
-  config.queue_capacity = EnvIntStrict("DPDP_SERVE_QUEUE_CAP",
-                                       config.queue_capacity, 1, 100000000);
-  config.commit_us =
-      EnvInt64Strict("DPDP_SERVE_COMMIT_US", config.commit_us, 0, 60000000);
-  config.deadline_us = EnvInt64Strict("DPDP_SERVE_DEADLINE_US",
-                                      config.deadline_us, 0, 600000000);
-  config.chaos = ChaosConfigFromEnv();
-  return config;
-}
 
 DispatchService::DispatchService(const ServeConfig& config,
                                  ModelServer* models, ShardTag tag)

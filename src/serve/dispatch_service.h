@@ -52,11 +52,6 @@ struct ServeConfig {
   ChaosConfig chaos;
 };
 
-/// Fills a ServeConfig from DPDP_SERVE_MAX_BATCH / DPDP_SERVE_MAX_WAIT_US /
-/// DPDP_SERVE_QUEUE_CAP / DPDP_SERVE_COMMIT_US / DPDP_SERVE_DEADLINE_US and
-/// the DPDP_SERVE_CHAOS* family, with the struct defaults as fallbacks.
-ServeConfig ServeConfigFromEnv();
-
 /// Anything that answers decision requests asynchronously: the single
 /// micro-batching DispatchService, or the ShardRouter fanning out over N
 /// of them. Dispatch adapters and load generators target this interface so

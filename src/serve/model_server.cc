@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "rl/checkpoint.h"
 #include "rl/dqn_agent.h"
-#include "util/env.h"
 #include "util/log.h"
 
 namespace dpdp::serve {
@@ -193,16 +192,12 @@ int ModelServer::PollOnce(const std::string& model_dir) {
 }
 
 void ModelServer::StartWatcher(const std::string& model_dir, int poll_ms) {
-  std::string dir =
-      model_dir.empty() ? EnvStr("DPDP_SERVE_MODEL_DIR", "") : model_dir;
-  if (dir.empty()) return;
-  if (poll_ms <= 0) {
-    poll_ms = EnvIntStrict("DPDP_SERVE_POLL_MS", 50, 1, 3600000);
-  }
+  DPDP_CHECK(!model_dir.empty());
+  DPDP_CHECK(poll_ms >= 1);
   std::lock_guard<std::mutex> lock(watcher_mu_);
   if (watcher_.joinable()) return;  // Already watching.
   watcher_stop_ = false;
-  watcher_ = std::thread([this, dir, poll_ms] {
+  watcher_ = std::thread([this, dir = model_dir, poll_ms] {
     std::unique_lock<std::mutex> lock(watcher_mu_);
     while (!watcher_stop_) {
       lock.unlock();

@@ -79,10 +79,9 @@ class ModelServer {
   /// number of snapshots published (0 or 1).
   int PollOnce(const std::string& model_dir);
 
-  /// Starts the background watcher over `model_dir` (empty: reads
-  /// DPDP_SERVE_MODEL_DIR; still empty: no-op). Polls every `poll_ms`
-  /// (<= 0: reads DPDP_SERVE_POLL_MS, default 50).
-  void StartWatcher(const std::string& model_dir = "", int poll_ms = 0);
+  /// Starts the background watcher over `model_dir` (non-empty), polling
+  /// every `poll_ms` (>= 1) milliseconds. No-op while already watching.
+  void StartWatcher(const std::string& model_dir, int poll_ms);
 
   /// Stops and joins the watcher thread. Safe to call repeatedly.
   void StopWatcher();

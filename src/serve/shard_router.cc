@@ -6,7 +6,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/env.h"
 #include "util/timer.h"
 
 namespace dpdp::serve {
@@ -29,34 +28,6 @@ int64_t ToNanos(std::chrono::steady_clock::time_point tp) {
 }
 
 }  // namespace
-
-const char* RouterPolicyName(RouterPolicy policy) {
-  switch (policy) {
-    case RouterPolicy::kCampusHash:
-      return "hash";
-    case RouterPolicy::kRoundRobin:
-      return "rr";
-  }
-  return "?";
-}
-
-ShardedServeConfig ShardedServeConfigFromEnv() {
-  ShardedServeConfig config;
-  config.num_shards =
-      EnvIntStrict("DPDP_SERVE_SHARDS", config.num_shards, 1, 256);
-  const std::string policy = EnvStr("DPDP_SERVE_ROUTER", "hash");
-  if (policy == "rr" || policy == "round_robin") {
-    config.policy = RouterPolicy::kRoundRobin;
-  } else if (policy == "hash") {
-    config.policy = RouterPolicy::kCampusHash;
-  } else {
-    internal::CheckFailed(__FILE__, __LINE__, "strict env parse",
-                          "DPDP_SERVE_ROUTER=\"" + policy +
-                              "\" rejected: expected hash, rr or round_robin");
-  }
-  config.shard = ServeConfigFromEnv();
-  return config;
-}
 
 uint64_t CampusHash(std::string_view campus_name) {
   // FNV-1a 64: tiny, allocation-free, and stable across platforms — the

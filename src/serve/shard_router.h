@@ -31,8 +31,6 @@ enum class RouterPolicy {
   kRoundRobin,
 };
 
-const char* RouterPolicyName(RouterPolicy policy);
-
 /// Shape of a sharded fabric: how many shards, how requests are routed,
 /// and the per-shard service policy.
 struct ShardedServeConfig {
@@ -45,11 +43,6 @@ struct ShardedServeConfig {
   /// N * shard.queue_capacity requests before shedding.
   ServeConfig shard;
 };
-
-/// Fills a ShardedServeConfig from DPDP_SERVE_SHARDS ("1"..) and
-/// DPDP_SERVE_ROUTER ("hash" | "rr"), with the per-shard policy taken
-/// from ServeConfigFromEnv().
-ShardedServeConfig ShardedServeConfigFromEnv();
 
 /// FNV-1a 64-bit hash of a campus name — the stable campus -> shard map
 /// behind RouterPolicy::kCampusHash. Deliberately not std::hash (which is

@@ -6,7 +6,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
-#include "util/env.h"
 #include "util/log.h"
 #include "util/timer.h"
 
@@ -20,16 +19,6 @@ obs::Counter& ScanCounter() {
 }
 
 }  // namespace
-
-SupervisorConfig SupervisorConfigFromEnv() {
-  SupervisorConfig config;
-  config.watchdog_period_ms = EnvIntStrict(
-      "DPDP_SERVE_WATCHDOG_MS", config.watchdog_period_ms, 1, 3600000);
-  config.stuck_after_ms =
-      EnvIntStrict("DPDP_SERVE_STUCK_MS", config.stuck_after_ms, 1, 3600000);
-  config.breaker = BreakerConfigFromEnv();
-  return config;
-}
 
 const char* ShardHealthName(ShardHealth health) {
   switch (health) {

@@ -28,10 +28,6 @@ struct SupervisorConfig {
   BreakerConfig breaker;
 };
 
-/// Fills a SupervisorConfig from DPDP_SERVE_WATCHDOG_MS /
-/// DPDP_SERVE_STUCK_MS and the DPDP_SERVE_BREAKER_* family.
-SupervisorConfig SupervisorConfigFromEnv();
-
 /// Last-scan verdict for one shard. The numeric values are the
 /// serve.shard<k>.health gauge encoding.
 enum class ShardHealth {

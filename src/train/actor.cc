@@ -11,6 +11,12 @@
 namespace dpdp::train {
 namespace {
 
+/// Base of the per-episode exploration seed streams. Episode e explores
+/// with Rng(Rng::DeriveSeed(kExploreSeedBase, e)) — a pure function of the
+/// GLOBAL episode index, independent of which actor runs it, so any actor
+/// count replays the identical exploration sequence.
+constexpr uint64_t kExploreSeedBase = 9001;
+
 struct ActorMetrics {
   obs::Counter* episodes =
       obs::MetricsRegistry::Global().GetCounter("train.episodes");
@@ -115,7 +121,7 @@ EpisodeExperience Actor::RunEpisode(int episode_index, double epsilon) {
   // the global episode index — the determinism contract's foundation.
   RolloutDispatcher rollout(
       agent_config_, service_, options_.deterministic,
-      Rng(Rng::DeriveSeed(options_.explore_seed_base,
+      Rng(Rng::DeriveSeed(kExploreSeedBase,
                           static_cast<uint64_t>(episode_index))),
       epsilon, &experience);
   env_.set_episodes_run(episode_index);

@@ -12,11 +12,6 @@
 namespace dpdp::train {
 
 struct ActorOptions {
-  /// Base of the per-episode exploration seed streams. Episode e explores
-  /// with Rng(Rng::DeriveSeed(explore_seed_base, e)) — a pure function of
-  /// the GLOBAL episode index, independent of which actor runs it, so any
-  /// actor count replays the identical exploration sequence.
-  uint64_t explore_seed_base = 9001;
   /// Deterministic replay-order mode: a shed, deadline-expired or
   /// crash-degraded reply would make the rollout depend on wall-clock
   /// scheduling, so any of them is a hard contract violation (DPDP_CHECK)

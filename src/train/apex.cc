@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "rl/checkpoint.h"
 #include "serve/shard_router.h"
-#include "util/env.h"
 #include "util/log.h"
 #include "util/timer.h"
 
@@ -42,39 +41,6 @@ std::string CheckpointPath(const std::string& dir, uint64_t seq) {
 }
 
 }  // namespace
-
-ApexConfig ApexConfig::FromEnv() {
-  ApexConfig config;
-  config.num_actors =
-      EnvIntStrict("DPDP_TRAIN_ACTORS", config.num_actors, 1, 256);
-  config.episodes =
-      EnvIntStrict("DPDP_TRAIN_EPISODES", config.episodes, 1, 1000000);
-  config.sync_every =
-      EnvIntStrict("DPDP_TRAIN_SYNC_EVERY", config.sync_every, 1, 1000000);
-  config.deterministic =
-      EnvBoolStrict("DPDP_TRAIN_DETERMINISTIC", config.deterministic);
-  config.min_replay =
-      EnvIntStrict("DPDP_TRAIN_MIN_REPLAY", config.min_replay, 0, 100000000);
-  config.updates_per_generation =
-      EnvIntStrict("DPDP_TRAIN_UPDATES_PER_SYNC",
-                   config.updates_per_generation, 0, 1000000);
-  config.target_sync_updates =
-      EnvIntStrict("DPDP_TRAIN_TARGET_SYNC_UPDATES",
-                   config.target_sync_updates, 1, 1000000);
-  config.checkpoint_every = EnvIntStrict(
-      "DPDP_TRAIN_CHECKPOINT_EVERY", config.checkpoint_every, 0, 1000000);
-  // The generic DPDP_CHECKPOINT_DIR is honoured as the fallback so one
-  // directory can feed both the trainer and a serving watcher.
-  config.checkpoint_dir = EnvStr(
-      "DPDP_TRAIN_CHECKPOINT_DIR", EnvStr("DPDP_CHECKPOINT_DIR", ""));
-  config.resume_from = EnvStr("DPDP_TRAIN_RESUME_FROM", "");
-  config.explore_seed_base =
-      EnvU64Strict("DPDP_TRAIN_SEED", config.explore_seed_base);
-  config.serve_shards =
-      EnvIntStrict("DPDP_TRAIN_SERVE_SHARDS", config.serve_shards, 1, 256);
-  config.serve = serve::ServeConfigFromEnv();
-  return config;
-}
 
 ApexTrainer::ApexTrainer(const Instance* instance, const ApexConfig& config,
                          const AgentConfig& agent_config,
@@ -114,7 +80,6 @@ ApexTrainer::ApexTrainer(const Instance* instance, const ApexConfig& config,
         std::make_unique<serve::DispatchService>(config_.serve, &models_);
   }
   ActorOptions actor_options;
-  actor_options.explore_seed_base = config_.explore_seed_base;
   actor_options.deterministic = config_.deterministic;
   actors_.reserve(config_.num_actors);
   for (int a = 0; a < config_.num_actors; ++a) {
@@ -139,7 +104,7 @@ void ApexTrainer::CommitExperience(EpisodeExperience experience,
 }
 
 void ApexTrainer::EndGeneration(int episodes_done) {
-  learner_.RunUpdates(config_.updates_per_generation, config_.min_replay);
+  learner_.RunUpdates(config_.updates_per_generation);
   learner_.Publish(++seq_, episodes_done, "learner");
   ++generations_;
   Metrics().generations->Add(1);

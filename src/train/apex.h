@@ -18,9 +18,7 @@
 
 namespace dpdp::train {
 
-/// Shape of an actor-learner training run. Env knobs (FromEnv) are the
-/// DPDP_TRAIN_* family, documented in the README next to the serving
-/// knobs they compose with.
+/// Shape of an actor-learner training run.
 struct ApexConfig {
   int num_actors = 4;
   int episodes = 16;
@@ -34,9 +32,6 @@ struct ApexConfig {
   /// generation — so the final weights are bit-identical for ANY actor
   /// count. Costs a barrier per generation; off = free-running async.
   bool deterministic = true;
-  /// Learner updates wait until the replay holds this many transitions
-  /// (0 = the agent's batch_size).
-  int min_replay = 0;
   /// Gradient steps per generation (per weight publication).
   int updates_per_generation = 8;
   /// Learner updates between target-network syncs.
@@ -49,8 +44,6 @@ struct ApexConfig {
   std::string checkpoint_dir;
   /// Resume a run from a fabric checkpoint path (empty = fresh start).
   std::string resume_from;
-  /// Base seed of the per-episode exploration streams.
-  uint64_t explore_seed_base = 9001;
   /// DispatchService shards behind the actors (1 = a single service;
   /// > 1 = a round-robin ShardRouter, the batching invariant makes the
   /// shard count decision-invariant).
@@ -59,10 +52,6 @@ struct ApexConfig {
   /// forces deadline_us = 0, chaos off and queue_capacity >= num_actors
   /// (shed and deadline answers depend on wall-clock scheduling).
   serve::ServeConfig serve;
-
-  /// Fills from the DPDP_TRAIN_* environment knobs, with the embedded
-  /// serve policy from ServeConfigFromEnv().
-  static ApexConfig FromEnv();
 };
 
 /// Outcome of one training run.

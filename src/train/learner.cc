@@ -1,6 +1,5 @@
 #include "train/learner.h"
 
-#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <memory>
@@ -56,13 +55,12 @@ void Learner::AddEpisode(std::vector<Transition> transitions) {
   Metrics().replay_size->Set(static_cast<double>(replay_.size()));
 }
 
-int Learner::RunUpdates(int updates, int min_replay) {
+int Learner::RunUpdates(int updates) {
   DPDP_TRACE_SPAN("train.learn");
   const int batch_size = agent_.config().batch_size;
-  const int floor = std::max(min_replay, batch_size);
   int done = 0;
   for (int u = 0; u < updates; ++u) {
-    if (replay_.size() < floor) break;
+    if (replay_.size() < batch_size) break;
     agent_.TrainOnBatch(replay_.Sample(batch_size, &sampler_));
     ++updates_;
     ++done;

@@ -42,9 +42,9 @@ class Learner {
   void AddEpisode(std::vector<Transition> transitions);
 
   /// Runs up to `updates` minibatch gradient steps, stopping early while
-  /// the replay holds fewer than max(min_replay, batch_size) transitions.
-  /// Returns the number of updates actually performed.
-  int RunUpdates(int updates, int min_replay);
+  /// the replay holds fewer than batch_size transitions. Returns the number
+  /// of updates actually performed.
+  int RunUpdates(int updates);
 
   /// Publishes the current online weights as snapshot `seq`. Returns true
   /// when the snapshot became current (strictly newer than the published

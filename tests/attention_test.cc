@@ -36,6 +36,29 @@ Neighbors FullGraph(int n) {
   return FromRows(std::vector<std::vector<int>>(n, all));
 }
 
+TEST(AttentionDeathTest, MalformedNeighborListsAbort) {
+  // A column outside [0, rows) would read past the K/V projections in
+  // Forward and write past their gradients in Backward; an offset that
+  // decreases or stops short of edges() would walk the columns wrongly.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(3);
+  MultiHeadSelfAttention attn(8, 2, &rng);
+  const Matrix x = RandomMatrix(3, 8, &rng);
+  for (const int bad : {-1, 3}) {
+    const Neighbors g = FromRows({{0, 1}, {1, bad}, {2}});
+    EXPECT_DEATH(attn.Forward(x, g), "DPDP_CHECK failed: cols")
+        << "column " << bad;
+  }
+  for (const std::vector<int>& offsets :
+       {std::vector<int>{0, 2, 1, 3}, std::vector<int>{0, 1, 2, 2}}) {
+    Neighbors g;
+    g.offsets = offsets;
+    g.cols = {0, 1, 2};
+    EXPECT_DEATH(attn.Forward(x, g), "DPDP_CHECK failed: row")
+        << "offsets ending " << offsets[2] << ", " << offsets[3];
+  }
+}
+
 TEST(Attention, OutputShape) {
   Rng rng(1);
   MultiHeadSelfAttention attn(8, 2, &rng);

@@ -2,6 +2,7 @@
 // via the CRC footer, and the flagship guarantee — kill + resume training
 // is bit-identical to an uninterrupted run.
 
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -301,6 +302,20 @@ TEST(TrainOptions, CheckpointPathUsesDirAndAgentName) {
   TrainOptions options;
   options.checkpoint_dir = "/tmp/ckpts";
   EXPECT_EQ(options.checkpoint_path("ST-DDGN"), "/tmp/ckpts/ST-DDGN.ckpt");
+}
+
+TEST(TrainOptions, CheckpointDirFallsBackToGenericKnob) {
+  // An empty checkpoint_dir reads DPDP_CHECKPOINT_DIR, then ".". The
+  // caller's value (CI sets one for the fault suites) is put back after.
+  const char* outer = std::getenv("DPDP_CHECKPOINT_DIR");
+  const bool had_outer = outer != nullptr;
+  const std::string saved = had_outer ? outer : "";
+  const TrainOptions options;
+  ::setenv("DPDP_CHECKPOINT_DIR", "/tmp/generic-ckpts", 1);
+  EXPECT_EQ(options.checkpoint_path("DQN"), "/tmp/generic-ckpts/DQN.ckpt");
+  ::unsetenv("DPDP_CHECKPOINT_DIR");
+  EXPECT_EQ(options.checkpoint_path("DQN"), "./DQN.ckpt");
+  if (had_outer) ::setenv("DPDP_CHECKPOINT_DIR", saved.c_str(), 1);
 }
 
 }  // namespace

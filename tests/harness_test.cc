@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -13,7 +17,6 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "rl/actor_critic.h"
-#include "serve/shard_router.h"
 #include "stpred/predictor.h"
 #include "rl/dqn_agent.h"
 #include "util/log.h"
@@ -37,8 +40,12 @@ TEST(StrictEnvKnobs, TraceAcceptsTrueAsOn) {
 
 TEST(StrictEnvKnobs, MalformedHttpPortAbortsInsteadOfBindingEphemeral) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  ::setenv("DPDP_OBS_HTTP_PORT", "abc", 1);
-  EXPECT_DEATH(obs::HttpExporter exporter, "DPDP_OBS_HTTP_PORT=\"abc\"");
+  // "4x" is the integer-with-trailing-text case.
+  for (const std::string value : {"abc", "4x"}) {
+    ::setenv("DPDP_OBS_HTTP_PORT", value.c_str(), 1);
+    EXPECT_DEATH(obs::HttpExporter exporter,
+                 "DPDP_OBS_HTTP_PORT=\"" + value + "\"");
+  }
   ::unsetenv("DPDP_OBS_HTTP_PORT");
 }
 
@@ -49,22 +56,6 @@ TEST(StrictEnvKnobs, DecimalCommaSloObjectiveAborts) {
   ::unsetenv("DPDP_SLO_P99_S");
 }
 
-TEST(StrictEnvKnobs, TrailingGarbageShardCountAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  ::setenv("DPDP_SERVE_SHARDS", "4x", 1);
-  EXPECT_DEATH(serve::ShardedServeConfigFromEnv(),
-               "DPDP_SERVE_SHARDS=\"4x\"");
-  ::unsetenv("DPDP_SERVE_SHARDS");
-}
-
-TEST(StrictEnvKnobs, UnknownRouterPolicyAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  ::setenv("DPDP_SERVE_ROUTER", "random", 1);
-  EXPECT_DEATH(serve::ShardedServeConfigFromEnv(),
-               "DPDP_SERVE_ROUTER=\"random\"");
-  ::unsetenv("DPDP_SERVE_ROUTER");
-}
-
 TEST(StrictEnvKnobs, UnknownLogLevelAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ::setenv("DPDP_LOG_LEVEL", "verbose", 1);
@@ -72,6 +63,79 @@ TEST(StrictEnvKnobs, UnknownLogLevelAborts) {
   // child dies before it reaches the statement.
   EXPECT_DEATH(GetLogLevel(), "DPDP_LOG_LEVEL=\"verbose\"");
   ::unsetenv("DPDP_LOG_LEVEL");
+}
+
+// README documents the DPDP_* knobs the programs read, and only those.
+// The strict readers take each name as a string literal, so the literals
+// "DPDP_..." under src/, bench/ and examples/ are the knob set.
+
+std::string ReadText(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+bool IsNameChar(char c) {
+  return (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '_';
+}
+
+/// Every whole DPDP_[A-Z0-9_]+ token of `text`; with `quoted`, only the
+/// tokens that form a whole string literal.
+std::set<std::string> KnobNames(const std::string& text, bool quoted) {
+  std::set<std::string> names;
+  for (size_t at = text.find("DPDP_"); at != std::string::npos;
+       at = text.find("DPDP_", at + 1)) {
+    if (at > 0 && IsNameChar(text[at - 1])) continue;
+    size_t end = at + 5;
+    while (end < text.size() && IsNameChar(text[end])) ++end;
+    const bool literal = at > 0 && text[at - 1] == '"' &&
+                         end < text.size() && text[end] == '"';
+    if (quoted && !literal) continue;
+    names.insert(text.substr(at, end - at));
+  }
+  return names;
+}
+
+std::set<std::string> SourceKnobs() {
+  std::set<std::string> names;
+  for (const char* dir : {"src", "bench", "examples"}) {
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(
+             std::filesystem::path(DPDP_SOURCE_ROOT) / dir)) {
+      if (!entry.is_regular_file()) continue;
+      names.merge(KnobNames(ReadText(entry.path()), /*quoted=*/true));
+    }
+  }
+  return names;
+}
+
+std::string Readme() {
+  return ReadText(std::filesystem::path(DPDP_SOURCE_ROOT) / "README.md");
+}
+
+TEST(KnobDocs, ReadmeNamesEveryKnobInFull) {
+  const std::set<std::string> knobs = SourceKnobs();
+  ASSERT_FALSE(knobs.empty());
+  const std::set<std::string> documented = KnobNames(Readme(), false);
+  for (const std::string& knob : knobs) {
+    EXPECT_TRUE(documented.count(knob)) << knob << " is not in README.md";
+  }
+}
+
+TEST(KnobDocs, ReadmeTableRowsNameOnlyReadKnobs) {
+  const std::set<std::string> knobs = SourceKnobs();
+  std::istringstream readme(Readme());
+  int named = 0;
+  for (std::string line; std::getline(readme, line);) {
+    if (line.empty() || line[0] != '|') continue;
+    const std::string first_cell = line.substr(1, line.find('|', 1) - 1);
+    for (const std::string& name : KnobNames(first_cell, false)) {
+      ++named;
+      EXPECT_TRUE(knobs.count(name))
+          << "README.md row names " << name << ", which no program reads";
+    }
+  }
+  EXPECT_GT(named, 0);
 }
 
 TEST(Harness, StandardDatasetConfigMatchesPaperWorld) {

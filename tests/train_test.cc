@@ -4,12 +4,11 @@
 // count), the kill-the-learner checkpoint-resume golden, greedy
 // fabric-vs-local parity, async mode's commit-once accounting, the shared
 // epsilon schedule, RunEpisode against a raw step loop, the episode
-// recorder, and the DPDP_TRAIN_* config layer. Runs under TSan in CI
+// recorder. Runs under TSan in CI
 // alongside the serve suites — the async inbox and the actor barrier must
 // hold for arbitrary interleavings.
 
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -540,59 +539,6 @@ TEST(ApexTrainerTest, AsyncModeCommitsEveryEpisodeOnce) {
   EXPECT_GT(report.learner_updates, 0u);
   EXPECT_EQ(report.final_seq, generations->Value() - generations_before);
   EXPECT_EQ(report.final_seq, 3u);
-}
-
-// --- Config layer -----------------------------------------------------------
-
-TEST(ApexConfigTest, FromEnvReadsTrainKnobs) {
-  setenv("DPDP_TRAIN_ACTORS", "7", 1);
-  setenv("DPDP_TRAIN_EPISODES", "21", 1);
-  setenv("DPDP_TRAIN_SYNC_EVERY", "3", 1);
-  setenv("DPDP_TRAIN_DETERMINISTIC", "0", 1);
-  setenv("DPDP_TRAIN_MIN_REPLAY", "64", 1);
-  setenv("DPDP_TRAIN_UPDATES_PER_SYNC", "5", 1);
-  setenv("DPDP_TRAIN_TARGET_SYNC_UPDATES", "11", 1);
-  setenv("DPDP_TRAIN_CHECKPOINT_EVERY", "2", 1);
-  setenv("DPDP_TRAIN_CHECKPOINT_DIR", "/tmp/apex-test-ckpts", 1);
-  setenv("DPDP_TRAIN_RESUME_FROM", "/tmp/apex-test-ckpts/apex-000001.ckpt",
-         1);
-  setenv("DPDP_TRAIN_SEED", "31337", 1);
-  setenv("DPDP_TRAIN_SERVE_SHARDS", "2", 1);
-  setenv("DPDP_SERVE_MAX_BATCH", "12", 1);
-
-  const ApexConfig config = ApexConfig::FromEnv();
-  EXPECT_EQ(config.num_actors, 7);
-  EXPECT_EQ(config.episodes, 21);
-  EXPECT_EQ(config.sync_every, 3);
-  EXPECT_FALSE(config.deterministic);
-  EXPECT_EQ(config.min_replay, 64);
-  EXPECT_EQ(config.updates_per_generation, 5);
-  EXPECT_EQ(config.target_sync_updates, 11);
-  EXPECT_EQ(config.checkpoint_every, 2);
-  EXPECT_EQ(config.checkpoint_dir, "/tmp/apex-test-ckpts");
-  EXPECT_EQ(config.resume_from, "/tmp/apex-test-ckpts/apex-000001.ckpt");
-  EXPECT_EQ(config.explore_seed_base, 31337u);
-  EXPECT_EQ(config.serve_shards, 2);
-  EXPECT_EQ(config.serve.max_batch, 12);
-
-  for (const char* name :
-       {"DPDP_TRAIN_ACTORS", "DPDP_TRAIN_EPISODES", "DPDP_TRAIN_SYNC_EVERY",
-        "DPDP_TRAIN_DETERMINISTIC", "DPDP_TRAIN_MIN_REPLAY",
-        "DPDP_TRAIN_UPDATES_PER_SYNC", "DPDP_TRAIN_TARGET_SYNC_UPDATES",
-        "DPDP_TRAIN_CHECKPOINT_EVERY", "DPDP_TRAIN_CHECKPOINT_DIR",
-        "DPDP_TRAIN_RESUME_FROM", "DPDP_TRAIN_SEED",
-        "DPDP_TRAIN_SERVE_SHARDS", "DPDP_SERVE_MAX_BATCH"}) {
-    unsetenv(name);
-  }
-}
-
-TEST(ApexConfigTest, CheckpointDirFallsBackToGenericKnob) {
-  setenv("DPDP_CHECKPOINT_DIR", "/tmp/generic-ckpts", 1);
-  EXPECT_EQ(ApexConfig::FromEnv().checkpoint_dir, "/tmp/generic-ckpts");
-  setenv("DPDP_TRAIN_CHECKPOINT_DIR", "/tmp/train-ckpts", 1);
-  EXPECT_EQ(ApexConfig::FromEnv().checkpoint_dir, "/tmp/train-ckpts");
-  unsetenv("DPDP_TRAIN_CHECKPOINT_DIR");
-  unsetenv("DPDP_CHECKPOINT_DIR");
 }
 
 }  // namespace
